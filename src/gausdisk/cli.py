@@ -363,6 +363,7 @@ def _cmd_supdisk(args) -> int:
             print(f"bits {bits}", file=out)
             print(f"samples {report.n_samples}", file=out)
             print(f"arc {report.arc}", file=out)
+            print(f"method {report.method}", file=out)
             print(f"sup_lower_bound {_fmt_real(report.sup_value, full)}", file=out)
             print(f"witness {_fmt_complex(report.witness, full)}", file=out)
     return 0

@@ -2,14 +2,23 @@
 with the log-convexity certificates that tie them together.
 
 The central quantity is M(r) = sup_{|z|=r} |B(z)| where B is a measure's
-transform error L(z) - exp(z**2/2).  Because every measure here lives on
-the real line, B(conj z) = conj B(z), so |B| on a circle is determined
-by the upper half; symmetric measures add B(-z) = B(z) and a quarter arc
-suffices.  Scans sample an arc uniformly (endpoints included) and then
-sharpen the best sample by golden-section search down to an angular
-resolution of 2**-64, keeping the largest value ever evaluated, so the
-reported sup is always a certified lower bound for the true one and in
-practice agrees with it to scan resolution.
+transform error L(z) - exp(z**2/2).  For both paper families, the
+Gauss-Hermite rules from ``build_rule`` and the truncated Gaussians, -B
+has nonnegative Taylor coefficients: a Gauss rule's remainder for
+x**(2m) is nonnegative, and conditioning on |X| <= a lowers every even
+moment.  Then |B(z)| <= -B(|z|), so M(r) = |B(r)| exactly, and
+``sup_on_circle`` returns that single real-axis value (method
+"real-axis").
+
+Every other measure is scanned (method "scan").  Because every measure
+here lives on the real line, B(conj z) = conj B(z), so |B| on a circle
+is determined by the upper half; symmetric measures add B(-z) = B(z) and
+a quarter arc suffices.  Scans sample an arc uniformly (endpoints
+included) and then sharpen the best sample by golden-section search down
+to an angular resolution of 2**-64, keeping the largest value ever
+evaluated.  Either way the reported sup is a value of |B| at a point of
+the circle, so it is always a lower bound for the true one; scans agree
+with it to scan resolution in practice.
 
 Three checks are layered on top:
 
@@ -70,6 +79,7 @@ class CircleSupReport:
     arc: str
     n_samples: int
     refine_iterations: int
+    method: str
 
 
 @dataclass(frozen=True)
@@ -142,14 +152,21 @@ def _as_preal(value, bits: int) -> PReal:
     return PReal(value, bits)
 
 
+def _circle_radius(radius, bits: int) -> PReal:
+    r = _as_preal(radius, bits)
+    if not r > 0:
+        raise ConfigError("circle radius must be positive")
+    return r
+
+
 def _maximize_1d(
     evaluate: Callable[[PReal], PReal],
     lo: PReal,
     hi: PReal,
     seeds: int,
-) -> tuple[PReal, PReal, int, PReal]:
+) -> tuple[PReal, PReal, int]:
     """Sample [lo, hi] uniformly, then golden-section sharpen around the
-    best sample.  Returns (argmax, max, refine_iters, best_ever_value).
+    best sample.  Returns (argmax, max, refine_iters).
 
     Golden-section assumes local unimodality; the returned maximum is
     the largest value seen anywhere, so a multimodal profile degrades
@@ -198,7 +215,7 @@ def _maximize_1d(
             if f1 > best_v:
                 best_v, best_x = f1, x1
         iters += 1
-    return best_x, best_v, iters, best_v
+    return best_x, best_v, iters
 
 
 _ARC_FRACTIONS = {"full": 1, "half": 2, "quarter": 4}
@@ -216,9 +233,7 @@ def sup_abs_on_circle(
     _check_bits(bits)
     if arc not in _ARC_FRACTIONS:
         raise ConfigError(f"arc must be one of {sorted(_ARC_FRACTIONS)}, got {arc!r}")
-    r = _as_preal(radius, bits)
-    if not r > 0:
-        raise ConfigError("circle radius must be positive")
+    r = _circle_radius(radius, bits)
     two_pi = 2 * pi_value(bits)
     span = two_pi / _ARC_FRACTIONS[arc]
 
@@ -227,7 +242,7 @@ def sup_abs_on_circle(
         z = PComplex(r * c, r * s, bits=bits)
         return abs(f(z))
 
-    theta_best, sup_value, iters, _ = _maximize_1d(
+    theta_best, sup_value, iters = _maximize_1d(
         evaluate, PReal(0, bits), span, n_samples
     )
     c, s = cos_sin(theta_best)
@@ -239,6 +254,7 @@ def sup_abs_on_circle(
         arc=arc,
         n_samples=n_samples,
         refine_iterations=iters,
+        method="scan",
     )
 
 
@@ -252,12 +268,33 @@ def sup_on_circle(
     bits: int | None = None,
     n_samples: int = 1024,
 ) -> CircleSupReport:
-    """M(r): maximize the transform error of a measure over |z| = r."""
+    """M(r): maximize the transform error of a measure over |z| = r.
+
+    When ``measure.error_peaks_on_real_axis()`` holds, M(r) = |B(r)| by
+    theorem and one evaluation at z = r + 0i (the scan's own theta = 0
+    seed) replaces the scan; the report says method "real-axis" and
+    keeps the arc and sample count a scan would have used.
+    """
     if not isinstance(measure, Measure):
         raise ConfigError("sup_on_circle expects a Measure")
     b = measure.bits if bits is None else _check_bits(bits)
-    return sup_abs_on_circle(
-        measure.laplace_error, radius, b, n_samples=n_samples, arc=_measure_arc(measure)
+    arc = _measure_arc(measure)
+    if not measure.error_peaks_on_real_axis():
+        return sup_abs_on_circle(
+            measure.laplace_error, radius, b, n_samples=n_samples, arc=arc
+        )
+    if n_samples < 3:
+        raise ConfigError("need at least 3 scan samples")
+    r = _circle_radius(radius, b)
+    witness = PComplex(r, PReal(0, b), bits=b)
+    return CircleSupReport(
+        radius=r,
+        sup_value=abs(measure.laplace_error(witness)),
+        witness=witness,
+        arc=arc,
+        n_samples=n_samples,
+        refine_iterations=0,
+        method="real-axis",
     )
 
 
@@ -296,7 +333,7 @@ def sup_on_line(
     def evaluate(y: PReal) -> PReal:
         return abs(measure.laplace_error(PComplex(r, y, bits=b)))
 
-    y_best, sup_value, iters, _ = _maximize_1d(
+    y_best, sup_value, iters = _maximize_1d(
         evaluate, PReal(0, b), height, n_samples
     )
     ceiling = exp(a_b * r) + exp((r * r - height * height) / 2)
@@ -405,16 +442,17 @@ def three_circles_check(
 
     within ``slack`` (scaled by the log-range when that exceeds 1).  On
     failure the scan is repeated once at 4x the sample density before
-    raising ConvexityViolation.  ``source`` is a Measure (its transform
-    error is scanned over the symmetry-reduced arc) or a plain function
-    of one complex argument (scanned over the full circle, and ``bits``
-    must be given).
+    raising ConvexityViolation; when all three sups are exact real-axis
+    values the retry could not change them and is skipped.  ``source``
+    is a Measure (M(r) through :func:`sup_on_circle`) or a plain
+    function of one complex argument (scanned over the full circle, and
+    ``bits`` must be given).
     """
     if isinstance(source, Measure):
         b = source.bits if bits is None else _check_bits(bits)
 
         def scan(radius, n):
-            return sup_on_circle(source, radius, bits=b, n_samples=n).sup_value
+            return sup_on_circle(source, radius, bits=b, n_samples=n)
 
     else:
         if bits is None:
@@ -422,7 +460,7 @@ def three_circles_check(
         b = _check_bits(bits)
 
         def scan(radius, n):
-            return sup_abs_on_circle(source, radius, b, n_samples=n).sup_value
+            return sup_abs_on_circle(source, radius, b, n_samples=n)
 
     rs = tuple(_as_preal(r, b) for r in (r1, r2, r3))
     if not (0 < rs[0] < rs[1] < rs[2]):
@@ -431,12 +469,19 @@ def three_circles_check(
 
     report = None
     for attempt, n in enumerate((n_samples, 4 * n_samples)):
-        sups = tuple(scan(r, n) for r in rs)
+        scans = [scan(r, n) for r in rs]
         report = _convexity_report(
-            ThreeCirclesReport, rs, sups, lam, slack, retried=attempt > 0
+            ThreeCirclesReport,
+            rs,
+            tuple(rep.sup_value for rep in scans),
+            lam,
+            slack,
+            retried=attempt > 0,
         )
-        if report.passed:
-            return report
+        if report.passed or all(rep.method == "real-axis" for rep in scans):
+            break
+    if report.passed:
+        return report
     raise ConvexityViolation(
         f"three-circles inequality failed at radii "
         f"({float(rs[0]):g}, {float(rs[1]):g}, {float(rs[2]):g}): "

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -109,13 +109,18 @@ class QuadratureRule:
     """A k-point matched-moment rule for the standard Gaussian.
 
     Nodes are sorted ascending and symmetric about zero; weights are
-    positive and sum to one at the stated precision.
+    positive and sum to one at the stated precision.  ``gauss_hermite``
+    is set only by :func:`build_rule`: it vouches that the atoms are the
+    Gauss rule itself, whose quadrature remainder for every even power
+    x**(2m) is nonnegative, so no even moment exceeds the Gaussian's
+    beyond rounding.  Rules read from elsewhere carry no such promise.
     """
 
     k: int
     bits: int
     nodes: tuple[PReal, ...]
     weights: tuple[PReal, ...]
+    gauss_hermite: bool = field(default=False, compare=False)
 
     @property
     def support_radius(self) -> PReal:
@@ -175,6 +180,7 @@ def build_rule(k: int, bits: int = 256) -> QuadratureRule:
             bits=bits,
             nodes=(PReal(0, bits),),
             weights=(PReal(1, bits),),
+            gauss_hermite=True,
         )
         _RULE_CACHE[key] = rule
         return rule
@@ -225,7 +231,9 @@ def build_rule(k: int, bits: int = 256) -> QuadratureRule:
             f"largest node of the k={k} rule escaped sqrt({4 * k + 2})"
         )
 
-    rule = QuadratureRule(k=k, bits=bits, nodes=node_vals, weights=weight_vals)
+    rule = QuadratureRule(
+        k=k, bits=bits, nodes=node_vals, weights=weight_vals, gauss_hermite=True
+    )
     _RULE_CACHE[key] = rule
     return rule
 

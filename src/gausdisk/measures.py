@@ -257,6 +257,15 @@ class Measure:
     def is_symmetric(self) -> bool:
         return False
 
+    def error_peaks_on_real_axis(self) -> bool:
+        """True when -B(z) = exp(z**2/2) - L(z) has nonnegative Taylor
+        coefficients (odd moments zero, every even moment at most the
+        Gaussian's), so that sup over |z| = r of |B| is |B(r)| exactly.
+
+        Only constructions that guarantee this by theorem answer True;
+        the default is the safe False."""
+        return False
+
     def description(self) -> str:
         return type(self).__name__
 
@@ -294,6 +303,7 @@ class DiscreteMeasure(Measure):
         self.atoms = tuple(coerced)
         self.bits = bits
         self._symmetric = self._check_symmetric()
+        self._gauss_hermite = False
 
     def _check_symmetric(self) -> bool:
         n = len(self.atoms)
@@ -306,13 +316,19 @@ class DiscreteMeasure(Measure):
 
     @classmethod
     def from_quadrature(cls, rule: QuadratureRule) -> "DiscreteMeasure":
-        return cls(zip(rule.nodes, rule.weights), bits=rule.bits)
+        measure = cls(zip(rule.nodes, rule.weights), bits=rule.bits)
+        measure._gauss_hermite = rule.gauss_hermite
+        return measure
 
     def support_radius(self) -> PReal:
         return max(abs(self.atoms[0][0]), abs(self.atoms[-1][0]))
 
     def is_symmetric(self) -> bool:
         return self._symmetric
+
+    def error_peaks_on_real_axis(self) -> bool:
+        # A Gauss rule's remainder for x**(2m) is f^(2k)(xi) k!/(2k)! >= 0.
+        return self._gauss_hermite and self._symmetric
 
     def description(self) -> str:
         return f"discrete measure with {len(self.atoms)} atoms"
@@ -415,6 +431,10 @@ class TruncatedGaussian(Measure):
         return self.a
 
     def is_symmetric(self) -> bool:
+        return True
+
+    def error_peaks_on_real_axis(self) -> bool:
+        # Conditioning on |X| <= a lowers every even moment.
         return True
 
     def description(self) -> str:

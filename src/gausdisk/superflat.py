@@ -115,12 +115,6 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
     )
 
 
-def _gauss_density(u, bits: int):
-    """phi(u) = exp(-u**2/2)/sqrt(2*pi) for PReal or PComplex u."""
-    inv_root = 1 / sqrt(2 * pi_value(bits))
-    return exp(-(u * u) / 2) * inv_root
-
-
 def mixture_density(mix: SuperflatMixture, z):
     """f(z), entire in z; accepts real or complex scalars."""
     return density_derivative(mix, z, 0)
@@ -141,10 +135,11 @@ def density_derivative(mix: SuperflatMixture, z, n: int):
         raise ConfigError(f"expected a scalar, got {type(z).__name__}")
     bits = max(mix.bits, z.bits)
     zw = z.round_to(bits)
+    inv_root = 1 / sqrt(2 * pi_value(bits))
     total = None
     for x, v in zip(mix.locations, mix.weights):
         u = zw - x
-        term = v * _gauss_density(u, bits)
+        term = v * (exp(-(u * u) / 2) * inv_root)  # v * phi(u)
         if n > 0:
             he_n, _ = hermite_pair(n, u)
             term = term * he_n

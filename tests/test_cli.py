@@ -147,9 +147,22 @@ class TestSupdisk:
             line.split(" ", 1) for line in out.strip().split("\n")
         )
         assert values["arc"] == "quarter"
+        assert values["method"] == "real-axis"
         assert float(values["sup_lower_bound"]) == pytest.approx(
             1.0564063588e-1, rel=1e-9
         )
+
+    def test_csv_rule_is_scanned_to_the_same_digits(self, capsys, tmp_path):
+        rule_path = tmp_path / "r.csv"
+        run_cli(capsys, "rule", "--k", "4", "--precision", "128", "--out", str(rule_path))
+        common = ("--r", "1", "--samples", "32")
+        code, out_csv, _ = run_cli(capsys, "supdisk", "--measure", f"csv:{rule_path}", *common)
+        code2, out_rule, _ = run_cli(
+            capsys, "supdisk", "--measure", "rule:4", "--precision", "128", *common
+        )
+        assert code == code2 == 0
+        assert "method scan\n" in out_csv and "method real-axis\n" in out_rule
+        assert out_csv.replace("method scan", "method real-axis") == out_rule
 
     def test_line_scan_fields(self, capsys):
         code, out, _ = run_cli(

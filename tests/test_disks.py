@@ -1,5 +1,6 @@
 """Boundary scans, convexity checks, growth envelopes, Taylor recovery."""
 
+import io
 import math
 
 import numpy as np
@@ -14,8 +15,9 @@ from gausdisk.disks import (
     three_circles_check,
     three_lines_check,
 )
-from gausdisk.errors import ConfigError, EnvelopeViolation
-from gausdisk.hermite import build_rule
+from gausdisk.errors import ConfigError, ConvexityViolation, EnvelopeViolation
+from gausdisk.experiments import default_grid
+from gausdisk.hermite import build_rule, k_for_support, moment, rule_from_csv, rule_to_csv
 from gausdisk.measures import (
     DiscreteMeasure,
     Measure,
@@ -23,7 +25,7 @@ from gausdisk.measures import (
     TruncatedGaussian,
     quadrature_measure_for_support,
 )
-from gausdisk.precision import PComplex, PReal, exp, working_bits
+from gausdisk.precision import PComplex, PReal, double_factorial, exp, working_bits
 
 
 def numpy_circle_error_max(measure: DiscreteMeasure, radius: float, n: int = 20001):
@@ -96,6 +98,93 @@ class TestCircleScan:
             sup_on_circle(lambda z: z, 1)
 
 
+def forced_scan(measure, radius, n_samples):
+    """The quarter-arc scan that sup_on_circle ran before its real-axis
+    path; the oracle for that path."""
+    return sup_abs_on_circle(
+        measure.laplace_error, radius, measure.bits, n_samples=n_samples, arc="quarter"
+    )
+
+
+class TestRealAxisPath:
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("a", [4, 5.5, 7])
+    def test_equals_scan_bit_for_bit(self, a, r):
+        bits = working_bits(a, r)
+        for m in (TruncatedGaussian(a, bits), quadrature_measure_for_support(a, bits)):
+            fast = sup_on_circle(m, r, n_samples=64)
+            scan = forced_scan(m, r, 64)
+            assert fast.method == "real-axis" and scan.method == "scan"
+            assert fast.sup_value.raw == scan.sup_value.raw
+            assert fast.witness.raw == scan.witness.raw
+            assert (fast.arc, fast.n_samples) == (scan.arc, scan.n_samples)
+
+    def test_mixed_sign_csv_measure_keeps_scan(self):
+        # cosh(2z) - exp(z**2/2): the second moment 4 exceeds the Gaussian's
+        # 1 while high moments fall below it, and at r = 3 the sup sits off
+        # the real axis, above |B(3)|.
+        text = "location,mass\n-2e0@192,5e-1@192\n2e0@192,5e-1@192\n"
+        m = DiscreteMeasure.from_csv(io.StringIO(text))
+        assert m.is_symmetric()
+        report = sup_on_circle(m, 3, n_samples=64)
+        assert report.method == "scan"
+        assert report.sup_value.raw == forced_scan(m, 3, 64).sup_value.raw
+        on_axis = abs(m.laplace_error(PComplex(PReal(3, 192), PReal(0, 192))))
+        assert float(report.sup_value) > 1.1 * float(on_axis)
+
+    def test_rule_read_from_csv_keeps_scan(self):
+        rule = build_rule(5, 256)
+        buf = io.StringIO()
+        rule_to_csv(rule, buf)
+        loaded = DiscreteMeasure.from_quadrature(rule_from_csv(io.StringIO(buf.getvalue())))
+        report = sup_on_circle(loaded, 1, n_samples=64)
+        assert report.method == "scan"
+        built = sup_on_circle(DiscreteMeasure.from_quadrature(rule), 1, n_samples=64)
+        assert built.method == "real-axis"
+        assert report.sup_value.raw == built.sup_value.raw
+
+    @pytest.mark.parametrize(
+        # the default figure grid, plus half-widths between its steps
+        "a", list(default_grid()) + [4.303, 6.067, 6.561, 7.655, 8.371]
+    )
+    def test_rounded_rule_deficits_below_printed_digits(self, a):
+        # For the exact rule, -B(z) = sum_m d_m z**(2m)/(2m)! with
+        # d_m = (2m-1)!! - mu_2m >= 0.  Rounding the atoms can flip the
+        # sign of the deficits d_m, m < k, which are zero for the exact
+        # rule; they move sup |B| away from |B(r)| by at most twice their
+        # weighted sum.
+        r, bits = 1, working_bits(a, 1.0)
+        rule = build_rule(k_for_support(PReal(a, bits)), bits)
+        at_axis = abs(DiscreteMeasure.from_quadrature(rule).laplace_error(PReal(r, bits)))
+        bound = PReal(0, bits)
+        for m in range(rule.k):
+            gap = abs(moment(rule, 2 * m) - double_factorial(2 * m - 1))
+            bound = bound + 2 * gap * PReal(r, bits) ** (2 * m) / math.factorial(2 * m)
+        assert bound < PReal(2, bits) ** -(bits // 2) * at_axis
+
+    def test_convexity_retry_skipped_for_exact_sups(self):
+        class Kinked(Measure):
+            # claims the real-axis property; log M(r) is concave at r = 2
+            def __init__(self):
+                self.bits = 128
+                self.calls = 0
+
+            def is_symmetric(self):
+                return True
+
+            def error_peaks_on_real_axis(self):
+                return True
+
+            def laplace_error(self, z):
+                self.calls += 1
+                return PReal(100 if float(z.real) == 2 else 1, self.bits)
+
+        m = Kinked()
+        with pytest.raises(ConvexityViolation):
+            three_circles_check(m, 1, 2, 4, n_samples=16)
+        assert m.calls == 3
+
+
 class TestLineScan:
     def test_two_point_rule_on_imaginary_axis(self):
         m = DiscreteMeasure.from_quadrature(build_rule(2, 256))
@@ -143,6 +232,7 @@ class TestGrowthProfile:
         m = DiscreteMeasure.from_quadrature(build_rule(2, 320))
         profile = growth_profile(m, [6, 10], n_samples=64)
         assert profile.envelope_checked == (True, True)
+        assert all(rep.method == "real-axis" for rep in profile.reports)
         for rep, r in zip(profile.reports, (6, 10)):
             lower = math.exp(r * r / 2) / 2
             assert float(rep.sup_value) >= lower

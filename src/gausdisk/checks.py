@@ -9,7 +9,9 @@ sweeps further.
 from __future__ import annotations
 
 import io
+import os
 import random
+import sys
 
 from .disks import growth_profile, sup_on_circle, three_circles_check, three_lines_check
 from .errors import MathInvariantError
@@ -167,23 +169,45 @@ def check_tail_chain(quick: bool) -> None:
     )
 
 
-def check_determinism(quick: bool) -> None:
+def _determinism_text() -> str:
+    """The figure CSV of a pinned table followed by the a=4 superflat CSV."""
     rows = (
         RateRow(a=4.0, k=2, bits=197, err_trunc=PReal("2.1e-3", 64), err_quad=PReal("0.105", 64)),
         RateRow(a=5.0, k=4, bits=291, err_trunc=PReal("5.1e-5", 64), err_quad=PReal("7.5e-4", 64)),
     )
-    table = RateTable(b=1.0, n_samples=64, rows=rows)
-    _require(
-        figure_csv_text(table) == figure_csv_text(table),
-        "figure CSV text is not deterministic",
+    buf = io.StringIO()
+    buf.write(figure_csv_text(RateTable(b=1.0, n_samples=64, rows=rows)))
+    superflat_to_csv(build_superflat(4), buf)
+    return buf.getvalue()
+
+
+_CHILD = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from gausdisk.checks import _determinism_text; "
+    "sys.stdout.buffer.write(_determinism_text().encode())"
+)
+
+
+def _child_determinism_bytes() -> bytes:
+    """``_determinism_text`` as a fresh interpreter prints it, importing
+    this same gausdisk package."""
+    import subprocess  # imported here so that other commands do not load it
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, root], capture_output=True, timeout=300
     )
-    mix = build_superflat(4)
-    bufs = []
-    for _ in range(2):
-        buf = io.StringIO()
-        superflat_to_csv(mix, buf)
-        bufs.append(buf.getvalue())
-    _require(bufs[0] == bufs[1], "superflat CSV is not deterministic")
+    tail = done.stderr.decode(errors="replace")[-200:]
+    _require(done.returncode == 0, f"determinism child failed: {tail}")
+    return done.stdout
+
+
+def check_determinism(quick: bool) -> None:
+    """The pinned CSV artifacts are byte-identical across processes."""
+    _require(
+        _child_determinism_bytes() == _determinism_text().encode(),
+        "figure and superflat CSV bytes differ between two processes",
+    )
 
 
 def check_trig_identity(quick: bool) -> None:

@@ -58,7 +58,7 @@ def _bits_from_text(text: str, source: str) -> int:
     return bits
 
 
-def _resolve_bits(args, auto_policy) -> int:
+def _resolve_bits(args, auto_policy) -> int | None:
     """Precedence: explicit --precision, then the environment, then policy."""
     if args.precision != "auto":
         return _bits_from_text(args.precision, "--precision")
@@ -66,16 +66,6 @@ def _resolve_bits(args, auto_policy) -> int:
     if env is not None and env.strip() and env.strip().lower() != "auto":
         return _bits_from_text(env.strip(), _ENV_PRECISION)
     return auto_policy()
-
-
-def _explicit_bits(args) -> int | None:
-    """The bit count pinned by flag or environment, or None for auto."""
-    if args.precision != "auto":
-        return _bits_from_text(args.precision, "--precision")
-    env = os.environ.get(_ENV_PRECISION)
-    if env is not None and env.strip() and env.strip().lower() != "auto":
-        return _bits_from_text(env.strip(), _ENV_PRECISION)
-    return None
 
 
 def _fmt_real(value: PReal, full: bool) -> str:
@@ -153,7 +143,7 @@ def _measure_and_bits(args, radius_hint: float):
             loaded = DiscreteMeasure.from_quadrature(rule_from_csv(io.StringIO(text)))
         else:
             loaded = DiscreteMeasure.from_csv(io.StringIO(text))
-        bits = _explicit_bits(args)
+        bits = _resolve_bits(args, lambda: None)
         if bits is None or bits == loaded.bits:
             return loaded, loaded.bits
         atoms = [(x.round_to(bits), w.round_to(bits)) for x, w in loaded.atoms]
@@ -404,7 +394,7 @@ def _cmd_figure(args) -> int:
         raise ConfigError("figure: --samples must be at least 8")
     if not math.isfinite(args.b) or args.b <= 0:
         raise ConfigError("figure: --b must be positive")
-    override = _explicit_bits(args)
+    override = _resolve_bits(args, lambda: None)
     table = run_figure(
         grid, b=args.b, n_samples=args.samples, bits_override=override
     )

@@ -56,6 +56,7 @@ __all__ = [
     "CircleSupReport",
     "LineSupReport",
     "GrowthProfile",
+    "ConvexityReport",
     "ThreeCirclesReport",
     "ThreeLinesReport",
     "TaylorReport",
@@ -102,7 +103,10 @@ class GrowthProfile:
 
 
 @dataclass(frozen=True)
-class ThreeCirclesReport:
+class ConvexityReport:
+    """Outcome of a three-circles or three-lines log-convexity test; the
+    r's are radii or line offsets."""
+
     r1: PReal
     r2: PReal
     r3: PReal
@@ -119,22 +123,8 @@ class ThreeCirclesReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ThreeLinesReport:
-    r1: PReal
-    r2: PReal
-    r3: PReal
-    sup1: PReal
-    sup2: PReal
-    sup3: PReal
-    lam: PReal
-    lhs_log: PReal
-    rhs_log: PReal
-    margin: PReal
-    slack: float
-    status: str
-    retried: bool
-    passed: bool
+ThreeCirclesReport = ConvexityReport
+ThreeLinesReport = ConvexityReport
 
 
 @dataclass(frozen=True)
@@ -395,17 +385,16 @@ def growth_profile(
 
 
 def _convexity_report(
-    cls,
     rs: tuple[PReal, PReal, PReal],
     sups: tuple[PReal, PReal, PReal],
     lam: PReal,
     slack: float,
     retried: bool,
-):
+) -> ConvexityReport:
     bits = rs[0].bits
     if any(s.is_zero() for s in sups):
         zero = PReal(0, bits)
-        return cls(
+        return ConvexityReport(
             r1=rs[0], r2=rs[1], r3=rs[2],
             sup1=sups[0], sup2=sups[1], sup3=sups[2],
             lam=lam, lhs_log=zero, rhs_log=zero, margin=zero,
@@ -418,11 +407,35 @@ def _convexity_report(
     allowance = PReal(slack, bits) * (span if span > 1 else PReal(1, bits))
     margin = rhs - lhs
     passed = bool(margin >= -allowance)
-    return cls(
+    return ConvexityReport(
         r1=rs[0], r2=rs[1], r3=rs[2],
         sup1=sups[0], sup2=sups[1], sup3=sups[2],
         lam=lam, lhs_log=lhs, rhs_log=rhs, margin=margin,
         slack=slack, status="ok", retried=retried, passed=passed,
+    )
+
+
+def _convexity_check(
+    sups_at: Callable[[int], tuple[tuple, bool]],
+    rs: tuple[PReal, PReal, PReal],
+    lam: PReal,
+    n_samples: int,
+    slack: float,
+    what: str,
+) -> ConvexityReport:
+    """Test at ``n_samples`` and, on failure, once more at 4x unless
+    ``sups_at`` says its sups are exact; raise ConvexityViolation if the
+    inequality still fails.  ``sups_at(n)`` returns (sups, exact)."""
+    for attempt, n in enumerate((n_samples, 4 * n_samples)):
+        sups, exact = sups_at(n)
+        report = _convexity_report(rs, sups, lam, slack, retried=attempt > 0)
+        if report.passed:
+            return report
+        if exact:
+            break
+    raise ConvexityViolation(
+        f"{what} ({float(rs[0]):g}, {float(rs[1]):g}, {float(rs[2]):g}): "
+        f"margin {float(report.margin):.3e} with slack {slack:g}"
     )
 
 
@@ -434,7 +447,7 @@ def three_circles_check(
     bits: int | None = None,
     n_samples: int = 1024,
     slack: float = 1e-6,
-) -> ThreeCirclesReport:
+) -> ConvexityReport:
     """Verify log-convexity of M(r) in log r at radii r1 < r2 < r3:
 
         log M(r2) <= (1-lam) log M(r1) + lam log M(r3),
@@ -467,25 +480,13 @@ def three_circles_check(
         raise ConfigError("radii must satisfy 0 < r1 < r2 < r3")
     lam = (log(rs[1]) - log(rs[0])) / (log(rs[2]) - log(rs[0]))
 
-    report = None
-    for attempt, n in enumerate((n_samples, 4 * n_samples)):
+    def sups_at(n):
         scans = [scan(r, n) for r in rs]
-        report = _convexity_report(
-            ThreeCirclesReport,
-            rs,
-            tuple(rep.sup_value for rep in scans),
-            lam,
-            slack,
-            retried=attempt > 0,
-        )
-        if report.passed or all(rep.method == "real-axis" for rep in scans):
-            break
-    if report.passed:
-        return report
-    raise ConvexityViolation(
-        f"three-circles inequality failed at radii "
-        f"({float(rs[0]):g}, {float(rs[1]):g}, {float(rs[2]):g}): "
-        f"margin {float(report.margin):.3e} with slack {slack:g}"
+        exact = all(rep.method == "real-axis" for rep in scans)
+        return tuple(rep.sup_value for rep in scans), exact
+
+    return _convexity_check(
+        sups_at, rs, lam, n_samples, slack, "three-circles inequality failed at radii"
     )
 
 
@@ -498,7 +499,7 @@ def three_lines_check(
     n_samples: int = 1024,
     slack: float = 1e-6,
     p_slack: int = 4,
-) -> ThreeLinesReport:
+) -> ConvexityReport:
     """Verify log-convexity of the vertical-line sup b(r) in the offset:
 
         log b(r2) <= (1-lam) log b(r1) + lam log b(r3),
@@ -517,21 +518,15 @@ def three_lines_check(
         raise ConfigError("offsets must be nonnegative")
     lam = (rs[1] - rs[0]) / (rs[2] - rs[0])
 
-    report = None
-    for attempt, n in enumerate((n_samples, 4 * n_samples)):
+    def sups_at(n):
         sups = tuple(
             sup_on_line(measure, r, bits=b, n_samples=n, p_slack=p_slack).sup_value
             for r in rs
         )
-        report = _convexity_report(
-            ThreeLinesReport, rs, sups, lam, slack, retried=attempt > 0
-        )
-        if report.passed:
-            return report
-    raise ConvexityViolation(
-        f"three-lines inequality failed at offsets "
-        f"({float(rs[0]):g}, {float(rs[1]):g}, {float(rs[2]):g}): "
-        f"margin {float(report.margin):.3e} with slack {slack:g}"
+        return sups, False
+
+    return _convexity_check(
+        sups_at, rs, lam, n_samples, slack, "three-lines inequality failed at offsets"
     )
 
 

@@ -13,22 +13,36 @@ as an entire function of a complex argument, the characteristic function
 L(it), and the error functional L(z) - exp(z**2/2) measuring the drift
 from the Gaussian transform.
 
-The complex normal CDF needed by the truncated family is evaluated by
-its everywhere-convergent odd Taylor series
+The truncated family has one kernel, the series of its even moments,
+
+    L(z) = sum_m ell_m z**(2m),   ell_m = R_m / (R_0 * 2**m * m!),
+    R_m = sum_{j>m} a**(2j-1) / (2j-1)!!,
+
+which follows from integral_0^a x**(2m) exp(-x**2/2) dx
+= (2m-1)!! exp(-a**2/2) R_m.  The normaliser 2*phi(a)/(1 - 2*Q(a)) is
+1/R_0, so no CDF is needed.  Each R_m is a sum of positive terms, built
+downward from one short tail sum.  Since ell_m <= a**(2m)/(2m)!, the
+terms add up to at most exp(a*|z|), and a lift of a*|z|/ln 2 bits covers
+the cancellation off the real axis.
+
+The complex normal CDF is evaluated by its everywhere-convergent odd
+Taylor series
 
     1/2 + (2*pi)**(-1/2) * sum_n (-1)**n z**(2n+1) / (2**n n! (2n+1)),
 
 with working precision raised by about |z|**2/ln 2 bits because the
 partial sums grow to exp(|z|**2/2) before collapsing.  Arguments are
-capped at |z| <= 64 so that blow-up stays within reason.
+capped at |z| <= 64 so that blow-up stays within reason.  It serves
+``normal_cdf``, ``gauss_upper_tail`` and ``truncation_error_closed_form``,
+which writes the truncated error through upper tails and is the
+independent oracle for the moment series.
 
 ``char_bound_check`` sweeps the characteristic function of a truncated
 Gaussian over a dense real grid and certifies the deviation chain
 max_t |psi(t) - exp(-t**2/2)|  <=  4*Q(a)  <=  (4/(sqrt(2*pi)*a))*exp(-a**2/2)
-<=  2*exp(-a**2/2), where Q is the Gaussian upper tail.  Long grids use a
-moment-series evaluator for psi (orders of magnitude faster than the
-complex-CDF route at large a*t) and cross-check it pointwise against the
-closed form on a subsample.
+<=  2*exp(-a**2/2), where Q is the Gaussian upper tail.  It builds the
+moment coefficients once, evaluates psi by Horner's rule at every grid
+point, and cross-checks it against the closed form on a subsample.
 """
 
 from __future__ import annotations
@@ -403,12 +417,65 @@ class DiscreteMeasure(Measure):
         return cls(atoms)
 
 
-class TruncatedGaussian(Measure):
-    """The standard Gaussian conditioned on [-a, a], a >= 1.
+def _series_cutoff(at: float, bits_needed: float) -> int:
+    """An index m with max(a*t, 1)**(2m)/(2m)! below 2**(-bits_needed).
 
-    Its Laplace transform is
-    exp(z**2/2) * (Phi(a+z) + Phi(a-z) - 1) / (2*Phi(a) - 1).
-    Evaluation requires a + |z| <= 64 (the CDF series domain).
+    Such an m is large enough that each later term of
+    sum_n (a*t)**(2n)/(2n)! is under half the one before, so the series
+    cut after index m misses less than 2**(-bits_needed)."""
+    at = max(at, 1.0)
+    target = -bits_needed * _LN2
+    m = max(2, int(at / 2))
+    while 2 * m * math.log(at) - math.lgamma(2 * m + 1) > target:
+        m = int(m * 1.25) + 1
+    return m
+
+
+def _moment_coeffs(a_raw, n: int, wp: int) -> list:
+    """ell_0..ell_n of the truncated Gaussian's series L(z) = sum ell_m z**(2m),
+    each to about 2**-wp relative (see the module docstring)."""
+    a_sq = mpf_mul(a_raw, a_raw, wp, _RND)
+    a_sq_f = to_float(a_sq, rnd=_RND)
+
+    def after(t, j):  # t_(j+1) from t_j = a**(2j-1)/(2j-1)!!
+        return mpf_div(mpf_mul(t, a_sq, wp, _RND), from_int(2 * j + 1), wp, _RND)
+
+    terms = [mpf_pos(a_raw, wp, _RND)]  # t_1..t_n
+    for j in range(1, n):
+        terms.append(after(terms[-1], j))
+    # R_n = t_(n+1) + t_(n+2) + ...; once a**2/(2j+1) <= 1/2, all that
+    # follows t_j is at most t_j.
+    j = n + 1
+    t = r = after(terms[-1], n)
+    while 2 * j + 1 < 2 * a_sq_f or _mag(t) >= _mag(r) - wp - 1:
+        t = after(t, j)
+        r = mpf_add(r, t, wp, _RND)
+        j += 1
+    tails = [r]  # R_n down to R_0
+    for m in range(n, 0, -1):
+        tails.append(mpf_add(tails[-1], terms[m - 1], wp, _RND))
+    tails.reverse()
+    coeffs = [fone]
+    scale = mpf_div(fone, tails[0], wp, _RND)
+    for m in range(1, n + 1):
+        scale = mpf_div(scale, from_int(2 * m), wp, _RND)
+        coeffs.append(mpf_mul(tails[m], scale, wp, _RND))
+    return coeffs
+
+
+def _horner(coeffs: list, n: int, w, wp: int):
+    """sum_{m <= n} coeffs[m] * w**m for a raw real w."""
+    acc = coeffs[n]
+    for m in range(n - 1, -1, -1):
+        acc = mpf_add(coeffs[m], mpf_mul(acc, w, wp, _RND), wp, _RND)
+    return acc
+
+
+class TruncatedGaussian(Measure):
+    """The standard Gaussian conditioned on [-a, a], 1 <= a <= 64.
+
+    Its Laplace transform is summed from the even-moment series of the
+    module docstring.  Evaluation requires a + |z| <= 64.
     """
 
     def __init__(self, a, bits: int = 256):
@@ -423,9 +490,6 @@ class TruncatedGaussian(Measure):
             raise ConfigError("truncation half-width must be at most 64")
         self.a = a.round_to(bits)
         self.bits = bits
-        # 2*Phi(a) - 1, the conditioning mass; kept with guard bits.
-        phi_a = _phi_series_real(self.a.raw, bits + 32)
-        self._denom = mpf_sub(mpf_shift(phi_a, 1), fone, bits + 32, _RND)
 
     def support_radius(self) -> PReal:
         return self.a
@@ -443,38 +507,24 @@ class TruncatedGaussian(Measure):
     def laplace(self, z):
         z = _coerce_point(z, self.bits)
         out_bits = max(self.bits, z.bits)
-        wp = out_bits + 32
-        a_raw = self.a.raw
-        if isinstance(z, PReal):
-            zr = z.raw
-            if float(abs(self.a + abs(z))) > _MAX_CDF_ARG:
-                raise ConfigError("laplace argument too far out: a + |z| > 64")
-            plus = _phi_series_real(mpf_add(a_raw, zr, wp, _RND), wp)
-            minus = _phi_series_real(mpf_sub(a_raw, zr, wp, _RND), wp)
-            bracket = mpf_sub(mpf_add(plus, minus, wp, _RND), fone, wp, _RND)
-            half_sq = mpf_shift(mpf_mul(zr, zr, wp, _RND), -1)
-            gauss = mpf_exp(half_sq, wp, _RND)
-            value = mpf_div(mpf_mul(gauss, bracket, wp, _RND), self._denom, wp, _RND)
-            return PReal._wrap(mpf_pos(value, out_bits, _RND), out_bits)
-        if float(self.a + abs(z)) > _MAX_CDF_ARG:
+        af = float(self.a)
+        z_abs = abs(complex(z))
+        if af + z_abs > _MAX_CDF_ARG:
             raise ConfigError("laplace argument too far out: a + |z| > 64")
-        zre, zim = z.raw
-        plus = _phi_series_complex(
-            (mpf_add(a_raw, zre, wp, _RND), zim), wp
-        )
-        minus = _phi_series_complex(
-            (mpf_sub(a_raw, zre, wp, _RND), mpf_neg(zim)), wp
-        )
-        bracket = mpc_sub(mpc_add(plus, minus, wp, _RND), (fone, fzero), wp, _RND)
-        sq = mpc_mul(z.raw, z.raw, wp, _RND)
-        gauss = mpc_exp((mpf_shift(sq[0], -1), mpf_shift(sq[1], -1)), wp, _RND)
-        num = mpc_mul(gauss, bracket, wp, _RND)
-        value = (
-            mpf_div(num[0], self._denom, wp, _RND),
-            mpf_div(num[1], self._denom, wp, _RND),
-        )
+        at = af * z_abs
+        wp = out_bits + math.ceil(at / _LN2) + 32
+        n = _series_cutoff(at, wp)
+        coeffs = _moment_coeffs(self.a.raw, n, wp)
+        if isinstance(z, PReal):
+            value = _horner(coeffs, n, mpf_mul(z.raw, z.raw, wp, _RND), wp)
+            return PReal._wrap(mpf_pos(value, out_bits, _RND), out_bits)
+        w = mpc_mul(z.raw, z.raw, wp, _RND)
+        acc = (coeffs[n], fzero)
+        for m in range(n - 1, -1, -1):
+            acc = mpc_mul(acc, w, wp, _RND)
+            acc = (mpf_add(acc[0], coeffs[m], wp, _RND), acc[1])
         return PComplex._wrap(
-            mpf_pos(value[0], out_bits, _RND), mpf_pos(value[1], out_bits, _RND), out_bits
+            mpf_pos(acc[0], out_bits, _RND), mpf_pos(acc[1], out_bits, _RND), out_bits
         )
 
 
@@ -559,67 +609,12 @@ def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | P
 # -- characteristic function deviation sweep ---------------------------
 
 
-def _trunc_half_integral(n: int, a_raw, wp: int):
-    """integral_0^a x**n exp(-x**2/2) dx by its alternating series
-    a**(n+1) sum_j (-1)**j (a**2/2)**j / (j! (n+2j+1)), which is stable
-    for every n (unlike the two-term recurrence, which loses all
-    accuracy once n greatly exceeds a**2)."""
-    half_sq = mpf_shift(mpf_mul(a_raw, a_raw, wp, _RND), -1)
-    half_sq_f = to_float(half_sq, rnd=_RND)
-    coeff = fone
-    total = mpf_div(fone, from_int(n + 1), wp, _RND)
-    j = 1
-    while True:
-        coeff = mpf_div(
-            mpf_mul(coeff, mpf_neg(half_sq), wp, _RND), from_int(j), wp, _RND
-        )
-        term = mpf_div(coeff, from_int(n + 2 * j + 1), wp, _RND)
-        total = mpf_add(total, term, wp, _RND)
-        if j > half_sq_f and _mag(term) < -(wp + 8):
-            break
-        j += 1
-        if j > 200000:
-            raise ConvergenceError("half-range moment series failed to terminate")
-    power = fone
-    for _ in range(n + 1):
-        power = mpf_mul(power, a_raw, wp, _RND)
-    return mpf_mul(power, total, wp, _RND)
-
-
-def _char_series_coeffs(a_raw, m_top: int, wp: int) -> list:
-    """Coefficients d_m with psi(t) = sum_m d_m t**(2m) for the
-    truncated Gaussian: d_m = (-1)**m mu_{2m} / (2m)! with mu the
-    normalized even moments."""
-    j0 = _trunc_half_integral(0, a_raw, wp)
-    coeffs = []
-    fact = 1
-    for m in range(m_top + 1):
-        if m > 0:
-            fact *= (2 * m - 1) * (2 * m)
-        jm = _trunc_half_integral(2 * m, a_raw, wp)
-        d = mpf_div(jm, mpf_mul(j0, from_int(fact), wp, _RND), wp, _RND)
-        coeffs.append(mpf_neg(d) if m % 2 else d)
-    return coeffs
-
-
-def _series_cutoff(at: float, bits_needed: float) -> int:
-    """Smallest m with (a*t)**(2m)/(2m)! below 2**(-bits_needed)."""
-    if at <= 1.0:
-        return max(4, int(bits_needed // 8))
-    target = -bits_needed * _LN2
-    m = max(2, int(at / 2))
-    while 2 * m * math.log(at) - math.lgamma(2 * m + 1) > target:
-        m = int(m * 1.25) + 1
-    return m
-
-
 @dataclass(frozen=True)
 class CharBoundReport:
     """Outcome of a characteristic-function deviation sweep."""
 
     a: float
     bits: int
-    method: str
     t_max: float
     t_step: float
     n_points: int
@@ -637,16 +632,15 @@ def char_bound_check(
     t_max: float = 50.0,
     t_step: float = 0.01,
     bits: int | None = None,
-    method: str = "auto",
 ) -> CharBoundReport:
     """Sweep |psi_trunc(t) - exp(-t**2/2)| over the symmetric grid
     |t| <= t_max (step t_step) and certify the three-bound chain
     grid max <= 4*Q(a) <= (4/(sqrt(2*pi)*a))*exp(-a**2/2) <= 2*exp(-a**2/2).
 
     The characteristic function of a symmetric measure is even, so only
-    t >= 0 is evaluated.  ``method`` is "closed" (complex-CDF route),
-    "series" (even moment series, cross-checked against closed on a
-    subsample), or "auto".
+    t >= 0 is evaluated.  psi comes from the moment series, built once at
+    the precision the largest t needs; on every eighth of the grid it is
+    cross-checked against ``truncation_error_closed_form`` at z = it.
     """
     af = float(a)
     if not (1.0 <= af <= 8.0):
@@ -657,34 +651,13 @@ def char_bound_check(
         bits = max(192, int(af * af / (2 * _LN2)) + 96)
     else:
         _check_bits(bits)
-    if method not in ("auto", "closed", "series"):
-        raise ConfigError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "series" if af * t_max > 32.0 else "closed"
 
     trunc = TruncatedGaussian(af, bits)
     n_steps = int(round(t_max / t_step))
     step_raw = PReal(t_step, bits).raw
     wp_top = bits + int(af * t_max / _LN2) + 64
-
-    coeffs = None
-    if method == "series":
-        m_top = _series_cutoff(af * t_max, bits + 32)
-        coeffs = _char_series_coeffs(trunc.a.raw, m_top, wp_top)
-
-    def psi_series(t_raw, tf: float):
-        at = af * abs(tf)
-        wp = bits + int(at / _LN2) + 64
-        m_use = min(len(coeffs) - 1, _series_cutoff(at, bits + 32))
-        t2 = mpf_mul(t_raw, t_raw, wp, _RND)
-        acc = coeffs[m_use]
-        for m in range(m_use - 1, -1, -1):
-            acc = mpf_add(coeffs[m], mpf_mul(acc, t2, wp, _RND), wp, _RND)
-        return acc
-
-    def psi_closed(t_raw):
-        t_val = PReal._wrap(t_raw, bits)
-        return trunc.char_fn(t_val).real.raw
+    coeffs = _moment_coeffs(trunc.a.raw, _series_cutoff(af * t_max, bits + 32), wp_top)
+    zero = PReal(0, bits)
 
     best = fzero
     best_t = 0.0
@@ -693,21 +666,23 @@ def char_bound_check(
     for j in range(n_steps + 1):
         t_raw = mpf_mul_int(step_raw, j, wp_top, _RND)
         tf = j * t_step
-        if method == "series":
-            psi = psi_series(t_raw, tf)
-            if j % check_every == 0:
-                ref = psi_closed(t_raw)
-                gap = mpf_abs(mpf_sub(psi, ref, bits, _RND))
-                if _mag(gap) > -(bits // 2):
-                    raise ChainViolation(
-                        f"series and closed-form char evaluations disagree at t={tf:g}"
-                    )
-                cross += 1
-        else:
-            psi = psi_closed(t_raw)
+        at = af * tf
+        wp = bits + int(at / _LN2) + 64
+        n = min(len(coeffs) - 1, _series_cutoff(at, bits + 32))
+        psi = _horner(coeffs, n, mpf_neg(mpf_mul(t_raw, t_raw, wp, _RND)), wp)
         half_sq = mpf_shift(mpf_mul(t_raw, t_raw, wp_top, _RND), -1)
         gauss = mpf_exp(mpf_neg(half_sq), wp_top, _RND)
-        dev = mpf_abs(mpf_sub(psi, gauss, wp_top, _RND))
+        diff = mpf_sub(psi, gauss, wp_top, _RND)
+        if j % check_every == 0:
+            it = PComplex(zero, PReal._wrap(t_raw, bits))
+            ref = truncation_error_closed_form(trunc, it).real.raw
+            gap = mpf_abs(mpf_sub(diff, ref, bits, _RND))
+            if _mag(gap) > -(bits // 2):
+                raise ChainViolation(
+                    f"series and closed-form char evaluations disagree at t={tf:g}"
+                )
+            cross += 1
+        dev = mpf_abs(diff)
         if mpf_cmp(dev, best) > 0:
             best = dev
             best_t = tf
@@ -737,7 +712,6 @@ def char_bound_check(
     return CharBoundReport(
         a=af,
         bits=bits,
-        method=method,
         t_max=t_max,
         t_step=t_step,
         n_points=2 * n_steps + 1,

@@ -308,7 +308,7 @@ def test_criterion_7_characteristic_chain(emit):
         if not chain:
             ok = False
         details.append(
-            f"a={a} ({rep.method}): {float(rep.max_deviation):.3e}"
+            f"a={a}: {float(rep.max_deviation):.3e}"
             f" <= {float(rep.bound_tail):.3e} <= {float(rep.bound_plain):.3e}"
         )
     emit(ok, "characteristic-chain", "; ".join(details))

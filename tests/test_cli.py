@@ -4,7 +4,9 @@ import io
 
 import pytest
 
+from gausdisk import checks
 from gausdisk.cli import main
+from gausdisk.errors import MathInvariantError
 from gausdisk.hermite import rule_from_csv
 from gausdisk.measures import DiscreteMeasure
 
@@ -280,6 +282,14 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert all(line.startswith("PASS ") for line in lines)
         assert len(lines) == 14
+
+    def test_determinism_check_compares_two_processes(self, monkeypatch):
+        checks.check_determinism(False)
+        # The child interpreter does not see this patch, so the texts differ.
+        real = checks._determinism_text
+        monkeypatch.setattr(checks, "_determinism_text", lambda: real() + "drift\n")
+        with pytest.raises(MathInvariantError, match="differ between two processes"):
+            checks.check_determinism(False)
 
 
 class TestPrecedence:

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from gausdisk.disks import (
+    ConvexityReport,
+    ThreeCirclesReport,
+    ThreeLinesReport,
     growth_profile,
     sup_abs_on_circle,
     sup_on_circle,
@@ -310,6 +313,27 @@ class TestThreeLines:
         with pytest.raises(ConfigError):
             three_lines_check(m, -1, 0, 1)
 
+    def test_failure_is_retried_at_four_times_density(self):
+        class KinkedLines(Measure):
+            # the line sup is 100 at offset 3 and 1 elsewhere
+            bits = 128
+
+            def __init__(self):
+                self.scans = 0
+
+            def support_radius(self):
+                return PReal(1, self.bits)
+
+            def laplace_error(self, z):
+                if z.imag.is_zero():  # every line scan starts at Im z = 0
+                    self.scans += 1
+                return PReal(100 if float(z.real) == 3 else 1, self.bits)
+
+        m = KinkedLines()
+        with pytest.raises(ConvexityViolation, match="three-lines inequality failed at offsets"):
+            three_lines_check(m, 0, 3, 6, n_samples=16)
+        assert m.scans == 6
+
 
 class TestTaylor:
     def test_gaussian_transform_coefficients(self):
@@ -354,3 +378,11 @@ class TestTaylor:
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigError):
             taylor_coefficients(exp, 1, -1, 128)
+
+
+def test_circle_and_line_checks_share_one_report_type():
+    assert ThreeCirclesReport is ConvexityReport and ThreeLinesReport is ConvexityReport
+    m = DiscreteMeasure.from_quadrature(build_rule(2, 320))
+    lines = three_lines_check(m, 0, 3, 6, n_samples=16)
+    circles = three_circles_check(m, 1, 2, 4, n_samples=16)
+    assert type(lines) is ConvexityReport and type(circles) is ConvexityReport

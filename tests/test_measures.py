@@ -4,10 +4,12 @@ sweeps of the characteristic function."""
 import io
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
+from gausdisk import measures
 from gausdisk.errors import ChainViolation, ConfigError
 from gausdisk.hermite import build_rule
 from gausdisk.measures import (
@@ -245,6 +247,55 @@ class TestTruncatedGaussian:
         with pytest.raises(ConfigError):
             m.laplace(PComplex(10, 0, bits=128))
 
+    @pytest.mark.parametrize("af", [1, 4, 8])
+    def test_imaginary_axis_matches_closed_form(self, af):
+        m = TruncatedGaussian(af, 256)
+        for t in (0.5, 7.25, 20, 50):
+            z = PComplex(0, t, bits=256)
+            gap = abs(m.laplace_error(z) - truncation_error_closed_form(m, z))
+            assert gap <= PReal(2, 256) ** -240, (af, t)
+
+    def test_results_do_not_depend_on_earlier_calls(self):
+        points = [
+            PComplex(0.6, 0.8, bits=256),
+            PReal(2.5, 256),
+            PComplex(0, 20, bits=256),
+            PComplex(3, -2, bits=512),
+            PReal("0.125", 256),
+        ]
+        fresh = [TruncatedGaussian(4, 256).laplace(z).raw for z in points]
+        m = TruncatedGaussian(4, 256)
+        m.char_fn(PReal(7, 256))
+        for order in (range(len(points)), reversed(range(len(points)))):
+            for j in order:
+                assert m.laplace(points[j]).raw == fresh[j]
+
+    def test_laplace_makes_no_cdf_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the moment series needs no normal CDF")
+
+        for name in ("normal_cdf", "gauss_upper_tail", "_phi_series_real", "_phi_series_complex"):
+            monkeypatch.setattr(measures, name, forbidden)
+        m = TruncatedGaussian(5, 192)
+        assert float(m.laplace(PReal(1, 192))) > 1
+        assert float(abs(m.laplace_error(PComplex(1, 2, bits=192)))) < 1e-3
+
+    @pytest.mark.parametrize("bits", [64, 96, 160])
+    def test_low_precision_agrees_with_high(self, bits):
+        for af, z in ((1, PComplex(0.25, 0.5, bits=bits)), (3, PReal(0.75, bits))):
+            low = TruncatedGaussian(af, bits).laplace(z)
+            high = TruncatedGaussian(af, 512).laplace(z)
+            assert abs(low - high) <= PReal(2, 512) ** -(bits - 4)
+
+
+@pytest.mark.parametrize("bits", [64, 96, 160])
+def test_series_cutoff_bounds_the_tail(bits):
+    for at in (0.0, 0.25, 1.0, 1.5, 4.0, 20.0):
+        m = measures._series_cutoff(at, bits)
+        x = Fraction(max(at, 1.0))
+        tail = sum(x ** (2 * n) / math.factorial(2 * n) for n in range(m + 1, m + 200))
+        assert tail < Fraction(1, 2**bits), (at, m)
+
 
 class TestStandardGaussian:
     def test_laplace_real(self):
@@ -269,23 +320,14 @@ class TestCharBoundCheck:
         report = char_bound_check(1, t_max=5.0, t_step=0.125)
         assert isinstance(report, CharBoundReport)
         assert report.passed
-        assert report.method == "closed"
         assert float(report.max_deviation) <= float(report.bound_tail)
         assert float(report.bound_tail) <= float(report.bound_density)
         assert float(report.bound_density) <= float(report.bound_plain)
 
     def test_series_route_engages_and_cross_checks(self):
         report = char_bound_check(4, t_max=12.0, t_step=0.25)
-        assert report.method == "series"
         assert report.cross_checks > 0
         assert report.passed
-
-    def test_closed_route_can_be_forced(self):
-        fast = char_bound_check(2, t_max=3.0, t_step=0.125, method="closed")
-        slow = char_bound_check(2, t_max=3.0, t_step=0.125, method="series")
-        assert fast.method == "closed" and slow.method == "series"
-        gap = abs(fast.max_deviation - slow.max_deviation)
-        assert float(gap) < 1e-30
 
     def test_deviation_bounded_by_four_tails(self):
         for af in (1, 2, 3):

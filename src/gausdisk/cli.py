@@ -311,7 +311,8 @@ def _cmd_transform(args) -> int:
                 im_val = PReal(im_text, bits)
             except ConfigError:
                 raise
-            point = PComplex(re_val, im_val)
+            # A frequency T (im_val is zero) is the point iT.
+            point = PComplex(re_val, im_val) if tag == "z" else PComplex(im_val, re_val)
             if args.what == "char":
                 result = measure.char_fn(point if tag == "z" else re_val)
             elif args.what == "laplace":

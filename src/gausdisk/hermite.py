@@ -8,9 +8,11 @@ places nodes at the roots of He_k with weights
 0, 1, 0, 3, ... up to degree 2k-1 and its nodes all lie inside
 [-sqrt(4k+2), sqrt(4k+2)].
 
-Nodes are found by symmetric tridiagonal eigenvalues in double precision
-(off-diagonal entries sqrt(1), sqrt(2), ...) and then polished by Newton
-iteration at elevated precision, using He_k' = k*He_{k-1}.  Weights are
+Nodes are seeded in double precision from the ratio form of the same
+recurrence, r_j = He_j/He_{j-1}: its count of negative ratios brackets
+each root by bisection (a Sturm sequence) and r_k/k is the Newton step.
+The seeds are then polished by Newton iteration at elevated precision,
+using He_k' = k*He_{k-1}.  Rules stop at k = MAX_RULE_SIZE.  Weights are
 renormalized so they sum to one exactly at working precision before the
 final rounding, making the rule a probability measure to within the
 stated precision.
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
-import numpy as np
 from mpmath.libmp import (
     fone,
     from_int,
@@ -60,9 +61,14 @@ __all__ = [
     "k_for_support",
     "rule_to_csv",
     "rule_from_csv",
+    "MAX_RULE_SIZE",
 ]
 
 _RND = round_nearest
+
+# The largest rule build_rule makes: k_for_support(64), the rule matching
+# the widest truncated Gaussian.
+MAX_RULE_SIZE = 512
 
 
 def hermite_pair(n: int, x):
@@ -133,12 +139,86 @@ class QuadratureRule:
 _RULE_CACHE: dict[tuple[int, int], QuadratureRule] = {}
 
 
+# Stand-in for a ratio that lands within this of zero; j / _TINY stays
+# finite for every j < MAX_RULE_SIZE.
+_TINY = 1e-290
+# A double-precision Newton step below _SEED_TOL relative leaves the seed
+# at rounding level, since the error squares with each step.
+_SEED_TOL = 1e-10
+_SEED_STEPS = 100
+
+
+def _ratio_count(k: int, x: float) -> tuple[float, int]:
+    """(r_k, number of roots of He_k above x) in double precision.
+
+    r_j = He_j(x) / He_{j-1}(x) obeys r_1 = x, r_{j+1} = x - j / r_j.
+    The ratios never overflow, the count of negative r_j is the Sturm
+    count of roots above x, and r_k / k is the Newton step He_k / He_k'.
+    """
+    r, above = x, 0
+    for j in range(1, k):
+        if -_TINY < r < _TINY:
+            r = -_TINY
+        if r < 0.0:
+            above += 1
+        r = x - j / r
+    if r < 0.0:
+        above += 1
+    return r, above
+
+
+def _double_seeds(k: int) -> list[float]:
+    """The positive roots of He_k in double precision, ascending.
+
+    Each root is isolated in (0, sqrt(4k+2)) by bisecting on the Sturm
+    count, every count tightening the brackets of all the roots, and is
+    then finished by Newton steps that fall back to bisection whenever
+    they would leave the bracket.
+    """
+    n = k // 2
+    # Root m (m = 0 the largest) lies in (lo[m], hi[m]).  Both lists fall
+    # with m; hi[n] = 0 bounds the roots at or below zero.
+    lo = [0.0] * n
+    hi = [math.sqrt(4 * k + 2)] * n + [0.0]
+
+    def probe(x: float) -> float:
+        """Tighten every bracket with the count at x; return r_k."""
+        r, above = _ratio_count(k, x)
+        i = above - 1
+        while i >= 0 and lo[i] < x:
+            lo[i] = x
+            i -= 1
+        i = above
+        while i < n and hi[i] > x:
+            hi[i] = x
+            i += 1
+        return r
+
+    roots = []
+    for m in range(n):
+        while (m > 0 and lo[m - 1] < hi[m]) or hi[m + 1] > lo[m]:
+            probe(0.5 * (lo[m] + hi[m]))
+        x = 0.5 * (lo[m] + hi[m])
+        for _ in range(_SEED_STEPS):
+            step = probe(x) / k
+            x -= step
+            if abs(step) <= _SEED_TOL * x:
+                break
+            if not lo[m] < x < hi[m]:
+                x = 0.5 * (lo[m] + hi[m])
+        else:
+            raise ConvergenceError(
+                f"double-precision seed {m} of He_{k} did not settle "
+                f"in {_SEED_STEPS} steps"
+            )
+        roots.append(x)
+    roots.reverse()
+    return roots
+
+
 def _polished_positive_roots(k: int, bits: int) -> list:
     """Newton-refined positive roots of He_k as raw tuples."""
-    off = np.sqrt(np.arange(1.0, k))
-    jacobi = np.diag(off, 1) + np.diag(off, -1)
-    seeds = np.linalg.eigvalsh(jacobi)
-    positive = [float(s) for s in seeds if s > 1e-9]
+    positive = _double_seeds(k)
 
     work = bits + 128
     tol_exp = -(bits + 80)
@@ -167,6 +247,8 @@ def build_rule(k: int, bits: int = 256) -> QuadratureRule:
     """Build (and cache) the k-point rule at the stated precision."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ConfigError(f"rule size must be an integer k >= 1, got {k!r}")
+    if k > MAX_RULE_SIZE:
+        raise ConfigError(f"rule size k={k} exceeds the maximum {MAX_RULE_SIZE}")
     _check_bits(bits)
     key = (k, bits)
     cached = _RULE_CACHE.get(key)

@@ -80,6 +80,28 @@ _LOG10_2 = math.log10(2.0)
 
 _TAG_RE = re.compile(r"(-?)([0-9]+)e(-?[0-9]+)@([0-9]+)\Z")
 
+# Tags convert between int and decimal text in pieces of at most this many
+# digits, below the interpreter's int/str digit limit at any setting.
+_CHUNK_DIGITS = 600
+_CHUNK_LIMIT = 10**_CHUNK_DIGITS
+
+
+def _int_to_decimal(n: int) -> str:
+    """Decimal digits of n >= 0, split in halves until each piece is short."""
+    if n < _CHUNK_LIMIT:
+        return str(n)
+    half = int(n.bit_length() * _LOG10_2) // 2
+    high, low = divmod(n, 10**half)
+    return _int_to_decimal(high) + _int_to_decimal(low).zfill(half)
+
+
+def _decimal_to_int(text: str) -> int:
+    """Inverse of :func:`_int_to_decimal` for a string of digits."""
+    if len(text) <= _CHUNK_DIGITS:
+        return int(text)
+    half = len(text) // 2
+    return _decimal_to_int(text[:-half]) * 10**half + _decimal_to_int(text[-half:])
+
 
 def _check_bits(bits: int) -> int:
     if not isinstance(bits, int) or isinstance(bits, bool):
@@ -320,7 +342,7 @@ class PReal:
         while digits % 10 == 0:
             digits //= 10
             exp10 += 1
-        return f"{'-' if sign else ''}{digits}e{exp10}@{self._bits}"
+        return f"{'-' if sign else ''}{_int_to_decimal(digits)}e{exp10}@{self._bits}"
 
     @classmethod
     def parse(cls, tag: str) -> "PReal":
@@ -329,7 +351,7 @@ class PReal:
             raise ConfigError(f"malformed precision tag {tag!r}")
         neg, digits_s, exp10_s, bits_s = m.groups()
         bits = _check_bits(int(bits_s))
-        digits = int(digits_s)
+        digits = _decimal_to_int(digits_s)
         exp10 = int(exp10_s)
         if digits == 0:
             raw = fzero

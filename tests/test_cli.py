@@ -4,10 +4,10 @@ import io
 
 import pytest
 
-from gausdisk import checks
+from gausdisk import checks, hermite
 from gausdisk.cli import main
 from gausdisk.errors import MathInvariantError
-from gausdisk.hermite import rule_from_csv
+from gausdisk.hermite import build_rule, rule_from_csv
 from gausdisk.measures import DiscreteMeasure
 
 
@@ -36,6 +36,33 @@ class TestRule:
         )
         assert code == 0 and out == ""
         assert rule_from_csv(io.StringIO(target.read_text())).k == 2
+
+    def test_tags_past_4300_digits_read_back(self, capsys):
+        # k = 50 at 5888 bits: every tag is longer than str(int) allows.
+        code, out, err = run_cli(capsys, "rule", "--a", "20")
+        assert code == 0 and err == ""
+        rule = rule_from_csv(io.StringIO(out))
+        assert (rule.k, rule.bits) == (50, 5888)
+        built = build_rule(50, 5888)
+        assert [v.raw for v in rule.nodes + rule.weights] == [
+            v.raw for v in built.nodes + built.weights
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rule", "--k", "513"),
+            ("transform", "--measure", "rule:513", "--z", "1"),
+            ("superflat", "--a", "100"),
+        ],
+    )
+    def test_rule_size_above_maximum_rejected(self, capsys, monkeypatch, argv):
+        def no_roots(k, bits):
+            raise AssertionError(f"a k={k} rule was built")
+
+        monkeypatch.setattr(hermite, "_polished_positive_roots", no_roots)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and "exceeds the maximum 512" in err
 
     def test_requires_exactly_one_selector(self, capsys):
         code, _, err = run_cli(capsys, "rule")
@@ -80,6 +107,44 @@ class TestTransform:
         import math
 
         assert float(fields[4]) == pytest.approx(math.cos(0.8), rel=1e-12)
+
+    def test_frequency_is_the_imaginary_axis_point(self, capsys):
+        common = ("transform", "--measure", "trunc:4", "--precision", "512")
+        for what in ("error", "laplace"):
+            code, out, _ = run_cli(
+                capsys, *common, "--what", what, "--t", "50", "--z", "0,50"
+            )
+            assert code == 0
+            z_line, t_line = out.strip().split("\n")
+            assert z_line.split()[:4] == ["z", "0.0", "50.0", what]
+            assert t_line.split()[:4] == ["t", "50.0", "0.0", what]
+            assert t_line.split()[4:] == z_line.split()[4:]
+
+    def test_char_at_frequency_is_laplace_on_the_imaginary_axis(self, capsys):
+        common = ("transform", "--measure", "trunc:4", "--precision", "512")
+        _, char_out, _ = run_cli(capsys, *common, "--what", "char", "--t", "0.8")
+        _, real_out, _ = run_cli(capsys, *common, "--what", "char", "--z", "0.8")
+        _, lap_out, _ = run_cli(capsys, *common, "--what", "laplace", "--t", "0.8")
+        assert char_out.split()[:3] == ["t", "0.8", "0.0"]
+        assert char_out.split()[4:] == real_out.split()[4:] == lap_out.split()[4:]
+        assert float(char_out.split()[4]) == pytest.approx(0.7262557030795555, rel=1e-15)
+
+    def test_full_precision_past_4300_digits(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "transform",
+            "--measure",
+            "trunc:4",
+            "--z",
+            "1",
+            "--precision",
+            "4400",
+            "--full-precision",
+        )
+        assert code == 0 and err == ""
+        fields = out.split()
+        assert fields[1:3] == ["1e0@4400", "0e0@4400"]
+        assert len(fields[4]) > 4300
 
     def test_multiple_points_one_line_each(self, capsys):
         code, out, _ = run_cli(

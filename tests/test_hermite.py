@@ -2,12 +2,17 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy.polynomial.hermite_e as hermite_e
 import pytest
 
+from gausdisk import hermite
 from gausdisk.errors import ConfigError, SupportViolation
 from gausdisk.hermite import (
+    MAX_RULE_SIZE,
     QuadratureRule,
     build_rule,
     hermite_pair,
@@ -137,6 +142,78 @@ class TestBuildRule:
             build_rule(0, 128)
         with pytest.raises(ConfigError):
             build_rule(True, 128)
+
+    def test_rejects_k_above_maximum(self):
+        assert MAX_RULE_SIZE == k_for_support(64)
+        with pytest.raises(ConfigError, match="exceeds the maximum 512"):
+            build_rule(MAX_RULE_SIZE + 1, 64)
+
+
+def eigvalsh_seeds(k: int) -> list[float]:
+    """The positive roots of He_k as eigenvalues of the k x k Jacobi matrix
+    (Golub & Welsch), the double-precision seeds build_rule once used."""
+    np = pytest.importorskip("numpy")
+    off = np.sqrt(np.arange(1.0, k))
+    seeds = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    return [float(s) for s in seeds if s > 1e-9]
+
+
+def rule_tags(rule):
+    return [x.serialize() for x in rule.nodes] + [w.serialize() for w in rule.weights]
+
+
+class TestDoubleSeeds:
+    """The Sturm-bracketed Newton seeds against the eigenvalue oracle."""
+
+    def test_rules_match_eigvalsh_seeding_bit_for_bit(self, monkeypatch):
+        pairs = [(k, bits) for bits in (64, 256, 830) for k in range(1, 65)]
+        pairs += [(100, 256), (128, 256)]
+        ours = {pair: rule_tags(build_rule(*pair)) for pair in pairs}
+        monkeypatch.setattr(hermite, "_RULE_CACHE", {})
+        monkeypatch.setattr(hermite, "_double_seeds", eigvalsh_seeds)
+        for pair in pairs:
+            assert rule_tags(build_rule(*pair)) == ours[pair], pair
+
+    @pytest.mark.parametrize("k", list(range(2, 131)) + [199, 256, 400, 512])
+    def test_seeds_match_eigvalsh(self, k):
+        ref = eigvalsh_seeds(k)
+        ours = hermite._double_seeds(k)
+        assert len(ours) == len(ref) == k // 2
+        for x, y in zip(ours, ref):
+            assert abs(x - y) <= 1e-12 * y
+
+    def test_ratio_through_an_exact_zero(self):
+        # x = 1 is a root of He_2, so r_2 = 0 on the way to
+        # r_4 = He_4(1) / He_3(1) = -2 / -2; one root of He_4 lies above 1.
+        assert hermite._ratio_count(4, 1.0) == (1.0, 1)
+
+    @pytest.mark.parametrize("blocked", [True, False])
+    def test_cli_runs_without_numpy(self, tmp_path, blocked):
+        # Blocked, any import of numpy fails; unblocked, none may happen.
+        script = (
+            "import sys\n"
+            + ("sys.modules['numpy'] = None\n" if blocked else "")
+            + "from gausdisk.cli import main\n"
+            "for argv in (['verify', '--quick'], ['rule', '--k', '8'],\n"
+            "             ['figure', '--grid', '4,5', '--samples', '16']):\n"
+            "    code = main(argv)\n"
+            "    if code:\n"
+            "        sys.exit(f'{argv} exited {code}')\n"
+            "if sys.modules.get('numpy') is not None:\n"
+            "    sys.exit('numpy was imported')\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestMoments:

@@ -232,6 +232,19 @@ class TestSerialization:
             assert back.bits == v.bits
             assert back.raw == v.raw
 
+    @pytest.mark.parametrize("bits", [5000, 20000])
+    def test_roundtrip_past_the_int_str_digit_limit(self, bits):
+        # Both tags carry more than the 4300 digits that str(int) and
+        # int(str) accept by default.
+        v = sqrt(PReal(2, bits)) / 3**400
+        tag = v.serialize()
+        assert len(tag) > 4300
+        back = PReal.parse(tag)
+        assert back.raw == v.raw and back.bits == bits
+        z = PComplex(v, -v * 7)
+        back_z = PComplex.parse(z.serialize())
+        assert back_z.raw == z.raw and back_z.bits == bits
+
     def test_roundtrip_zero(self):
         z = PReal(0, 77)
         assert PReal.parse(z.serialize()) == z

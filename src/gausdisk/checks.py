@@ -12,6 +12,7 @@ import io
 import os
 import random
 import sys
+import time
 
 from .disks import growth_profile, sup_on_circle, three_circles_check, three_lines_check
 from .errors import MathInvariantError
@@ -240,10 +241,11 @@ ALL_CHECKS = (
 
 
 def run_all(quick: bool = False, emit=print) -> bool:
-    """Run every check, emitting one PASS/FAIL line each; returns
-    overall success."""
+    """Run every check, emitting one PASS/FAIL line each and writing one
+    ``<check> <seconds>`` line each to stderr; returns overall success."""
     ok = True
     for name, fn in ALL_CHECKS:
+        start = time.perf_counter()
         try:
             fn(quick)
         except Exception as exc:  # noqa: BLE001 - each failure is reported
@@ -251,4 +253,5 @@ def run_all(quick: bool = False, emit=print) -> bool:
             emit(f"FAIL {name}: {exc}")
         else:
             emit(f"PASS {name}")
+        print(f"{name} {time.perf_counter() - start:.3f}", file=sys.stderr)
     return ok

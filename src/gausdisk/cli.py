@@ -628,7 +628,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--b", type=float, default=1.0, help="disk radius for the error sups"
     )
     p_figure.add_argument(
-        "--samples", type=int, default=256, help="seed points per boundary scan"
+        "--samples",
+        type=int,
+        default=256,
+        help="recorded in the manifest only: both families' circle sups are "
+        "exact on the real axis, so no boundary scan runs",
     )
     p_figure.add_argument("--csv", default=None, metavar="PATH")
     p_figure.add_argument("--svg", default=None, metavar="PATH")

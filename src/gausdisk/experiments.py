@@ -136,7 +136,9 @@ def run_figure(
     Precision per row is working_bits(a, b) + extra_bits, or
     bits_override + extra_bits when an override is given; passing a
     positive ``extra_bits`` reruns the same experiment with headroom,
-    which is how stability under precision changes is checked.
+    which is how stability under precision changes is checked.  Both
+    families take the exact real-axis path of ``sup_on_circle``, so
+    ``n_samples`` changes no number; the table and manifest record it.
     """
     if a_values is None:
         a_values = default_grid()

@@ -26,6 +26,7 @@ import re
 from mpmath.libmp import (
     from_float,
     from_int,
+    from_man_exp,
     from_str,
     fzero,
     mpc_abs,
@@ -50,6 +51,7 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_pow,
     mpf_pow_int,
+    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
@@ -78,7 +80,18 @@ _RND = round_nearest
 
 _LOG10_2 = math.log10(2.0)
 
-_TAG_RE = re.compile(r"(-?)([0-9]+)e(-?[0-9]+)@([0-9]+)\Z")
+# The exponent and the precision of a tag are short numbers; capping their
+# digit counts keeps int() away from the interpreter's digit limit.
+_TAG_RE = re.compile(r"(-?)([0-9]+)e(-?[0-9]{1,12})@([0-9]{1,12})\Z")
+
+# serialize writes |exp10| < 1.44 * (mantissa digits) for exp10 < 0, since the
+# mantissa is odd * 5**-exp10, and exp10 < 0.44 * bits otherwise, since the
+# trailing zeros come from factors of 5 in a mantissa of at most ``bits``
+# bits.  parse accepts |exp10| up to twice the digit count plus the bits plus
+# this allowance, which admits short hand-written tags such as 1e-300@64, so
+# its work grows with the tag's length and precision, never with a bare
+# exponent.
+_EXP10_ALLOWANCE = 4096
 
 # Tags convert between int and decimal text in pieces of at most this many
 # digits, below the interpreter's int/str digit limit at any setting.
@@ -101,6 +114,14 @@ def _decimal_to_int(text: str) -> int:
         return int(text)
     half = len(text) // 2
     return _decimal_to_int(text[:-half]) * 10**half + _decimal_to_int(text[-half:])
+
+
+def _exact_raw(n: int):
+    """The integer n >= 1 as an exact libmp value.  Its trailing zero bits
+    are stripped here in one shift; from_int strips them a byte at a time,
+    which is quadratic in a long run of them."""
+    zeros = (n & -n).bit_length() - 1
+    return from_man_exp(n >> zeros, zeros)
 
 
 def _check_bits(bits: int) -> int:
@@ -351,14 +372,19 @@ class PReal:
             raise ConfigError(f"malformed precision tag {tag!r}")
         neg, digits_s, exp10_s, bits_s = m.groups()
         bits = _check_bits(int(bits_s))
-        digits = _decimal_to_int(digits_s)
         exp10 = int(exp10_s)
+        if abs(exp10) > 2 * len(digits_s) + bits + _EXP10_ALLOWANCE:
+            raise ConfigError(f"precision tag exponent {exp10} is out of range")
+        digits = _decimal_to_int(digits_s)
+        # 10**e = 5**e * 2**e: the odd factor goes through the arithmetic and
+        # the power of two is an exact shift.
         if digits == 0:
             raw = fzero
         elif exp10 >= 0:
-            raw = from_int(digits * 10**exp10, bits, _RND)
+            raw = mpf_shift(mpf_pos(_exact_raw(digits * 5**exp10), bits, _RND), exp10)
         else:
-            raw = mpf_div(from_int(digits), from_int(10**-exp10), bits, _RND)
+            raw = mpf_div(_exact_raw(digits), from_int(5**-exp10), bits, _RND)
+            raw = mpf_shift(raw, exp10)
         if neg:
             raw = mpf_neg(raw)
         return cls._wrap(raw, bits)

@@ -25,6 +25,12 @@ disk by  sup_{|z|<=1} |g^(n)(z)| <= n! * eps2  (radius gap 2 - 1 = 1),
 g denoting the tilted transform minus nothing, since constants drop out
 of derivatives.  The certificate then measures a few low-order
 derivative sups directly and checks them against their bounds.
+
+All derivatives come from one kernel, :func:`density_derivatives`, which
+evaluates f, f', ..., f^(n) at a point with one exp and one Hermite
+recurrence per atom.  The direct scans of orders 1..max_direct_order visit
+the same circle points, so they share one all-orders evaluation per point;
+the eps2 scan and the identity samples are computed on their own.
 """
 
 from __future__ import annotations
@@ -34,9 +40,24 @@ import math
 from dataclasses import dataclass
 from typing import TextIO
 
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpc_add,
+    mpc_exp,
+    mpc_mul,
+    mpc_mul_int,
+    mpc_neg,
+    mpc_sub,
+    mpf_neg,
+    mpf_pos,
+    mpf_shift,
+    round_nearest,
+)
+
 from .disks import sup_abs_on_circle
 from .errors import CertificateViolation, ConfigError
-from .hermite import QuadratureRule, build_rule, hermite_pair, k_for_support
+from .hermite import QuadratureRule, build_rule, k_for_support
 from .measures import DiscreteMeasure
 from .precision import (
     PComplex,
@@ -54,10 +75,13 @@ __all__ = [
     "build_superflat",
     "mixture_density",
     "density_derivative",
+    "density_derivatives",
     "FlatnessCertificate",
     "flatness_certificate",
     "superflat_to_csv",
 ]
+
+_RND = round_nearest
 
 
 @dataclass(frozen=True)
@@ -117,36 +141,64 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
 
 def mixture_density(mix: SuperflatMixture, z):
     """f(z), entire in z; accepts real or complex scalars."""
-    return density_derivative(mix, z, 0)
+    return density_derivatives(mix, z, 0)[0]
 
 
 def density_derivative(mix: SuperflatMixture, z, n: int):
-    """The n-th derivative of the mixture density at z, via
-    d^n/du^n phi(u) = (-1)^n He_n(u) phi(u)."""
+    """The n-th derivative of the mixture density at z."""
+    return density_derivatives(mix, z, n)[n]
+
+
+def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
+    """(f(z), f'(z), ..., f^(n_max)(z)) for the mixture density f, via
+    d^n/du^n phi(u) = (-1)^n He_n(u) phi(u).
+
+    Each atom costs one exp and one Hermite recurrence, run at 64 guard
+    bits with every He_n rounded back to the working precision, exactly
+    as :func:`gausdisk.hermite.hermite_pair` computes it.  A real z is
+    carried as a complex value with a zero imaginary part, which the
+    libmp complex operations round exactly as their real counterparts;
+    the results then have z's kind.
+    """
     if not isinstance(mix, SuperflatMixture):
         raise ConfigError("expected a SuperflatMixture")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise ConfigError(f"derivative order must be an integer >= 0, got {n!r}")
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise ConfigError(f"derivative order must be an integer >= 0, got {n_max!r}")
     if isinstance(z, (int, float)):
         z = PReal(z, mix.bits)
     elif isinstance(z, complex):
         z = PComplex(z, bits=mix.bits)
     if not isinstance(z, (PReal, PComplex)):
         raise ConfigError(f"expected a scalar, got {type(z).__name__}")
+    real = isinstance(z, PReal)
     bits = max(mix.bits, z.bits)
-    zw = z.round_to(bits)
-    inv_root = 1 / sqrt(2 * pi_value(bits))
-    total = None
+    zw = (z.round_to(bits).raw, fzero) if real else z.round_to(bits).raw
+    guard = bits + 64
+    inv_root = ((1 / sqrt(2 * pi_value(bits))).raw, fzero)
+    totals = [(fzero, fzero)] * (n_max + 1)
     for x, v in zip(mix.locations, mix.weights):
-        u = zw - x
-        term = v * (exp(-(u * u) / 2) * inv_root)  # v * phi(u)
-        if n > 0:
-            he_n, _ = hermite_pair(n, u)
-            term = term * he_n
-        total = term if total is None else total + term
-    if n % 2:
-        total = -total
-    return total
+        u = mpc_sub(zw, (x.raw, fzero), bits, _RND)
+        minus_sq = mpc_neg(mpc_mul(u, u, bits, _RND))
+        half = (mpf_shift(minus_sq[0], -1), mpf_shift(minus_sq[1], -1))  # exact
+        phi = mpc_mul(mpc_exp(half, bits, _RND), inv_root, bits, _RND)
+        phi = mpc_mul((v.raw, fzero), phi, bits, _RND)  # v * phi(u)
+        totals[0] = mpc_add(totals[0], phi, bits, _RND)
+        he_prev, he = (fzero, fzero), (fone, fzero)  # He_{-1}, He_0
+        for n in range(1, n_max + 1):
+            he_prev, he = he, mpc_sub(
+                mpc_mul(u, he, guard, _RND),
+                mpc_mul_int(he_prev, n - 1, guard, _RND),
+                guard,
+                _RND,
+            )
+            he_n = (mpf_pos(he[0], bits, _RND), mpf_pos(he[1], bits, _RND))
+            totals[n] = mpc_add(totals[n], mpc_mul(phi, he_n, bits, _RND), bits, _RND)
+    out = []
+    for n, (re_raw, im_raw) in enumerate(totals):
+        if n % 2:
+            re_raw, im_raw = mpf_neg(re_raw), mpf_neg(im_raw)
+        out.append(PReal._wrap(re_raw, bits) if real else PComplex._wrap(re_raw, im_raw, bits))
+    return tuple(out)
 
 
 def _tilted_transform_error(mix: SuperflatMixture):
@@ -228,13 +280,27 @@ def flatness_certificate(
         fact *= n
         bounds.append(fact * eps2)
 
+    # The order scans visit the same circle points, so each point gets one
+    # all-orders evaluation, kept as the scaled raw pairs of orders 1..max.
+    scaled_raw: dict = {}
+    scaled_bits = max(b, mix.bits)
+
+    def all_orders(z: PComplex) -> tuple:
+        key = z.raw
+        hit = scaled_raw.get(key)
+        if hit is None:
+            derivs = density_derivatives(mix, z, max_direct_order)
+            hit = scaled_raw[key] = tuple((scale * d).raw for d in derivs[1:])
+        return hit
+
     direct = []
     ratios = []
     ok = True
     for n in range(1, max_direct_order + 1):
 
         def g_deriv(z: PComplex, order=n):
-            return scale * density_derivative(mix, z, order)
+            re_raw, im_raw = all_orders(z)[order - 1]
+            return PComplex._wrap(re_raw, im_raw, scaled_bits)
 
         rep = sup_abs_on_circle(g_deriv, PReal(1, b), b, n_samples=n_samples, arc="quarter")
         direct.append(rep.sup_value)

@@ -1,6 +1,7 @@
 """Command line behavior: parsing, precedence, determinism, exit codes."""
 
 import io
+import os
 
 import pytest
 
@@ -9,6 +10,9 @@ from gausdisk.cli import main
 from gausdisk.errors import MathInvariantError
 from gausdisk.hermite import build_rule, rule_from_csv
 from gausdisk.measures import DiscreteMeasure
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +194,16 @@ class TestTransform:
         assert code == code2 == 0
         assert out_csv == out_direct
 
+    @pytest.mark.parametrize("exponent", ["9" * 5000, "-9999999"])
+    def test_csv_tag_with_absurd_exponent_is_config_error(self, capsys, tmp_path, exponent):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"location,mass\n0e0@64,1e{exponent}@64\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "transform", "--measure", f"csv:{path}", "--z", "1"
+        )
+        assert code == 2 and out == ""
+        assert "precision tag" in err
+
     def test_missing_csv_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "transform", "--measure", f"csv:{tmp_path}/nope.csv", "--z", "1"
@@ -339,6 +353,18 @@ class TestSuperflat:
         code, _, err = run_cli(capsys, "superflat", "--a", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("a", ["4", "6"])
+    def test_certificate_output_is_golden(self, capsys, a):
+        # Captured from the release whose order scans each evaluated the
+        # density on their own.
+        with open(os.path.join(DATA, f"superflat_a{a}_certify_s64.txt"), encoding="utf-8") as fh:
+            golden = fh.read()
+        code, out, err = run_cli(
+            capsys, "superflat", "--a", a, "--certify", "--samples", "64"
+        )
+        assert code == 0 and err == ""
+        assert out == golden
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):
@@ -347,6 +373,27 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert all(line.startswith("PASS ") for line in lines)
         assert len(lines) == 14
+
+    def test_seconds_per_check_go_to_stderr(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--quick")
+        names = [name for name, _ in checks.ALL_CHECKS]
+        assert code == 0
+        assert out == "".join(f"PASS {name}\n" for name in names)
+        lines = err.splitlines()
+        assert [line.split(" ")[0] for line in lines] == names
+        for line in lines:
+            name, seconds = line.split(" ")
+            assert float(seconds) >= 0 and seconds == f"{float(seconds):.3f}"
+
+    def test_failed_check_is_timed_too(self, capsys, monkeypatch):
+        def broken(quick):
+            raise MathInvariantError("broken on purpose")
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", (("broken", broken),))
+        code, out, err = run_cli(capsys, "verify", "--quick")
+        assert code == 3
+        assert out == "FAIL broken: broken on purpose\n"
+        assert err.split(" ")[0] == "broken" and len(err.splitlines()) == 1
 
     def test_determinism_check_compares_two_processes(self, monkeypatch):
         checks.check_determinism(False)

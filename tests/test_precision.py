@@ -2,9 +2,11 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import from_rational, round_nearest
 
 from gausdisk.errors import ConfigError, NonFiniteError
 from gausdisk.precision import (
@@ -253,6 +255,55 @@ class TestSerialization:
         for bad in ["", "abc", "5e-1", "5e-1@", "5e-1@-3", "5.0e-1@64", "5e -1@64"]:
             with pytest.raises(ConfigError):
                 PReal.parse(bad)
+
+    @pytest.mark.parametrize(
+        "tag",
+        [
+            "1e" + "9" * 5000 + "@64",  # past int()'s digit limit
+            "1e-9999999@64",  # would build 10**9999999
+            "1e9999999@64",
+            "1e-5000@64",  # beyond the allowance for a one-digit tag
+            "1e0@" + "9" * 5000,
+        ],
+    )
+    def test_parse_rejects_absurd_exponents_quickly(self, tag):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError):
+            PReal.parse(tag)
+        with pytest.raises(ConfigError):
+            PComplex.parse(f"{tag} 0e0@64")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "tag", ["1e-30@64", "1e-300@64", "-25e4000@64", "3e-4096@64", "0e99@64"]
+    )
+    def test_parse_accepts_short_hand_written_tags(self, tag):
+        digits, exp10 = tag.split("@")[0].split("e")
+        exact = Fraction(int(digits)) * Fraction(10) ** int(exp10)
+        want = from_rational(exact.numerator, exact.denominator, 64, round_nearest)
+        assert PReal.parse(tag).raw == want
+
+    def test_long_tag_with_large_exponent_parses_quickly(self):
+        # 200000 leading zeros admit the exponent -400000; 10**400000 has
+        # 400000 trailing zero bits, which libmp's from_int strips a byte
+        # at a time.
+        start = time.perf_counter()
+        value = PReal.parse("0" * 200000 + "1e-400000@64")
+        assert time.perf_counter() - start < 1.0
+        # Correctly rounded: |man * 2**exp - 10**-400000| <= 2**exp / 2.
+        sign, man, exp, _ = value.raw
+        assert sign == 0 and exp < 0
+        assert 2 * abs(man * 10**400000 - 2**-exp) <= 10**400000
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("shift", [-100000, -3000, 3000, 100000])
+    def test_tags_of_extreme_exponents_round_trip(self, bits, shift):
+        # Mantissas holding powers of 5 give the most trailing decimal
+        # zeros; tiny values give the longest exponents.
+        for base in (PReal(5**27, bits), PReal(3, bits) / 7):
+            v = base * PReal(2, bits) ** shift
+            back = PReal.parse(v.serialize())
+            assert back.raw == v.raw and back.bits == bits
 
     def test_parse_tolerates_surrounding_whitespace(self):
         assert PReal.parse(" 5e-1@64 \n") == PReal("0.5", 64)

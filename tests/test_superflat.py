@@ -7,16 +7,59 @@ import math
 import mpmath
 import pytest
 
+from gausdisk import superflat
+from gausdisk.disks import sup_abs_on_circle
 from gausdisk.errors import CertificateViolation, ConfigError
+from gausdisk.hermite import hermite_pair
 from gausdisk.precision import PComplex, PReal, exp, pi_value, sqrt
 from gausdisk.superflat import (
     SuperflatMixture,
     build_superflat,
     density_derivative,
+    density_derivatives,
     flatness_certificate,
     mixture_density,
     superflat_to_csv,
 )
+
+
+def reference_density_derivative(mix, z, n):
+    """The single-order density derivative: one exp and one hermite_pair
+    per atom, all in PReal/PComplex arithmetic."""
+    bits = max(mix.bits, z.bits)
+    zw = z.round_to(bits)
+    inv_root = 1 / sqrt(2 * pi_value(bits))
+    total = None
+    for x, v in zip(mix.locations, mix.weights):
+        u = zw - x
+        term = v * (exp(-(u * u) / 2) * inv_root)
+        if n > 0:
+            he_n, _ = hermite_pair(n, u)
+            term = term * he_n
+        total = term if total is None else total + term
+    if n % 2:
+        total = -total
+    return total
+
+
+def reference_certificate_scans(mix, n_samples):
+    """eps2 and the direct sups of orders 1..4 from independent scans, each
+    evaluating its own function at every point."""
+    b = mix.bits
+    source = mix.source_measure()
+    scale = sqrt(2 * pi_value(b)) * mix.tilt_total.round_to(b)
+    eps = sup_abs_on_circle(
+        lambda z: source.laplace(z) * exp(-(z * z) / 2) - 1,
+        PReal(2, b), b, n_samples=n_samples, arc="quarter",
+    )
+    direct = [
+        sup_abs_on_circle(
+            lambda z, n=n: scale * reference_density_derivative(mix, z, n),
+            PReal(1, b), b, n_samples=n_samples, arc="quarter",
+        )
+        for n in range(1, 5)
+    ]
+    return eps, direct
 
 
 class TestBuild:
@@ -108,6 +151,55 @@ class TestDensity:
             density_derivative(mix, PReal(0, 128), -1)
 
 
+class TestAllOrdersKernel:
+    POINTS = [
+        PReal(0, 64),
+        PReal("0.7", 96),
+        PReal(-1.3),
+        PReal("2.5", 600),
+        PComplex(0.5, 1.0, bits=128),
+        PComplex(-1.2, 0.3, bits=64),
+        PComplex(0, 2, bits=256),
+        PComplex(1e-3, -2, bits=900),
+        PComplex(1.5, 0, bits=64),
+    ]
+
+    @pytest.mark.parametrize("a", [4, 6, 8])
+    def test_matches_single_order_reference_bit_for_bit(self, a):
+        mix = build_superflat(a)
+        for z in self.POINTS:
+            values = density_derivatives(mix, z, 6)
+            assert len(values) == 7
+            for n, value in enumerate(values):
+                want = reference_density_derivative(mix, z, n)
+                assert type(value) is type(want)
+                assert value.raw == want.raw and value.bits == want.bits, (a, z, n)
+                wrapped = density_derivative(mix, z, n)
+                assert wrapped.raw == want.raw and wrapped.bits == want.bits
+            assert mixture_density(mix, z).raw == values[0].raw
+
+    def test_python_scalars_take_the_mixture_precision(self):
+        mix = build_superflat(4, 160)
+        for z, same in ((0.25, PReal(0.25, 160)), (3, PReal(3, 160)),
+                        (0.5 - 1j, PComplex(0.5, -1, bits=160))):
+            got = density_derivatives(mix, z, 3)
+            want = density_derivatives(mix, same, 3)
+            assert [v.raw for v in got] == [v.raw for v in want]
+            assert all(v.bits == 160 for v in got)
+
+    @pytest.mark.parametrize("n_max", [-1, 1.0, True, "2"])
+    def test_rejects_bad_order(self, n_max):
+        with pytest.raises(ConfigError):
+            density_derivatives(build_superflat(4, 128), PReal(0, 128), n_max)
+
+    def test_rejects_non_scalar_and_non_mixture(self):
+        mix = build_superflat(4, 128)
+        with pytest.raises(ConfigError):
+            density_derivatives(mix, "1", 2)
+        with pytest.raises(ConfigError):
+            density_derivatives("mixture", PReal(0, 128), 2)
+
+
 class TestTransformIdentity:
     def test_identity_on_random_points(self):
         import random
@@ -139,6 +231,51 @@ class TestCertificate:
         cert6 = flatness_certificate(build_superflat(6), n_samples=96)
         assert float(cert6.eps2) == pytest.approx(9.832382e-2, rel=1e-5)
         assert float(cert6.eps2) < float(cert4.eps2)
+
+    @pytest.mark.parametrize("a", [4, 6])
+    def test_shared_scans_equal_independent_scans(self, a):
+        mix = build_superflat(a)
+        cert = flatness_certificate(mix, n_samples=64)
+        eps, direct = reference_certificate_scans(mix, 64)
+        assert cert.eps2.raw == eps.sup_value.raw
+        assert cert.eps2_witness.raw == eps.witness.raw
+        assert [d.raw for d in cert.direct_sups] == [r.sup_value.raw for r in direct]
+        want_ratios = [
+            float(r.sup_value / bound) for r, bound in zip(direct, cert.derivative_bounds)
+        ]
+        assert list(cert.ratios) == want_ratios
+
+    def test_order_scans_share_one_evaluation_per_point(self, monkeypatch):
+        kernel_calls = []
+        scans = []
+        kernel = superflat.density_derivatives
+        scan = superflat.sup_abs_on_circle
+
+        def counted_kernel(mix, z, n_max):
+            kernel_calls.append(n_max)
+            return kernel(mix, z, n_max)
+
+        def recorded_scan(f, *args, **kwargs):
+            calls = [0]
+
+            def counted_f(z):
+                calls[0] += 1
+                return f(z)
+
+            report = scan(counted_f, *args, **kwargs)
+            scans.append((report, calls[0]))
+            return report
+
+        monkeypatch.setattr(superflat, "density_derivatives", counted_kernel)
+        monkeypatch.setattr(superflat, "sup_abs_on_circle", recorded_scan)
+        cert = flatness_certificate(build_superflat(4), n_samples=256)
+        assert cert.passed and len(scans) == 5
+        # Every scanned function is still called once per visited point.
+        for report, calls in scans:
+            assert calls == report.n_samples + 2 + report.refine_iterations
+        one_scan = max(calls for _, calls in scans[1:])
+        assert len(kernel_calls) <= one_scan + 16
+        assert kernel_calls.count(0) == 16  # the identity samples
 
     def test_bounds_grow_factorially(self):
         cert = flatness_certificate(build_superflat(4), n_samples=64)

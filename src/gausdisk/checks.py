@@ -1,9 +1,9 @@
 """Self-contained invariant checks behind the ``verify`` command.
 
 Each check raises on failure and stays silent on success.  The suite is
-sized for an operational smoke run (tens of seconds); the exhaustive
-acceptance gate lives in the test suite.  ``quick`` trims the heavier
-sweeps further.
+sized for an operational smoke run (about a second in full); the
+exhaustive acceptance gate lives in the test suite.  ``quick`` trims the
+heavier sweeps further.
 """
 
 from __future__ import annotations

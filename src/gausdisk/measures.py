@@ -30,12 +30,12 @@ Taylor series
 
     1/2 + (2*pi)**(-1/2) * sum_n (-1)**n z**(2n+1) / (2**n n! (2n+1)),
 
-with working precision raised by about |z|**2/ln 2 bits because the
-partial sums grow to exp(|z|**2/2) before collapsing.  Arguments are
-capped at |z| <= 64 so that blow-up stays within reason.  It serves
-``normal_cdf``, ``gauss_upper_tail`` and ``truncation_error_closed_form``,
-which writes the truncated error through upper tails and is the
-independent oracle for the moment series.
+summed on integers at the fixed scale 2**-(bits + ceil(lift/2) + 64),
+lift = |z|**2/ln 2; ``_phi_series_real`` derives the error bound behind
+that precision.  Arguments are capped at |z| <= 64.  It serves
+``normal_cdf``, ``gauss_upper_tail`` (as Q(a) = Phi(-a)) and
+``truncation_error_closed_form``, which writes the truncated error
+through upper tails and is the independent oracle for the moment series.
 
 ``char_bound_check`` sweeps the characteristic function of a truncated
 Gaussian over a dense real grid and certifies the deviation chain
@@ -55,6 +55,7 @@ from typing import Iterable, TextIO
 from mpmath.libmp import (
     fone,
     from_int,
+    from_man_exp,
     fzero,
     mpc_add,
     mpc_div,
@@ -76,6 +77,7 @@ from mpmath.libmp import (
     mpf_sqrt,
     mpf_sub,
     round_nearest,
+    to_fixed,
     to_float,
 )
 
@@ -98,7 +100,6 @@ __all__ = [
 
 _RND = round_nearest
 _LN2 = math.log(2.0)
-_HALF = mpf_shift(fone, -1)
 
 _MAX_CDF_ARG = 64.0
 
@@ -114,34 +115,47 @@ def _inv_sqrt_2pi(prec: int):
 
 
 def _phi_series_real(x, bits: int):
-    """Phi(x) on a raw real tuple via the odd Taylor series."""
+    """Phi(x) on a raw real tuple: the odd Taylor series summed on Python
+    integers at the fixed scale 2**-wp, as mpmath's elementary functions
+    are: s_n = ((s_(n-1)*h) >> wp) // n, h = -x**2/2, term_n = s_n // (2n+1),
+    and one rounding to ``bits`` at the end.  The integers hold the growth
+    of the partial sums exactly; each step loses under three units of
+    2**-wp.  The terms alternate, so a unit lost in s_n perturbs a tail
+    that sums to about term_n, and N terms (N < 2**14) cost about N units.
+    Stopping at the first term below 2**-(bits + ceil(lift/2) + 32) past
+    2n > x**2, lift = x**2/ln 2, wp = bits + ceil(lift/2) + 64 keeps the
+    absolute error below about 2**-(bits + ceil(lift/2) + 30).  Since
+    Phi(-x) ~ 2**-(lift/2)/(2.5|x|), that is relative error below
+    2**-(bits + 20) down to x = -64."""
     xf = to_float(x, rnd=_RND)
     norm2 = xf * xf
     if norm2 > _MAX_CDF_ARG * _MAX_CDF_ARG:
         raise ConfigError(f"normal_cdf argument too large: |z| = {abs(xf):.3g} > 64")
-    lift = int(norm2 / _LN2)
-    wp = bits + lift + 64
-    stop = -(bits + lift + 32)
-    xw = mpf_pos(x, wp, _RND)
-    neg_half_sq = mpf_neg(mpf_shift(mpf_mul(xw, xw, wp, _RND), -1))
-    s = xw
-    total = xw
+    half = -(-int(norm2 / _LN2) // 2)
+    wp = bits + half + 64
+    cut = 1 << (wp - (bits + half + 32))
+    s = total = to_fixed(x, wp)
+    h = -((s * s) >> (wp + 1))
     n = 1
     while True:
-        s = mpf_div(mpf_mul(s, neg_half_sq, wp, _RND), from_int(n), wp, _RND)
-        term = mpf_div(s, from_int(2 * n + 1), wp, _RND)
-        total = mpf_add(total, term, wp, _RND)
-        if 2 * n > norm2 and _mag(term) < stop:
+        s = ((s * h) >> wp) // n
+        term = s // (2 * n + 1)
+        total += term
+        if 2 * n > norm2 and -cut < term < cut:
             break
         n += 1
         if n > 200000:
             raise ConvergenceError("normal_cdf series failed to terminate")
-    total = mpf_mul(total, _inv_sqrt_2pi(wp), wp, _RND)
-    return mpf_pos(mpf_add(total, _HALF, wp, _RND), bits, _RND)
+    total = ((total * to_fixed(_inv_sqrt_2pi(wp), wp)) >> wp) + (1 << (wp - 1))
+    return from_man_exp(total, -wp, bits, _RND)
 
 
 def _phi_series_complex(z, bits: int):
-    """Phi(z) on a raw (re, im) pair via the odd Taylor series."""
+    """Phi(z) on a raw (re, im) pair, summed as ``_phi_series_real`` sums.
+    Imaginary parts carry the finer scale 2**-(wp + e), |Im z| < 2**-e, so
+    Im Phi(z) ~ Im(z)*phi(Re z) keeps its relative accuracy near the real
+    axis.  Where |Im z| > |Re z| the terms keep their phase and the error
+    grows to about 2**-(bits + 30) * |Phi(z)|."""
     re_f = to_float(z[0], rnd=_RND)
     im_f = to_float(z[1], rnd=_RND)
     norm2 = re_f * re_f + im_f * im_f
@@ -149,31 +163,31 @@ def _phi_series_complex(z, bits: int):
         raise ConfigError(
             f"normal_cdf argument too large: |z| = {math.sqrt(norm2):.3g} > 64"
         )
-    lift = int(norm2 / _LN2)
-    wp = bits + lift + 64
-    stop = -(bits + lift + 32)
-    zw = (mpf_pos(z[0], wp, _RND), mpf_pos(z[1], wp, _RND))
-    sq = mpc_mul(zw, zw, wp, _RND)
-    neg_half_sq = (mpf_neg(mpf_shift(sq[0], -1)), mpf_neg(mpf_shift(sq[1], -1)))
-    s = zw
-    total = zw
+    half = -(-int(norm2 / _LN2) // 2)
+    wp = bits + half + 64
+    cut = 1 << (wp - (bits + half + 32))
+    e = max(0, -_mag(z[1])) if z[1][1] else 0
+    sr = total_r = to_fixed(z[0], wp)
+    si = total_i = to_fixed(z[1], wp + e)
+    hr, hi = (((si * si) >> 2 * e) - sr * sr) >> (wp + 1), -((sr * si) >> wp)
     n = 1
     while True:
-        s = mpc_mul(s, neg_half_sq, wp, _RND)
-        dn = from_int(n)
-        s = (mpf_div(s[0], dn, wp, _RND), mpf_div(s[1], dn, wp, _RND))
-        d2 = from_int(2 * n + 1)
-        term = (mpf_div(s[0], d2, wp, _RND), mpf_div(s[1], d2, wp, _RND))
-        total = mpc_add(total, term, wp, _RND)
-        if 2 * n > norm2 and max(_mag(term[0]), _mag(term[1])) < stop:
+        sr, si = (
+            ((sr * hr - ((si * hi) >> 2 * e)) >> wp) // n,
+            ((sr * hi + si * hr) >> wp) // n,
+        )
+        term_r, term_i = sr // (2 * n + 1), si // (2 * n + 1)
+        total_r += term_r
+        total_i += term_i
+        if 2 * n > norm2 and -cut < term_r < cut and -cut < term_i < cut:
             break
         n += 1
         if n > 200000:
             raise ConvergenceError("normal_cdf series failed to terminate")
-    total = mpc_mul_mpf(total, _inv_sqrt_2pi(wp), wp, _RND)
+    c = to_fixed(_inv_sqrt_2pi(wp), wp)
     return (
-        mpf_pos(mpf_add(total[0], _HALF, wp, _RND), bits, _RND),
-        mpf_pos(total[1], bits, _RND),
+        from_man_exp(((total_r * c) >> wp) + (1 << (wp - 1)), -wp, bits, _RND),
+        from_man_exp((total_i * c) >> wp, -wp - e, bits, _RND),
     )
 
 
@@ -198,19 +212,14 @@ def normal_cdf(z, bits: int | None = None):
 
 
 def gauss_upper_tail(a, bits: int | None = None) -> PReal:
-    """Q(a) = P(N(0,1) > a), accurate to the stated precision in relative
-    terms even deep in the tail."""
+    """Q(a) = P(N(0,1) > a) = Phi(-a), accurate to the stated precision in
+    relative terms even deep in the tail, with no lift of its own."""
     if isinstance(a, (int, float)):
         a = PReal(a, bits)
     if not isinstance(a, PReal):
         raise ConfigError(f"gauss_upper_tail expects a real scalar, got {type(a).__name__}")
     b = a.bits if bits is None else _check_bits(bits)
-    af = float(a)
-    # 1 - Phi(a) loses about a**2/(2 ln 2) leading bits for a > 0.
-    lift = int(max(0.0, af * af) / (2.0 * _LN2)) + 16
-    phi = _phi_series_real(a.raw, b + lift)
-    q = mpf_sub(fone, phi, b + lift, _RND)
-    return PReal._wrap(mpf_pos(q, b, _RND), b)
+    return PReal._wrap(_phi_series_real(mpf_neg(a.raw), b), b)
 
 
 # -- measures ----------------------------------------------------------

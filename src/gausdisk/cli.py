@@ -243,8 +243,6 @@ def _apply_config(args, argv) -> None:
             continue
         try:
             value = convert(text) if convert is not _parse_config_bool else convert(key, text)
-        except ConfigError:
-            raise
         except ValueError:
             raise ConfigError(
                 f"config key {key!r}: could not parse value {text!r}"
@@ -306,11 +304,8 @@ def _cmd_transform(args) -> int:
     full = args.full_precision
     with _out_stream(args.out) as out:
         for tag, re_text, im_text in points:
-            try:
-                re_val = PReal(re_text, bits)
-                im_val = PReal(im_text, bits)
-            except ConfigError:
-                raise
+            re_val = PReal(re_text, bits)
+            im_val = PReal(im_text, bits)
             # A frequency T (im_val is zero) is the point iT.
             point = PComplex(re_val, im_val) if tag == "z" else PComplex(im_val, re_val)
             if args.what == "char":

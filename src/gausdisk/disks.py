@@ -30,25 +30,14 @@ Three checks are layered on top:
   the line's real offset.  Vertical scans are cut off at the height
   where the two transform pieces are both provably negligible, and the
   report carries that off-segment ceiling.
-
-``taylor_coefficients`` recovers power-series coefficients of an
-analytic function from equispaced samples on a circle and verifies them
-against the discrete Cauchy bound max|f| / rho**n, which holds exactly
-for the sampled sums by the triangle inequality.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import (
-    CauchyBoundViolation,
-    ConfigError,
-    ConvexityViolation,
-    EnvelopeViolation,
-)
+from .errors import ConfigError, ConvexityViolation, EnvelopeViolation
 from .measures import Measure
 from .precision import PComplex, PReal, _check_bits, cos_sin, exp, log, pi_value, sqrt
 
@@ -59,14 +48,12 @@ __all__ = [
     "ConvexityReport",
     "ThreeCirclesReport",
     "ThreeLinesReport",
-    "TaylorReport",
     "sup_abs_on_circle",
     "sup_on_circle",
     "sup_on_line",
     "growth_profile",
     "three_circles_check",
     "three_lines_check",
-    "taylor_coefficients",
 ]
 
 _RESOLUTION_EXP = -64
@@ -125,15 +112,6 @@ class ConvexityReport:
 
 ThreeCirclesReport = ConvexityReport
 ThreeLinesReport = ConvexityReport
-
-
-@dataclass(frozen=True)
-class TaylorReport:
-    rho: PReal
-    coefficients: tuple[PComplex, ...]
-    grid_max: PReal
-    n_points: int
-    bound_margin_exp: int
 
 
 def _as_preal(value, bits: int) -> PReal:
@@ -529,87 +507,3 @@ def three_lines_check(
         sups_at, rs, lam, n_samples, slack, "three-lines inequality failed at offsets"
     )
 
-
-def taylor_coefficients(
-    f: Callable,
-    rho,
-    n_max: int,
-    bits: int,
-    n_points: int | None = None,
-) -> TaylorReport:
-    """Power-series coefficients c_0..c_n_max of ``f`` about 0 from
-    equispaced samples on |z| = rho:
-
-        c_n ~= (1/N) sum_j f(rho e^(2 pi i j / N)) e^(-2 pi i j n / N) / rho**n.
-
-    Every returned coefficient is checked against the discrete Cauchy
-    bound |c_n| <= max_j |f_j| / rho**n, which the sampled sum satisfies
-    exactly; a violation beyond rounding slack means the evaluation
-    itself is broken, and the sample count is doubled twice before
-    CauchyBoundViolation is raised.
-    """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise ConfigError(f"n_max must be an integer >= 0, got {n_max!r}")
-    _check_bits(bits)
-    r = _as_preal(rho, bits)
-    if not r > 0:
-        raise ConfigError("sampling radius must be positive")
-    base_points = n_points if n_points is not None else max(256, 8 * (n_max + 1))
-    if base_points <= 2 * n_max:
-        raise ConfigError("need more than 2*n_max sample points")
-
-    slack_exp = -(bits // 2)
-    last_margin = 0
-    for attempt in range(3):
-        n_pts = base_points * (2**attempt)
-        two_pi = 2 * pi_value(bits)
-        samples = []
-        conj_roots = []
-        grid_max = PReal(0, bits)
-        for j in range(n_pts):
-            theta = two_pi * j / n_pts
-            c, s = cos_sin(theta)
-            z = PComplex(r * c, r * s, bits=bits)
-            fj = f(z)
-            if isinstance(fj, PReal):
-                fj = PComplex(fj, PReal(0, bits), bits=bits)
-            samples.append(fj)
-            conj_roots.append(PComplex(c, -s, bits=bits))
-            mag = abs(fj)
-            if mag > grid_max:
-                grid_max = mag
-        coeffs = []
-        ok = True
-        rotations = [PComplex(1, 0, bits=bits)] * n_pts
-        inv_n = PReal(1, bits) / n_pts
-        power = PReal(1, bits)
-        for n in range(n_max + 1):
-            total = PComplex(0, 0, bits=bits)
-            for j in range(n_pts):
-                total = total + samples[j] * rotations[j]
-            c_n = total * inv_n / power
-            coeffs.append(c_n)
-            bound = grid_max / power
-            gap = abs(c_n) - bound
-            if gap > 0:
-                rel = gap / (bound if not bound.is_zero() else PReal(1, bits))
-                margin = math.frexp(float(rel))[1] if float(rel) != 0 else slack_exp
-                last_margin = margin
-                if margin > slack_exp:
-                    ok = False
-                    break
-            if n < n_max:
-                rotations = [rotations[j] * conj_roots[j] for j in range(n_pts)]
-                power = power * r
-        if ok:
-            return TaylorReport(
-                rho=r,
-                coefficients=tuple(coeffs),
-                grid_max=grid_max,
-                n_points=n_pts,
-                bound_margin_exp=slack_exp,
-            )
-    raise CauchyBoundViolation(
-        f"coefficient bound violated beyond 2^{slack_exp} "
-        f"(observed 2^{last_margin}); the sampled function is inconsistent"
-    )

@@ -53,6 +53,3 @@ class ChainViolation(MathInvariantError):
 class CertificateViolation(MathInvariantError):
     """A flatness certificate's cross-checks failed."""
 
-
-class CauchyBoundViolation(MathInvariantError):
-    """Extracted series coefficients exceeded their Cauchy bound."""

@@ -11,7 +11,10 @@ Three measure families live here:
 Each measure exposes its two-sided Laplace transform L(z) = E[exp(zX)]
 as an entire function of a complex argument, the characteristic function
 L(it), and the error functional L(z) - exp(z**2/2) measuring the drift
-from the Gaussian transform.
+from the Gaussian transform.  Every transform has one kernel, on raw
+libmp (re, im) pairs: a real argument is the complex point with an exact
+zero imaginary part, which libmp's complex operations round as their real
+twins do and keep zero, and the result comes back as a PReal.
 
 The truncated family has one kernel, the series of its even moments,
 
@@ -25,14 +28,14 @@ downward from one short tail sum.  Since ell_m <= a**(2m)/(2m)!, the
 terms add up to at most exp(a*|z|), and a lift of a*|z|/ln 2 bits covers
 the cancellation off the real axis.
 
-The complex normal CDF is evaluated by its everywhere-convergent odd
-Taylor series
+The normal CDF has one kernel, ``_phi_series``, for real and complex
+arguments: the everywhere-convergent odd Taylor series
 
     1/2 + (2*pi)**(-1/2) * sum_n (-1)**n z**(2n+1) / (2**n n! (2n+1)),
 
 summed on integers at the fixed scale 2**-(bits + ceil(lift/2) + 64),
-lift = |z|**2/ln 2; ``_phi_series_real`` derives the error bound behind
-that precision.  Arguments are capped at |z| <= 64.  It serves
+lift = |z|**2/ln 2; its docstring derives the error bound behind that
+precision.  Arguments are capped at |z| <= 64.  It serves
 ``normal_cdf``, ``gauss_upper_tail`` (as Q(a) = Phi(-a)) and
 ``truncation_error_closed_form``, which writes the truncated error
 through upper tails and is the independent oracle for the moment series.
@@ -48,6 +51,7 @@ point, and cross-checks it against the closed form on a subsample.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
@@ -109,59 +113,61 @@ def _mag(raw) -> int:
     return raw[2] + raw[3] if raw[1] else -(1 << 60)
 
 
+@functools.lru_cache(maxsize=64)
 def _inv_sqrt_2pi(prec: int):
     two_pi = mpf_mul_int(mpf_pi(prec + 8, _RND), 2, prec + 8, _RND)
     return mpf_div(fone, mpf_sqrt(two_pi, prec + 8, _RND), prec, _RND)
 
 
-def _phi_series_real(x, bits: int):
-    """Phi(x) on a raw real tuple: the odd Taylor series summed on Python
+def _pair(z):
+    """The raw (re, im) pair of a PReal or PComplex; a real point gets an
+    exact zero imaginary part, which the libmp complex operations round as
+    their real twins do and keep zero."""
+    return (z.raw, fzero) if isinstance(z, PReal) else z.raw
+
+
+def _like(z, pair, bits: int):
+    """A raw pair rounded to ``bits``, returned as the kind of ``z``: a
+    PReal for a real point (its imaginary part is then zero), else a
+    PComplex."""
+    if isinstance(z, PReal):
+        return PReal._wrap(mpf_pos(pair[0], bits, _RND), bits)
+    return PComplex._wrap(mpf_pos(pair[0], bits, _RND), mpf_pos(pair[1], bits, _RND), bits)
+
+
+def _gauss_raw(pair, prec: int):
+    """exp(z**2/2) on a raw pair, at ``prec`` bits."""
+    sq = mpc_mul(pair, pair, prec, _RND)
+    return mpc_exp((mpf_shift(sq[0], -1), mpf_shift(sq[1], -1)), prec, _RND)
+
+
+def _phi_series(z, bits: int):
+    """Phi(z) on a raw (re, im) pair: the odd Taylor series summed on Python
     integers at the fixed scale 2**-wp, as mpmath's elementary functions
-    are: s_n = ((s_(n-1)*h) >> wp) // n, h = -x**2/2, term_n = s_n // (2n+1),
-    and one rounding to ``bits`` at the end.  The integers hold the growth
-    of the partial sums exactly; each step loses under three units of
-    2**-wp.  The terms alternate, so a unit lost in s_n perturbs a tail
-    that sums to about term_n, and N terms (N < 2**14) cost about N units.
-    Stopping at the first term below 2**-(bits + ceil(lift/2) + 32) past
-    2n > x**2, lift = x**2/ln 2, wp = bits + ceil(lift/2) + 64 keeps the
-    absolute error below about 2**-(bits + ceil(lift/2) + 30).  Since
+    are: s_n = ((s_(n-1)*h) >> wp) // n, h = -z**2/2, term_n = s_n // (2n+1),
+    and one rounding to ``bits`` at the end.
+
+    On the real axis the integers hold the growth of the partial sums
+    exactly; each step loses under three units of 2**-wp.  The terms
+    alternate, so a unit lost in s_n perturbs a tail that sums to about
+    term_n, and N terms (N < 2**14) cost about N units.  Stopping at the
+    first term below 2**-(bits + ceil(lift/2) + 32) past 2n > |z|**2,
+    lift = |z|**2/ln 2, wp = bits + ceil(lift/2) + 64 keeps the absolute
+    error below about 2**-(bits + ceil(lift/2) + 30).  Since
     Phi(-x) ~ 2**-(lift/2)/(2.5|x|), that is relative error below
-    2**-(bits + 20) down to x = -64."""
-    xf = to_float(x, rnd=_RND)
-    norm2 = xf * xf
-    if norm2 > _MAX_CDF_ARG * _MAX_CDF_ARG:
-        raise ConfigError(f"normal_cdf argument too large: |z| = {abs(xf):.3g} > 64")
-    half = -(-int(norm2 / _LN2) // 2)
-    wp = bits + half + 64
-    cut = 1 << (wp - (bits + half + 32))
-    s = total = to_fixed(x, wp)
-    h = -((s * s) >> (wp + 1))
-    n = 1
-    while True:
-        s = ((s * h) >> wp) // n
-        term = s // (2 * n + 1)
-        total += term
-        if 2 * n > norm2 and -cut < term < cut:
-            break
-        n += 1
-        if n > 200000:
-            raise ConvergenceError("normal_cdf series failed to terminate")
-    total = ((total * to_fixed(_inv_sqrt_2pi(wp), wp)) >> wp) + (1 << (wp - 1))
-    return from_man_exp(total, -wp, bits, _RND)
+    2**-(bits + 20) down to x = -64.
 
-
-def _phi_series_complex(z, bits: int):
-    """Phi(z) on a raw (re, im) pair, summed as ``_phi_series_real`` sums.
     Imaginary parts carry the finer scale 2**-(wp + e), |Im z| < 2**-e, so
     Im Phi(z) ~ Im(z)*phi(Re z) keeps its relative accuracy near the real
-    axis.  Where |Im z| > |Re z| the terms keep their phase and the error
-    grows to about 2**-(bits + 30) * |Phi(z)|."""
+    axis; an exact zero imaginary part stays exactly zero.  Where
+    |Im z| > |Re z| the terms keep their phase and the error grows to about
+    2**-(bits + 30) * |Phi(z)|."""
     re_f = to_float(z[0], rnd=_RND)
     im_f = to_float(z[1], rnd=_RND)
     norm2 = re_f * re_f + im_f * im_f
     if norm2 > _MAX_CDF_ARG * _MAX_CDF_ARG:
         raise ConfigError(
-            f"normal_cdf argument too large: |z| = {math.sqrt(norm2):.3g} > 64"
+            f"normal_cdf argument too large: |z| = {math.hypot(re_f, im_f):.3g} > 64"
         )
     half = -(-int(norm2 / _LN2) // 2)
     wp = bits + half + 64
@@ -169,7 +175,7 @@ def _phi_series_complex(z, bits: int):
     e = max(0, -_mag(z[1])) if z[1][1] else 0
     sr = total_r = to_fixed(z[0], wp)
     si = total_i = to_fixed(z[1], wp + e)
-    hr, hi = (((si * si) >> 2 * e) - sr * sr) >> (wp + 1), -((sr * si) >> wp)
+    hr, hi = -((sr * sr - ((si * si) >> 2 * e)) >> (wp + 1)), -((sr * si) >> wp)
     n = 1
     while True:
         sr, si = (
@@ -201,14 +207,10 @@ def normal_cdf(z, bits: int | None = None):
         z = PReal(z, bits)
     elif isinstance(z, complex):
         z = PComplex(z, bits=bits)
-    if isinstance(z, PReal):
-        b = z.bits if bits is None else _check_bits(bits)
-        return PReal._wrap(_phi_series_real(z.raw, b), b)
-    if isinstance(z, PComplex):
-        b = z.bits if bits is None else _check_bits(bits)
-        re_raw, im_raw = _phi_series_complex(z.raw, b)
-        return PComplex._wrap(re_raw, im_raw, b)
-    raise ConfigError(f"normal_cdf expects a scalar, got {type(z).__name__}")
+    if not isinstance(z, (PReal, PComplex)):
+        raise ConfigError(f"normal_cdf expects a scalar, got {type(z).__name__}")
+    b = z.bits if bits is None else _check_bits(bits)
+    return _like(z, _phi_series(_pair(z), b), b)
 
 
 def gauss_upper_tail(a, bits: int | None = None) -> PReal:
@@ -219,7 +221,7 @@ def gauss_upper_tail(a, bits: int | None = None) -> PReal:
     if not isinstance(a, PReal):
         raise ConfigError(f"gauss_upper_tail expects a real scalar, got {type(a).__name__}")
     b = a.bits if bits is None else _check_bits(bits)
-    return PReal._wrap(_phi_series_real(mpf_neg(a.raw), b), b)
+    return _like(a, _phi_series((mpf_neg(a.raw), fzero), b), b)
 
 
 # -- measures ----------------------------------------------------------
@@ -251,9 +253,7 @@ class Measure:
 
     def char_fn(self, t):
         """Characteristic function: the Laplace transform at i*t."""
-        t = _coerce_point(t, self.bits)
-        if isinstance(t, PReal):
-            return self.laplace(PComplex(PReal(0, t.bits), t))
+        t = PComplex(_coerce_point(t, self.bits))
         return self.laplace(PComplex(-t.imag, t.real))
 
     def laplace_error(self, z):
@@ -261,17 +261,8 @@ class Measure:
         z = _coerce_point(z, self.bits)
         value = self.laplace(z)
         bits = value.bits
-        if isinstance(z, PReal):
-            half_sq = mpf_shift(mpf_mul(z.raw, z.raw, bits + 8, _RND), -1)
-            gauss = mpf_exp(half_sq, bits + 8, _RND)
-            diff = mpf_sub(value.raw, gauss, bits + 8, _RND)
-            return PReal._wrap(mpf_pos(diff, bits, _RND), bits)
-        sq = mpc_mul(z.raw, z.raw, bits + 8, _RND)
-        gauss = mpc_exp((mpf_shift(sq[0], -1), mpf_shift(sq[1], -1)), bits + 8, _RND)
-        diff = mpc_sub(value.raw, gauss, bits + 8, _RND)
-        return PComplex._wrap(
-            mpf_pos(diff[0], bits, _RND), mpf_pos(diff[1], bits, _RND), bits
-        )
+        gauss = _gauss_raw(_pair(z), bits + 8)
+        return _like(z, mpc_sub(_pair(value), gauss, bits + 8, _RND), bits)
 
     def support_radius(self) -> PReal | None:
         """Half-width of the support, or None when unbounded."""
@@ -360,49 +351,20 @@ class DiscreteMeasure(Measure):
         z = _coerce_point(z, self.bits)
         out_bits = max(self.bits, z.bits)
         wp = out_bits + 32
+        zw = tuple(mpf_pos(part, wp, _RND) for part in _pair(z))
         n = len(self.atoms)
-        if isinstance(z, PReal):
-            zr = mpf_pos(z.raw, wp, _RND)
-            total = fzero
-            if self._symmetric:
-                for j in range(n // 2):
-                    x, w = self.atoms[n - 1 - j]
-                    e = mpf_exp(mpf_mul(x.raw, zr, wp, _RND), wp, _RND)
-                    pair = mpf_add(e, mpf_div(fone, e, wp, _RND), wp, _RND)
-                    total = mpf_add(total, mpf_mul(w.raw, pair, wp, _RND), wp, _RND)
-                if n % 2:
-                    total = mpf_add(total, self.atoms[n // 2][1].raw, wp, _RND)
-            else:
-                for x, w in self.atoms:
-                    e = mpf_exp(mpf_mul(x.raw, zr, wp, _RND), wp, _RND)
-                    total = mpf_add(total, mpf_mul(w.raw, e, wp, _RND), wp, _RND)
-            return PReal._wrap(mpf_pos(total, out_bits, _RND), out_bits)
-        zw = (mpf_pos(z.raw[0], wp, _RND), mpf_pos(z.raw[1], wp, _RND))
+        # A symmetric measure pairs x with -x through exp(-xz) = 1/exp(xz):
+        # the largest atom first, the middle one (if any) last.
+        atoms = reversed(self.atoms[(n + 1) // 2:]) if self._symmetric else self.atoms
         total = (fzero, fzero)
-        one = (fone, fzero)
-        if self._symmetric:
-            for j in range(n // 2):
-                x, w = self.atoms[n - 1 - j]
-                arg = (
-                    mpf_mul(x.raw, zw[0], wp, _RND),
-                    mpf_mul(x.raw, zw[1], wp, _RND),
-                )
-                e = mpc_exp(arg, wp, _RND)
-                pair = mpc_add(e, mpc_div(one, e, wp, _RND), wp, _RND)
-                total = mpc_add(total, mpc_mul_mpf(pair, w.raw, wp, _RND), wp, _RND)
-            if n % 2:
-                total = mpc_add(total, (self.atoms[n // 2][1].raw, fzero), wp, _RND)
-        else:
-            for x, w in self.atoms:
-                arg = (
-                    mpf_mul(x.raw, zw[0], wp, _RND),
-                    mpf_mul(x.raw, zw[1], wp, _RND),
-                )
-                e = mpc_exp(arg, wp, _RND)
-                total = mpc_add(total, mpc_mul_mpf(e, w.raw, wp, _RND), wp, _RND)
-        return PComplex._wrap(
-            mpf_pos(total[0], out_bits, _RND), mpf_pos(total[1], out_bits, _RND), out_bits
-        )
+        for x, w in atoms:
+            e = mpc_exp(mpc_mul_mpf(zw, x.raw, wp, _RND), wp, _RND)
+            if self._symmetric:
+                e = mpc_add(e, mpc_div((fone, fzero), e, wp, _RND), wp, _RND)
+            total = mpc_add(total, mpc_mul_mpf(e, w.raw, wp, _RND), wp, _RND)
+        if self._symmetric and n % 2:
+            total = mpc_add(total, (self.atoms[n // 2][1].raw, fzero), wp, _RND)
+        return _like(z, total, out_bits)
 
     def to_csv(self, out: TextIO) -> None:
         writer = csv.writer(out, lineterminator="\n")
@@ -524,17 +486,13 @@ class TruncatedGaussian(Measure):
         wp = out_bits + math.ceil(at / _LN2) + 32
         n = _series_cutoff(at, wp)
         coeffs = _moment_coeffs(self.a.raw, n, wp)
-        if isinstance(z, PReal):
-            value = _horner(coeffs, n, mpf_mul(z.raw, z.raw, wp, _RND), wp)
-            return PReal._wrap(mpf_pos(value, out_bits, _RND), out_bits)
-        w = mpc_mul(z.raw, z.raw, wp, _RND)
+        zp = _pair(z)
+        w = mpc_mul(zp, zp, wp, _RND)
         acc = (coeffs[n], fzero)
         for m in range(n - 1, -1, -1):
             acc = mpc_mul(acc, w, wp, _RND)
             acc = (mpf_add(acc[0], coeffs[m], wp, _RND), acc[1])
-        return PComplex._wrap(
-            mpf_pos(acc[0], out_bits, _RND), mpf_pos(acc[1], out_bits, _RND), out_bits
-        )
+        return _like(z, acc, out_bits)
 
 
 class StandardGaussian(Measure):
@@ -553,21 +511,11 @@ class StandardGaussian(Measure):
     def laplace(self, z):
         z = _coerce_point(z, self.bits)
         out_bits = max(self.bits, z.bits)
-        wp = out_bits + 8
-        if isinstance(z, PReal):
-            half_sq = mpf_shift(mpf_mul(z.raw, z.raw, wp, _RND), -1)
-            return PReal._wrap(mpf_pos(mpf_exp(half_sq, wp, _RND), out_bits, _RND), out_bits)
-        sq = mpc_mul(z.raw, z.raw, wp, _RND)
-        e = mpc_exp((mpf_shift(sq[0], -1), mpf_shift(sq[1], -1)), wp, _RND)
-        return PComplex._wrap(
-            mpf_pos(e[0], out_bits, _RND), mpf_pos(e[1], out_bits, _RND), out_bits
-        )
+        return _like(z, _gauss_raw(_pair(z), out_bits + 8), out_bits)
 
     def laplace_error(self, z):
         z = _coerce_point(z, self.bits)
-        if isinstance(z, PReal):
-            return PReal(0, self.bits)
-        return PComplex(0, 0, bits=self.bits)
+        return _like(z, (fzero, fzero), max(self.bits, z.bits))
 
 
 def quadrature_measure_for_support(a, bits: int = 256) -> DiscreteMeasure:
@@ -587,32 +535,19 @@ def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | P
     """
     if not isinstance(measure, TruncatedGaussian):
         raise ConfigError("closed form applies to truncated Gaussians")
-    if isinstance(z, (int, float)):
-        z = PReal(z, measure.bits)
-    elif isinstance(z, complex):
-        z = PComplex(z, bits=measure.bits)
+    z = _coerce_point(z, measure.bits)
     out_bits = max(measure.bits, z.bits)
     wp = out_bits + 32
     a = measure.a
-    one = PReal(1, wp)
     q_a = gauss_upper_tail(a, wp)
-    denom = one - 2 * q_a
-    if isinstance(z, PReal):
-        q_plus = one - normal_cdf((a + z).round_to(wp), wp)
-        q_minus = one - normal_cdf((a - z).round_to(wp), wp)
-        half_sq = (z * z).round_to(wp) / 2
-        gauss = PReal._wrap(mpf_exp(half_sq.raw, wp, _RND), wp)
-        value = -(gauss * (q_plus + q_minus - 2 * q_a)) / denom
-        return value.round_to(out_bits)
-    zw = z.round_to(wp)
+    denom = PReal(1, wp) - 2 * q_a
+    zw = PComplex(z, bits=wp)
     a_w = PComplex(a, PReal(0, wp), bits=wp)
     q_plus = 1 - normal_cdf(a_w + zw, wp)
     q_minus = 1 - normal_cdf(a_w - zw, wp)
-    sq = zw * zw
-    gauss_raw = mpc_exp((mpf_shift(sq.raw[0], -1), mpf_shift(sq.raw[1], -1)), wp, _RND)
-    gauss = PComplex._wrap(gauss_raw[0], gauss_raw[1], wp)
+    gauss = PComplex._wrap(*_gauss_raw(zw.raw, wp), wp)
     value = -(gauss * (q_plus + q_minus - 2 * q_a)) / denom
-    return value.round_to(out_bits)
+    return _like(z, value.raw, out_bits)
 
 
 # -- characteristic function deviation sweep ---------------------------

@@ -1,4 +1,4 @@
-"""Boundary scans, convexity checks, growth envelopes, Taylor recovery."""
+"""Boundary scans, convexity checks and growth envelopes."""
 
 import io
 import math
@@ -14,7 +14,6 @@ from gausdisk.disks import (
     sup_abs_on_circle,
     sup_on_circle,
     sup_on_line,
-    taylor_coefficients,
     three_circles_check,
     three_lines_check,
 )
@@ -333,51 +332,6 @@ class TestThreeLines:
         with pytest.raises(ConvexityViolation, match="three-lines inequality failed at offsets"):
             three_lines_check(m, 0, 3, 6, n_samples=16)
         assert m.scans == 6
-
-
-class TestTaylor:
-    def test_gaussian_transform_coefficients(self):
-        def f(z):
-            return exp(z * z / 2)
-
-        report = taylor_coefficients(f, 1, 6, 224)
-        want = [1.0, 0.0, 0.5, 0.0, 0.125, 0.0, 1.0 / 48.0]
-        for c, ref in zip(report.coefficients, want):
-            assert float(c.real) == pytest.approx(ref, abs=1e-30)
-            assert float(abs(c)) == pytest.approx(ref, abs=1e-30)
-
-    def test_polynomial_recovered_exactly(self):
-        def f(z):
-            return z * z * 3 - 2
-
-        report = taylor_coefficients(f, 2, 4, 192, n_points=64)
-        got = [float(c.real) for c in report.coefficients]
-        assert got == pytest.approx([-2, 0, 3, 0, 0], abs=1e-40)
-
-    def test_exp_on_larger_radius(self):
-        report = taylor_coefficients(exp, 2, 5, 192)
-        for n, c in enumerate(report.coefficients):
-            assert float(c.real) == pytest.approx(1 / math.factorial(n), rel=1e-30)
-
-    def test_cauchy_bound_respected_even_for_rough_function(self):
-        import random
-
-        rng = random.Random(99)
-
-        def noisy(z):
-            return PComplex(rng.uniform(-1e6, 1e6), rng.uniform(-1e6, 1e6), bits=160)
-
-        report = taylor_coefficients(noisy, 1, 3, 160, n_points=32)
-        for c in report.coefficients:
-            assert abs(c) <= report.grid_max * (1 + PReal(2, 160) ** -70)
-
-    def test_sample_count_validated(self):
-        with pytest.raises(ConfigError):
-            taylor_coefficients(exp, 1, 8, 128, n_points=16)
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(ConfigError):
-            taylor_coefficients(exp, 1, -1, 128)
 
 
 def test_circle_and_line_checks_share_one_report_type():

@@ -274,7 +274,7 @@ class TestTruncatedGaussian:
         def forbidden(*args, **kwargs):
             raise AssertionError("the moment series needs no normal CDF")
 
-        for name in ("normal_cdf", "gauss_upper_tail", "_phi_series_real", "_phi_series_complex"):
+        for name in ("normal_cdf", "gauss_upper_tail", "_phi_series"):
             monkeypatch.setattr(measures, name, forbidden)
         m = TruncatedGaussian(5, 192)
         assert float(m.laplace(PReal(1, 192))) > 1
@@ -313,6 +313,43 @@ class TestStandardGaussian:
         v = g.char_fn(PReal(2, 128))
         assert float(v.real) == pytest.approx(math.exp(-2), rel=1e-12)
         assert abs(v.imag).is_zero()
+
+
+def _three_families(bits):
+    return (
+        TruncatedGaussian(4, bits),
+        quadrature_measure_for_support(5, bits),
+        StandardGaussian(bits),
+    )
+
+
+def test_transforms_take_the_finer_of_measure_and_point_precision():
+    for m in _three_families(128):
+        for z in (PReal(1, 512), PComplex(1, 0.5, bits=512)):
+            assert m.laplace(z).bits == 512, m.description()
+            assert m.laplace_error(z).bits == 512, m.description()
+            assert type(m.laplace_error(z)) is type(z)
+
+
+def test_real_points_are_complex_points_with_zero_imaginary_part():
+    """A PReal in gives a PReal out, bit for bit the real part of the
+    result at PComplex(x, 0), whose imaginary part is exactly zero."""
+    rng = random.Random(20261018)
+    for _ in range(12):
+        bits = rng.choice((64, 128, 256, 512))
+        x = PReal(rng.uniform(-5, 5), bits)
+        xc = PComplex(x, PReal(0, bits))
+        pairs = [(normal_cdf(x), normal_cdf(xc))]
+        a = PReal(rng.uniform(-8, 40), bits)
+        pairs.append((gauss_upper_tail(a), normal_cdf(PComplex(-a, PReal(0, bits)))))
+        for m in _three_families(rng.choice((64, 192, 320))):
+            pairs.append((m.laplace(x), m.laplace(xc)))
+            pairs.append((m.laplace_error(x), m.laplace_error(xc)))
+        for real, cplx in pairs:
+            assert isinstance(real, PReal) and isinstance(cplx, PComplex)
+            assert real.bits == cplx.bits
+            assert real.raw == cplx.real.raw
+            assert cplx.imag.raw == mpmath.libmp.fzero
 
 
 class TestCharBoundCheck:

@@ -240,8 +240,8 @@ ALL_CHECKS = (
 )
 
 
-def run_all(quick: bool = False, emit=print) -> bool:
-    """Run every check, emitting one PASS/FAIL line each and writing one
+def run_all(quick: bool = False) -> bool:
+    """Run every check, printing one PASS/FAIL line each and writing one
     ``<check> <seconds>`` line each to stderr; returns overall success."""
     ok = True
     for name, fn in ALL_CHECKS:
@@ -250,8 +250,8 @@ def run_all(quick: bool = False, emit=print) -> bool:
             fn(quick)
         except Exception as exc:  # noqa: BLE001 - each failure is reported
             ok = False
-            emit(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
         else:
-            emit(f"PASS {name}")
+            print(f"PASS {name}")
         print(f"{name} {time.perf_counter() - start:.3f}", file=sys.stderr)
     return ok

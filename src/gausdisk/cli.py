@@ -36,7 +36,7 @@ from .measures import (
     StandardGaussian,
     TruncatedGaussian,
 )
-from .precision import MIN_BITS, PComplex, PReal, working_bits
+from .precision import MAX_BITS, MIN_BITS, PComplex, PReal, working_bits
 from .superflat import build_superflat, flatness_certificate, superflat_to_csv
 
 _ENV_PRECISION = "GAUSDISK_PRECISION"
@@ -55,6 +55,8 @@ def _bits_from_text(text: str, source: str) -> int:
         ) from None
     if bits < MIN_BITS:
         raise ConfigError(f"{source} must be at least {MIN_BITS} bits, got {bits}")
+    if bits > MAX_BITS:
+        raise ConfigError(f"{source} must be at most {MAX_BITS} bits, got {bits}")
     return bits
 
 
@@ -332,7 +334,7 @@ def _cmd_supdisk(args) -> int:
     full = args.full_precision
     with _out_stream(args.out) as out:
         if args.line:
-            report = sup_on_line(measure, args.r, bits=bits, n_samples=args.samples)
+            report = sup_on_line(measure, args.r, n_samples=args.samples)
             print(f"line_offset {_fmt_real(report.offset, full)}", file=out)
             print(f"bits {bits}", file=out)
             print(f"samples {report.n_samples}", file=out)
@@ -353,6 +355,9 @@ def _cmd_supdisk(args) -> int:
             print(f"sup_lower_bound {_fmt_real(report.sup_value, full)}", file=out)
             print(f"witness {_fmt_complex(report.witness, full)}", file=out)
     return 0
+
+
+_MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid_text(text: str):
@@ -376,6 +381,8 @@ def _parse_grid_text(text: str):
             if value > stop + 1e-9:
                 break
             values.append(round(value, 12))
+            if len(values) > _MAX_GRID_POINTS:
+                raise ConfigError(f"figure: grid has more than {_MAX_GRID_POINTS} values")
             index += 1
         return values
     try:
@@ -392,7 +399,11 @@ def _cmd_figure(args) -> int:
         raise ConfigError("figure: --b must be positive")
     override = _resolve_bits(args, lambda: None)
     table = run_figure(
-        grid, b=args.b, n_samples=args.samples, bits_override=override
+        grid,
+        b=args.b,
+        n_samples=args.samples,
+        bits_override=override,
+        progress=lambda line: print(line, file=sys.stderr),
     )
     full = args.full_precision
     with _out_stream(args.out) as out:
@@ -493,7 +504,7 @@ def _cmd_superflat(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok = checks.run_all(quick=args.quick, emit=print)
+    ok = checks.run_all(quick=args.quick)
     return 0 if ok else 3
 
 

@@ -20,16 +20,19 @@ evaluated.  Either way the reported sup is a value of |B| at a point of
 the circle, so it is always a lower bound for the true one; scans agree
 with it to scan resolution in practice.
 
-Three checks are layered on top:
+Three checks are layered on top, each taking a Measure and running at
+its precision:
 
 * a two-sided growth envelope, (1/2)exp(r**2/2) <= M(r) <= exp(a*r) +
   exp(r**2/2) once r >= 3a for support half-width a;
 * the three-circles inequality: log M(r) is a convex function of log r,
-  tested at a chosen triple with explicit slack;
+  tested at a chosen triple with a fixed slack of 1e-6;
 * the three-lines inequality for sups over vertical segments, convex in
-  the line's real offset.  Vertical scans are cut off at the height
-  where the two transform pieces are both provably negligible, and the
-  report carries that off-segment ceiling.
+  the line's real offset, with the same slack.  Vertical scans are cut
+  off at the height where the two transform pieces are both provably
+  negligible, and the report carries that off-segment ceiling.
+
+Both convexity checks return a ConvexityReport.
 """
 
 from __future__ import annotations
@@ -46,8 +49,6 @@ __all__ = [
     "LineSupReport",
     "GrowthProfile",
     "ConvexityReport",
-    "ThreeCirclesReport",
-    "ThreeLinesReport",
     "sup_abs_on_circle",
     "sup_on_circle",
     "sup_on_line",
@@ -57,6 +58,11 @@ __all__ = [
 ]
 
 _RESOLUTION_EXP = -64
+# Line scans stop at the height where |exp(z**2/2)| has fallen to
+# 2**-(_LINE_CEILING_BITS/2) * exp(-a*offset); see sup_on_line.
+_LINE_CEILING_BITS = 256
+# Relative slack of the three-circles and three-lines inequalities.
+_CONVEXITY_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -108,10 +114,6 @@ class ConvexityReport:
     status: str
     retried: bool
     passed: bool
-
-
-ThreeCirclesReport = ConvexityReport
-ThreeLinesReport = ConvexityReport
 
 
 def _as_preal(value, bits: int) -> PReal:
@@ -266,17 +268,12 @@ def sup_on_circle(
     )
 
 
-def sup_on_line(
-    measure: Measure,
-    offset,
-    bits: int | None = None,
-    n_samples: int = 1024,
-    p_slack: int = 4,
-) -> LineSupReport:
-    """Maximize the transform error over the vertical line Re z = offset.
+def sup_on_line(measure: Measure, offset, n_samples: int = 1024) -> LineSupReport:
+    """Maximize the transform error over the vertical line Re z = offset,
+    at the measure's precision.
 
     The scan covers 0 <= Im z <= Y with
-    Y = sqrt(offset**2 + 2*a*offset + 64*ln2*p_slack); above Y both
+    Y = sqrt(offset**2 + 2*a*offset + 256*ln2); above Y both
     |L(z)| <= exp(a*offset) and |exp(z**2/2)| = exp((offset**2-y**2)/2)
     are below the reported tail ceiling
     exp(a*offset) + exp((offset**2-Y**2)/2), so the full-line sup is at
@@ -288,15 +285,13 @@ def sup_on_line(
     a = measure.support_radius()
     if a is None:
         raise ConfigError("sup_on_line needs a compactly supported measure")
-    if not isinstance(p_slack, int) or isinstance(p_slack, bool) or p_slack < 1:
-        raise ConfigError(f"p_slack must be a positive integer, got {p_slack!r}")
-    b = measure.bits if bits is None else _check_bits(bits)
+    b = measure.bits
     r = _as_preal(offset, b)
     if r < 0:
         raise ConfigError("line offset must be nonnegative")
     a_b = a.round_to(b)
     ln2 = log(PReal(2, b))
-    height = sqrt(r * r + 2 * a_b * r + 64 * p_slack * ln2)
+    height = sqrt(r * r + 2 * a_b * r + _LINE_CEILING_BITS * ln2)
 
     def evaluate(y: PReal) -> PReal:
         return abs(measure.laplace_error(PComplex(r, y, bits=b)))
@@ -320,12 +315,11 @@ def sup_on_line(
 def growth_profile(
     measure: Measure,
     radii: Sequence,
-    bits: int | None = None,
     n_samples: int = 1024,
 ) -> GrowthProfile:
-    """Scan M(r) over a set of radii and check the two-sided envelope
-    (1/2)exp(r**2/2) <= M(r) <= exp(a*r) + exp(r**2/2) at every radius
-    with r >= 3a.
+    """Scan M(r) over a set of radii at the measure's precision and check
+    the two-sided envelope (1/2)exp(r**2/2) <= M(r) <= exp(a*r) +
+    exp(r**2/2) at every radius with r >= 3a.
 
     The lower half holds because the scan includes z = r where
     |B(r)| >= exp(r**2/2) - exp(a*r) >= (1/2)exp(r**2/2) once r >= 3a;
@@ -334,12 +328,12 @@ def growth_profile(
     """
     if not isinstance(measure, Measure):
         raise ConfigError("growth_profile expects a Measure")
-    b = measure.bits if bits is None else _check_bits(bits)
+    b = measure.bits
     a = measure.support_radius()
     reports = []
     checked = []
     for radius in radii:
-        rep = sup_on_circle(measure, radius, bits=b, n_samples=n_samples)
+        rep = sup_on_circle(measure, radius, n_samples=n_samples)
         r = rep.radius
         if a is not None and r >= 3 * a.round_to(b):
             half_sq = exp(r * r / 2)
@@ -366,7 +360,6 @@ def _convexity_report(
     rs: tuple[PReal, PReal, PReal],
     sups: tuple[PReal, PReal, PReal],
     lam: PReal,
-    slack: float,
     retried: bool,
 ) -> ConvexityReport:
     bits = rs[0].bits
@@ -376,20 +369,20 @@ def _convexity_report(
             r1=rs[0], r2=rs[1], r3=rs[2],
             sup1=sups[0], sup2=sups[1], sup3=sups[2],
             lam=lam, lhs_log=zero, rhs_log=zero, margin=zero,
-            slack=slack, status="degenerate", retried=retried, passed=True,
+            slack=_CONVEXITY_SLACK, status="degenerate", retried=retried, passed=True,
         )
     logs = [log(s) for s in sups]
     lhs = logs[1]
     rhs = (1 - lam) * logs[0] + lam * logs[2]
     span = abs(logs[2] - logs[0])
-    allowance = PReal(slack, bits) * (span if span > 1 else PReal(1, bits))
+    allowance = PReal(_CONVEXITY_SLACK, bits) * (span if span > 1 else PReal(1, bits))
     margin = rhs - lhs
     passed = bool(margin >= -allowance)
     return ConvexityReport(
         r1=rs[0], r2=rs[1], r3=rs[2],
         sup1=sups[0], sup2=sups[1], sup3=sups[2],
         lam=lam, lhs_log=lhs, rhs_log=rhs, margin=margin,
-        slack=slack, status="ok", retried=retried, passed=passed,
+        slack=_CONVEXITY_SLACK, status="ok", retried=retried, passed=passed,
     )
 
 
@@ -398,7 +391,6 @@ def _convexity_check(
     rs: tuple[PReal, PReal, PReal],
     lam: PReal,
     n_samples: int,
-    slack: float,
     what: str,
 ) -> ConvexityReport:
     """Test at ``n_samples`` and, on failure, once more at 4x unless
@@ -406,65 +398,50 @@ def _convexity_check(
     inequality still fails.  ``sups_at(n)`` returns (sups, exact)."""
     for attempt, n in enumerate((n_samples, 4 * n_samples)):
         sups, exact = sups_at(n)
-        report = _convexity_report(rs, sups, lam, slack, retried=attempt > 0)
+        report = _convexity_report(rs, sups, lam, retried=attempt > 0)
         if report.passed:
             return report
         if exact:
             break
     raise ConvexityViolation(
         f"{what} ({float(rs[0]):g}, {float(rs[1]):g}, {float(rs[2]):g}): "
-        f"margin {float(report.margin):.3e} with slack {slack:g}"
+        f"margin {float(report.margin):.3e} with slack {_CONVEXITY_SLACK:g}"
     )
 
 
 def three_circles_check(
-    source,
+    measure: Measure,
     r1,
     r2,
     r3,
-    bits: int | None = None,
     n_samples: int = 1024,
-    slack: float = 1e-6,
 ) -> ConvexityReport:
-    """Verify log-convexity of M(r) in log r at radii r1 < r2 < r3:
+    """Verify log-convexity of M(r) in log r at radii r1 < r2 < r3, with
+    M(r) from :func:`sup_on_circle` at the measure's precision:
 
         log M(r2) <= (1-lam) log M(r1) + lam log M(r3),
         lam = (log r2 - log r1) / (log r3 - log r1),
 
-    within ``slack`` (scaled by the log-range when that exceeds 1).  On
-    failure the scan is repeated once at 4x the sample density before
-    raising ConvexityViolation; when all three sups are exact real-axis
-    values the retry could not change them and is skipped.  ``source``
-    is a Measure (M(r) through :func:`sup_on_circle`) or a plain
-    function of one complex argument (scanned over the full circle, and
-    ``bits`` must be given).
+    within a slack of 1e-6 (scaled by the log-range when that exceeds
+    1).  On failure the scan is repeated once at 4x the sample density
+    before raising ConvexityViolation; when all three sups are exact
+    real-axis values the retry could not change them and is skipped.
     """
-    if isinstance(source, Measure):
-        b = source.bits if bits is None else _check_bits(bits)
-
-        def scan(radius, n):
-            return sup_on_circle(source, radius, bits=b, n_samples=n)
-
-    else:
-        if bits is None:
-            raise ConfigError("bits is required when scanning a plain function")
-        b = _check_bits(bits)
-
-        def scan(radius, n):
-            return sup_abs_on_circle(source, radius, b, n_samples=n)
-
+    if not isinstance(measure, Measure):
+        raise ConfigError("three_circles_check expects a Measure")
+    b = measure.bits
     rs = tuple(_as_preal(r, b) for r in (r1, r2, r3))
     if not (0 < rs[0] < rs[1] < rs[2]):
         raise ConfigError("radii must satisfy 0 < r1 < r2 < r3")
     lam = (log(rs[1]) - log(rs[0])) / (log(rs[2]) - log(rs[0]))
 
     def sups_at(n):
-        scans = [scan(r, n) for r in rs]
+        scans = [sup_on_circle(measure, r, n_samples=n) for r in rs]
         exact = all(rep.method == "real-axis" for rep in scans)
         return tuple(rep.sup_value for rep in scans), exact
 
     return _convexity_check(
-        sups_at, rs, lam, n_samples, slack, "three-circles inequality failed at radii"
+        sups_at, rs, lam, n_samples, "three-circles inequality failed at radii"
     )
 
 
@@ -473,22 +450,20 @@ def three_lines_check(
     r1,
     r2,
     r3,
-    bits: int | None = None,
     n_samples: int = 1024,
-    slack: float = 1e-6,
-    p_slack: int = 4,
 ) -> ConvexityReport:
-    """Verify log-convexity of the vertical-line sup b(r) in the offset:
+    """Verify log-convexity of the vertical-line sup b(r) in the offset,
+    with b(r) from :func:`sup_on_line` at the measure's precision:
 
         log b(r2) <= (1-lam) log b(r1) + lam log b(r3),
         lam = (r2 - r1) / (r3 - r1),
 
-    within ``slack``, retrying once at 4x density before raising
+    within a slack of 1e-6, retrying once at 4x density before raising
     ConvexityViolation.  Reports status "degenerate" when any line sup
     is exactly zero."""
     if not isinstance(measure, Measure):
         raise ConfigError("three_lines_check expects a Measure")
-    b = measure.bits if bits is None else _check_bits(bits)
+    b = measure.bits
     rs = tuple(_as_preal(r, b) for r in (r1, r2, r3))
     if not (rs[0] < rs[1] < rs[2]):
         raise ConfigError("offsets must satisfy r1 < r2 < r3")
@@ -497,13 +472,10 @@ def three_lines_check(
     lam = (rs[1] - rs[0]) / (rs[2] - rs[0])
 
     def sups_at(n):
-        sups = tuple(
-            sup_on_line(measure, r, bits=b, n_samples=n, p_slack=p_slack).sup_value
-            for r in rs
-        )
+        sups = tuple(sup_on_line(measure, r, n_samples=n).sup_value for r in rs)
         return sups, False
 
     return _convexity_check(
-        sups_at, rs, lam, n_samples, slack, "three-lines inequality failed at offsets"
+        sups_at, rs, lam, n_samples, "three-lines inequality failed at offsets"
     )
 

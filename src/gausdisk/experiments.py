@@ -127,18 +127,16 @@ def run_figure(
     a_values=None,
     b: float = 1.0,
     n_samples: int = 256,
-    extra_bits: int = 0,
     bits_override: int | None = None,
     progress=None,
 ) -> RateTable:
     """Measure both error curves over a grid of support half-widths.
 
-    Precision per row is working_bits(a, b) + extra_bits, or
-    bits_override + extra_bits when an override is given; passing a
-    positive ``extra_bits`` reruns the same experiment with headroom,
-    which is how stability under precision changes is checked.  Both
-    families take the exact real-axis path of ``sup_on_circle``, so
-    ``n_samples`` changes no number; the table and manifest record it.
+    Precision per row is working_bits(a, b), or ``bits_override`` when
+    given.  Both families take the exact real-axis path of
+    ``sup_on_circle``, so ``n_samples`` changes no number; the table and
+    manifest record it.  ``progress``, when given, receives one line per
+    row before the row is measured.
     """
     if a_values is None:
         a_values = default_grid()
@@ -147,15 +145,18 @@ def run_figure(
         raise ConfigError("empty grid of support half-widths")
     if b <= 0:
         raise ConfigError("disk radius b must be positive")
-    if extra_bits < 0:
-        raise ConfigError("extra_bits must be nonnegative")
     if bits_override is not None:
         _check_bits(bits_override)
-    rows = []
+    # Every row is checked before the first is measured.  The truncated
+    # Gaussian takes a <= 64, where the rule reaches its largest size, 512.
+    plan = []
     for a in grid:
-        base = working_bits(a, b) if bits_override is None else bits_override
-        bits = base + extra_bits
-        k = k_for_support(PReal(a, bits))
+        if not 1.0 <= a <= 64.0:
+            raise ConfigError(f"support half-width a={a:g} is outside [1, 64]")
+        bits = working_bits(a, b) if bits_override is None else bits_override
+        plan.append((a, k_for_support(a), bits))
+    rows = []
+    for a, k, bits in plan:
         if progress is not None:
             progress(f"a={a:g}: k={k}, bits={bits}")
         trunc = TruncatedGaussian(a, bits)
@@ -189,37 +190,36 @@ def fit_truncation_rate(table: RateTable) -> RateFit:
     return RateFit(slope=slope, intercept=intercept, n_rows=len(points), x_label="a^2")
 
 
-def fit_quadrature_rate(table: RateTable, min_a: float = 6.0) -> RateFit:
-    """ln err_quad regressed on a**2 * ln a over rows with a >= min_a.
+def fit_quadrature_rate(table: RateTable) -> RateFit:
+    """ln err_quad regressed on a**2 * ln a over rows with a >= 6.
 
     Small-a rows are excluded because the k staircase dominates there.
     """
     points = [
         (row.a**2 * math.log(row.a), float(log(row.err_quad)))
         for row in table.rows
-        if row.a >= min_a
+        if row.a >= 6.0
     ]
     if len(points) < 4:
-        raise InsufficientDataError(
-            f"need at least 4 rows with a >= {min_a:g} to fit a rate"
-        )
+        raise InsufficientDataError("need at least 4 rows with a >= 6 to fit a rate")
     slope, intercept = _least_squares(points)
     return RateFit(
         slope=slope, intercept=intercept, n_rows=len(points), x_label="a^2 ln a"
     )
 
 
-def fit_c1(table: RateTable, bits: int = 256) -> TailBoundModel:
+def fit_c1(table: RateTable) -> TailBoundModel:
     """The smallest c1 >= e/2 with 3*(c1*b/a)**(a**2/4) >= err_quad on
-    every row.  Solved in closed form per row: c_row = (a/b) *
-    (err/3)**(4/a**2); the answer is the largest row value or the floor.
+    every row, computed at 256 bits.  Solved in closed form per row:
+    c_row = (a/b) * (err/3)**(4/a**2); the answer is the largest row
+    value or the floor.
 
     A binding row meets its bound with equality, so the result is padded
-    by one part in 2**(bits-32); otherwise reconstructing the bound at a
+    by one part in 2**(256-32); otherwise reconstructing the bound at a
     different precision can round it just below the measured error."""
     if not table.rows:
         raise InsufficientDataError("empty table")
-    _check_bits(bits)
+    bits = 256
     b = PReal(table.b, bits)
     floor = exp(PReal(1, bits)) / 2
     best = floor

@@ -354,8 +354,9 @@ def moment(rule: QuadratureRule, i: int) -> PReal:
 def k_for_support(a) -> int:
     """Smallest admissible rule size ceil(a**2 / 8) for support [-a, a].
 
-    Raises SupportViolation when the resulting rule's node interval
-    sqrt(4k+2) would not fit inside [-a, a].
+    Raises ConfigError when the resulting rule's node interval
+    sqrt(4k+2) would not fit inside [-a, a], which happens for
+    a < sqrt(6) and for sqrt(8) < a < sqrt(10).
     """
     if isinstance(a, (int, float)):
         a = PReal(a)
@@ -368,7 +369,7 @@ def k_for_support(a) -> int:
     eighth = mpf_shift(sq, -3)
     k = int(to_int(mpf_ceil(eighth, exact, _RND)))
     if mpf_cmp(from_int(4 * k + 2), sq) > 0:
-        raise SupportViolation(
+        raise ConfigError(
             f"a={float(a):g} cannot host the k={k} rule: "
             f"sqrt({4 * k + 2}) exceeds a"
         )

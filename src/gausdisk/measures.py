@@ -575,11 +575,11 @@ def char_bound_check(
     a,
     t_max: float = 50.0,
     t_step: float = 0.01,
-    bits: int | None = None,
 ) -> CharBoundReport:
     """Sweep |psi_trunc(t) - exp(-t**2/2)| over the symmetric grid
     |t| <= t_max (step t_step) and certify the three-bound chain
-    grid max <= 4*Q(a) <= (4/(sqrt(2*pi)*a))*exp(-a**2/2) <= 2*exp(-a**2/2).
+    grid max <= 4*Q(a) <= (4/(sqrt(2*pi)*a))*exp(-a**2/2) <= 2*exp(-a**2/2),
+    at max(192, floor(a**2/(2 ln 2)) + 96) bits.
 
     The characteristic function of a symmetric measure is even, so only
     t >= 0 is evaluated.  psi comes from the moment series, built once at
@@ -591,10 +591,7 @@ def char_bound_check(
         raise ConfigError("char_bound_check supports 1 <= a <= 8")
     if t_max <= 0 or t_step <= 0:
         raise ConfigError("t_max and t_step must be positive")
-    if bits is None:
-        bits = max(192, int(af * af / (2 * _LN2)) + 96)
-    else:
-        _check_bits(bits)
+    bits = max(192, int(af * af / (2 * _LN2)) + 96)
 
     trunc = TruncatedGaussian(af, bits)
     n_steps = int(round(t_max / t_step))

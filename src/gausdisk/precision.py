@@ -63,6 +63,7 @@ from .errors import ConfigError, NonFiniteError
 
 __all__ = [
     "MIN_BITS",
+    "MAX_BITS",
     "PReal",
     "PComplex",
     "exp",
@@ -75,6 +76,10 @@ __all__ = [
 ]
 
 MIN_BITS = 64
+# The largest precision a caller may request: from the command line, the
+# environment, a value tag or the working_bits policy.  Internal guard
+# precisions above a request may exceed it.
+MAX_BITS = 2**18
 
 _RND = round_nearest
 
@@ -372,6 +377,8 @@ class PReal:
             raise ConfigError(f"malformed precision tag {tag!r}")
         neg, digits_s, exp10_s, bits_s = m.groups()
         bits = _check_bits(int(bits_s))
+        if bits > MAX_BITS:
+            raise ConfigError(f"precision tag asks for {bits} bits, over {MAX_BITS}")
         exp10 = int(exp10_s)
         if abs(exp10) > 2 * len(digits_s) + bits + _EXP10_ALLOWANCE:
             raise ConfigError(f"precision tag exponent {exp10} is out of range")
@@ -642,7 +649,8 @@ def working_bits(a: float, radius: float = 1.0) -> int:
     Budgets three effects: the interior cancellation of the error
     functional (which scales like a**2 * log a bits), the size of
     exp(z**2/2) out to the largest point touched ((a+radius)**2 / ln 2
-    bits), and a fixed guard.  Never returns less than 128.
+    bits), and a fixed guard.  Never returns less than 128; raises
+    ConfigError when the budget exceeds MAX_BITS.
     """
     a = float(a)
     radius = float(radius)
@@ -650,6 +658,14 @@ def working_bits(a: float, radius: float = 1.0) -> int:
         raise NonFiniteError("working_bits got a non-finite input")
     if a <= 0 or radius < 0:
         raise ConfigError("working_bits expects a > 0 and radius >= 0")
-    interior = math.ceil(3.0 * a * a * math.log2(max(a, 2.0)))
-    magnitude = math.ceil((a + radius) ** 2 / math.log(2.0))
-    return max(128, interior + magnitude + 64)
+    # Past this reach the magnitude term alone exceeds MAX_BITS, and
+    # squaring a huge float would overflow.
+    if a + radius <= math.sqrt(MAX_BITS * math.log(2.0)):
+        interior = math.ceil(3.0 * a * a * math.log2(max(a, 2.0)))
+        magnitude = math.ceil((a + radius) ** 2 / math.log(2.0))
+        bits = max(128, interior + magnitude + 64)
+        if bits <= MAX_BITS:
+            return bits
+    raise ConfigError(
+        f"a={a:g} at radius {radius:g} needs more than the maximum {MAX_BITS} bits"
+    )

@@ -26,9 +26,14 @@ g denoting the tilted transform minus nothing, since constants drop out
 of derivatives.  The certificate then measures a few low-order
 derivative sups directly and checks them against their bounds.
 
+These bounds are not certified ceilings: eps2 is the largest value a
+boundary scan found, a lower bound for the true sup, so n! * eps2 can
+fall below the true Cauchy bound.  The direct sups are scan values too,
+so both sides of each comparison are lower bounds.
+
 All derivatives come from one kernel, :func:`density_derivatives`, which
 evaluates f, f', ..., f^(n) at a point with one exp and one Hermite
-recurrence per atom.  The direct scans of orders 1..max_direct_order visit
+recurrence per atom.  The direct scans of orders 1..4 visit
 the same circle points, so they share one all-orders evaluation per point;
 the eps2 scan and the identity samples are computed on their own.
 """
@@ -82,6 +87,12 @@ __all__ = [
 ]
 
 _RND = round_nearest
+
+# Orders bounded and orders scanned by the certificate, and the relative
+# amount by which a direct sup may exceed its bound.
+_MAX_BOUND_ORDER = 8
+_MAX_DIRECT_ORDER = 4
+_CERTIFICATE_SLACK = 1e-3
 
 
 @dataclass(frozen=True)
@@ -229,27 +240,21 @@ class FlatnessCertificate:
 
 def flatness_certificate(
     mix: SuperflatMixture,
-    bits: int | None = None,
     n_samples: int = 1024,
-    max_bound_order: int = 8,
-    max_direct_order: int = 4,
-    slack: float = 1e-3,
 ) -> FlatnessCertificate:
-    """Certify the mixture's flatness on the unit disk.
+    """Certify the mixture's flatness on the unit disk, at the mixture's
+    precision.
 
     Measures eps2 = sup_{|z|=2} |L(z)exp(-z**2/2) - 1|, derives the
-    Cauchy bounds n! * eps2 for derivative orders 1..max_bound_order,
-    and for orders up to max_direct_order also scans
-    sup_{|z|=1} |g^(n)| directly (through the mixture identity, so the
-    two sides are computed by genuinely different code paths) and
-    requires direct <= bound * (1 + slack).  The mixture identity
-    itself is spot-checked on the sampling circle first.
+    Cauchy bounds n! * eps2 for derivative orders 1..8, and for orders
+    1..4 also scans sup_{|z|=1} |g^(n)| directly (through the mixture
+    identity, so the two sides are computed by genuinely different code
+    paths) and requires direct <= bound * (1 + 1e-3).  The mixture
+    identity itself is spot-checked on the sampling circle first.
     """
     if not isinstance(mix, SuperflatMixture):
         raise ConfigError("expected a SuperflatMixture")
-    if max_direct_order > max_bound_order:
-        raise ConfigError("max_direct_order cannot exceed max_bound_order")
-    b = mix.bits if bits is None else _check_bits(bits)
+    b = mix.bits
     g_minus_1 = _tilted_transform_error(mix)
 
     # The identity sqrt(2*pi) * B * f(z) = L(z) exp(-z**2/2) ties the
@@ -276,38 +281,37 @@ def flatness_certificate(
 
     bounds = []
     fact = 1
-    for n in range(1, max_bound_order + 1):
+    for n in range(1, _MAX_BOUND_ORDER + 1):
         fact *= n
         bounds.append(fact * eps2)
 
     # The order scans visit the same circle points, so each point gets one
     # all-orders evaluation, kept as the scaled raw pairs of orders 1..max.
     scaled_raw: dict = {}
-    scaled_bits = max(b, mix.bits)
 
     def all_orders(z: PComplex) -> tuple:
         key = z.raw
         hit = scaled_raw.get(key)
         if hit is None:
-            derivs = density_derivatives(mix, z, max_direct_order)
+            derivs = density_derivatives(mix, z, _MAX_DIRECT_ORDER)
             hit = scaled_raw[key] = tuple((scale * d).raw for d in derivs[1:])
         return hit
 
     direct = []
     ratios = []
     ok = True
-    for n in range(1, max_direct_order + 1):
+    for n in range(1, _MAX_DIRECT_ORDER + 1):
 
         def g_deriv(z: PComplex, order=n):
             re_raw, im_raw = all_orders(z)[order - 1]
-            return PComplex._wrap(re_raw, im_raw, scaled_bits)
+            return PComplex._wrap(re_raw, im_raw, b)
 
         rep = sup_abs_on_circle(g_deriv, PReal(1, b), b, n_samples=n_samples, arc="quarter")
         direct.append(rep.sup_value)
         bound = bounds[n - 1]
         ratio = float(rep.sup_value / bound) if not bound.is_zero() else math.inf
         ratios.append(ratio)
-        if not rep.sup_value <= bound * (1 + PReal(slack, b)):
+        if not rep.sup_value <= bound * (1 + PReal(_CERTIFICATE_SLACK, b)):
             ok = False
     if not ok:
         raise CertificateViolation(
@@ -325,7 +329,7 @@ def flatness_certificate(
         direct_sups=tuple(direct),
         ratios=tuple(ratios),
         identity_checks=identity_checks,
-        slack=slack,
+        slack=_CERTIFICATE_SLACK,
         passed=True,
     )
 

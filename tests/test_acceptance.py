@@ -271,7 +271,7 @@ def test_criterion_6_hadamard_suites(emit):
     for a in (4, 6, 8):
         bits = working_bits(a, 5 * a)
         m = quadrature_measure_for_support(a, bits=bits)
-        circles = three_circles_check(m, 1, 3 * a, 5 * a, bits=bits)
+        circles = three_circles_check(m, 1, 3 * a, 5 * a)
         if not circles.passed:
             ok = False
         details.append(f"circles a={a} margin {float(circles.margin):.3g}")
@@ -279,7 +279,7 @@ def test_criterion_6_hadamard_suites(emit):
     delta0 = DiscreteMeasure([(0, 1)], bits=256)
     rule2 = DiscreteMeasure.from_quadrature(build_rule(2, 256))
     for name, m in (("delta0", delta0), ("k2", rule2)):
-        lines = three_lines_check(m, 0, 3, 6, bits=256)
+        lines = three_lines_check(m, 0, 3, 6)
         if not lines.passed:
             ok = False
         details.append(f"lines {name} margin {float(lines.margin):.3g}")
@@ -288,7 +288,7 @@ def test_criterion_6_hadamard_suites(emit):
         radii = (3 * a, 3 * a + 2)
         bits = working_bits(a, radii[-1])
         m = quadrature_measure_for_support(a, bits=bits)
-        profile = growth_profile(m, radii, bits=bits, n_samples=512)
+        profile = growth_profile(m, radii, n_samples=512)
         if not all(profile.envelope_checked):
             ok = False
     details.append("envelope checked at r in {3a, 3a+2}")

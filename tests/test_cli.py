@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from gausdisk import checks, hermite
+from gausdisk import checks, experiments, hermite
 from gausdisk.cli import main
 from gausdisk.errors import MathInvariantError
 from gausdisk.hermite import build_rule, rule_from_csv
@@ -67,6 +67,18 @@ class TestRule:
         monkeypatch.setattr(hermite, "_polished_positive_roots", no_roots)
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and "exceeds the maximum 512" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rule", "--a", "2"),
+            ("transform", "--measure", "rulefor:2", "--z", "1"),
+            ("figure", "--grid", "3"),
+        ],
+    )
+    def test_support_too_small_for_its_rule_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "cannot host" in err
 
     def test_requires_exactly_one_selector(self, capsys):
         code, _, err = run_cli(capsys, "rule")
@@ -312,12 +324,31 @@ class TestFigure:
         assert {p.read_bytes() for p in (csv_path, svg_path, manifest_path)} == first
 
     def test_range_grid_parsing(self, capsys):
-        code, out, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "figure", "--grid", "4:5:0.5", "--samples", "16"
         )
         assert code == 0
         assert out.startswith("a 4.0 ")
         assert "a 4.5 " in out and "a 5.0 " in out
+        # progress goes to stderr, one line per row
+        assert err.splitlines() == [
+            "a=4: k=2, bits=197",
+            "a=4.5: k=3, bits=240",
+            "a=5: k=4, bits=291",
+        ]
+
+    def test_grid_with_too_many_values_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "figure", "--grid", "4:64:1e-12")
+        assert code == 2 and out == "" and "more than 10000 values" in err
+
+    def test_every_grid_value_checked_before_any_row(self, capsys, monkeypatch):
+        def no_rule(k, bits):
+            raise AssertionError(f"a k={k} rule was built")
+
+        monkeypatch.setattr(experiments, "build_rule", no_rule)
+        code, out, err = run_cli(capsys, "figure", "--grid", "4:70:1")
+        assert code == 2 and out == ""
+        assert err == "error: support half-width a=65 is outside [1, 64]\n"
 
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "figure", "--grid", "5:4:1", "--samples", "16")
@@ -454,6 +485,23 @@ class TestPrecedence:
     def test_low_precision_rejected(self, capsys):
         code, _, err = run_cli(capsys, "rule", "--k", "2", "--precision", "32")
         assert code == 2 and "at least 64" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "--measure", "gauss", "--z", "1", "--precision", "999999999999"),
+            ("transform", "--measure", "rule:3", "--z", "1e30"),
+            ("supdisk", "--measure", "gauss", "--r", "1e9"),
+        ],
+    )
+    def test_precision_above_maximum_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and "262144" in err
+
+    def test_env_precision_above_maximum_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAUSDISK_PRECISION", "999999999")
+        code, _, err = run_cli(capsys, "rule", "--k", "2")
+        assert code == 2 and "GAUSDISK_PRECISION" in err and "262144" in err
 
 
 class TestExitCodes:

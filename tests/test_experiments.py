@@ -69,7 +69,7 @@ class TestRunFigure:
         assert a_values == sorted(a_values)
 
     def test_stable_under_extra_precision(self, small_table):
-        redo = run_figure([4.0], n_samples=64, extra_bits=64)
+        redo = run_figure([4.0], n_samples=64, bits_override=working_bits(4, 1) + 64)
         base = small_table.rows[0]
         lift = redo.rows[0]
         assert lift.bits == base.bits + 64
@@ -90,8 +90,6 @@ class TestRunFigure:
             run_figure([])
         with pytest.raises(ConfigError):
             run_figure([4], b=0)
-        with pytest.raises(ConfigError):
-            run_figure([4], extra_bits=-1)
 
 
 class TestFits:

@@ -10,7 +10,7 @@ import numpy.polynomial.hermite_e as hermite_e
 import pytest
 
 from gausdisk import hermite
-from gausdisk.errors import ConfigError, SupportViolation
+from gausdisk.errors import ConfigError
 from gausdisk.hermite import (
     MAX_RULE_SIZE,
     QuadratureRule,
@@ -267,15 +267,15 @@ class TestKForSupport:
             assert math.sqrt(4 * k + 2) <= a
 
     def test_too_small_support_rejected(self):
-        with pytest.raises(SupportViolation):
+        with pytest.raises(ConfigError):
             k_for_support(2)
-        with pytest.raises(SupportViolation):
+        with pytest.raises(ConfigError):
             k_for_support(1)
 
     def test_boundary_is_strict_about_rounding(self):
         # sqrt(6) rounded to 256 bits lands just below the true value,
         # so its square cannot host the k=1 rule; a hair above it can.
-        with pytest.raises(SupportViolation):
+        with pytest.raises(ConfigError):
             k_for_support(sqrt(PReal(6, 256)))
         assert k_for_support(2.4495) == 1
 

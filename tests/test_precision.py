@@ -218,6 +218,13 @@ class TestWorkingBits:
         with pytest.raises(ConfigError):
             working_bits(0, 1)
 
+    def test_rejects_budgets_above_max_bits(self):
+        assert working_bits(64, 1) == 79888
+        assert working_bits(100, 2) == 214390
+        for a, radius in ((1, 1e9), (3.7, 1e30), (1e200, 1), (1, 1e200)):
+            with pytest.raises(ConfigError, match="262144"):
+                working_bits(a, radius)
+
 
 class TestSerialization:
     def test_simple_tag(self):
@@ -264,6 +271,7 @@ class TestSerialization:
             "1e9999999@64",
             "1e-5000@64",  # beyond the allowance for a one-digit tag
             "1e0@" + "9" * 5000,
+            "1e0@999999999",  # more than MAX_BITS
         ],
     )
     def test_parse_rejects_absurd_exponents_quickly(self, tag):

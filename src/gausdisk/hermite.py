@@ -51,7 +51,7 @@ from .errors import (
     MathInvariantError,
     SupportViolation,
 )
-from .precision import MIN_BITS, PComplex, PReal, _check_bits
+from .precision import PComplex, PReal, _check_bits
 
 __all__ = [
     "QuadratureRule",

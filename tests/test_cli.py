@@ -2,6 +2,8 @@
 
 import io
 import os
+import subprocess
+import time
 
 import pytest
 
@@ -9,7 +11,6 @@ from gausdisk import checks, experiments, hermite
 from gausdisk.cli import main
 from gausdisk.errors import MathInvariantError
 from gausdisk.hermite import build_rule, rule_from_csv
-from gausdisk.measures import DiscreteMeasure
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -433,6 +434,81 @@ class TestVerify:
         monkeypatch.setattr(checks, "_determinism_text", lambda: real() + "drift\n")
         with pytest.raises(MathInvariantError, match="differ between two processes"):
             checks.check_determinism(False)
+
+    @staticmethod
+    def spy_on_children(monkeypatch, events):
+        """Record each child ``checks`` spawns, and the spawn in ``events``."""
+        children = []
+
+        class SpyPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                events.append("spawn")
+                super().__init__(*args, **kwargs)
+                children.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", SpyPopen)
+        return children
+
+    @staticmethod
+    def determinism_entry():
+        return next(entry for entry in checks.ALL_CHECKS if entry[0] == "artifact-determinism")
+
+    def test_child_starts_before_the_first_check(self, capsys, monkeypatch):
+        events = []
+        children = self.spy_on_children(monkeypatch, events)
+        first = ("first", lambda quick: events.append("first"))
+        monkeypatch.setattr(checks, "ALL_CHECKS", (first, self.determinism_entry()))
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 0 and out == "PASS first\nPASS artifact-determinism\n"
+        assert events == ["spawn", "first"]
+        assert len(children) == 1 and children[0].returncode == 0
+
+    def test_uncollected_child_is_reaped(self, capsys, monkeypatch):
+        def broken(quick):
+            raise MathInvariantError("broken on purpose")
+
+        children = self.spy_on_children(monkeypatch, [])
+        monkeypatch.setattr(checks, "ALL_CHECKS", (("broken", broken),))
+        assert run_cli(capsys, "verify", "--quick")[0] == 3
+        assert len(children) == 1 and children[0].returncode is not None
+        assert children[0].stdout.closed and children[0].stderr.closed
+        assert checks._started_child == []
+
+    def test_interrupted_run_reaps_its_child(self, monkeypatch):
+        def interrupted(quick):
+            raise KeyboardInterrupt
+
+        children = self.spy_on_children(monkeypatch, [])
+        monkeypatch.setattr(checks, "ALL_CHECKS", (("interrupted", interrupted),))
+        with pytest.raises(KeyboardInterrupt):
+            checks.run_all(quick=True)
+        assert len(children) == 1 and children[0].returncode is not None
+
+    def test_failing_child_fails_the_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "_CHILD", "import sys; sys.exit('boom')")
+        monkeypatch.setattr(checks, "ALL_CHECKS", (self.determinism_entry(),))
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 3
+        assert out.startswith("FAIL artifact-determinism: determinism child failed: boom")
+
+    def test_spawn_failure_fails_the_check(self, capsys, monkeypatch):
+        def no_spawn(*args, **kwargs):
+            raise OSError("no processes left")
+
+        monkeypatch.setattr(subprocess, "Popen", no_spawn)
+        monkeypatch.setattr(checks, "ALL_CHECKS", (self.determinism_entry(),))
+        code, out, _ = run_cli(capsys, "verify", "--quick")
+        assert code == 3 and out == "FAIL artifact-determinism: no processes left\n"
+
+    def test_overrunning_child_is_killed_and_reaped(self, monkeypatch):
+        children = self.spy_on_children(monkeypatch, [])
+        monkeypatch.setattr(checks, "_CHILD", "import time; time.sleep(60)")
+        monkeypatch.setattr(checks, "_CHILD_TIMEOUT_S", 0.2)
+        start = time.perf_counter()
+        with pytest.raises(MathInvariantError, match="still running after 0.2 s"):
+            checks.check_determinism(False)
+        assert time.perf_counter() - start < 30
+        assert len(children) == 1 and children[0].returncode is not None
 
 
 class TestPrecedence:

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from gausdisk import measures
-from gausdisk.errors import ChainViolation, ConfigError
+from gausdisk.errors import ConfigError
 from gausdisk.hermite import build_rule
 from gausdisk.measures import (
     CharBoundReport,
@@ -23,7 +23,7 @@ from gausdisk.measures import (
     quadrature_measure_for_support,
     truncation_error_closed_form,
 )
-from gausdisk.precision import PComplex, PReal, exp, sqrt
+from gausdisk.precision import PComplex, PReal, exp
 
 
 def mp_cdf(z):

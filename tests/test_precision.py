@@ -1,6 +1,5 @@
 """Arbitrary-precision scalar layer: arithmetic, rounding, serialization."""
 
-import math
 import random
 import time
 from fractions import Fraction

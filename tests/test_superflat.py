@@ -13,7 +13,6 @@ from gausdisk.errors import CertificateViolation, ConfigError
 from gausdisk.hermite import hermite_pair
 from gausdisk.precision import PComplex, PReal, exp, pi_value, sqrt
 from gausdisk.superflat import (
-    SuperflatMixture,
     build_superflat,
     density_derivative,
     density_derivatives,

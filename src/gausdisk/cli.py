@@ -5,6 +5,10 @@ byte-identical output. Numeric results are shown with 40 significant
 digits by default; --full-precision switches to exact serialized tags
 that round-trip without loss.
 
+A --config file holds key=value lines; each becomes the option --key=value
+placed right after the subcommand, so argparse checks it like a typed
+option and the options typed after it win.
+
 Exit codes: 0 success, 2 configuration or usage problems, 3 violated
 mathematical invariants, 4 file I/O failures.
 """
@@ -12,15 +16,14 @@ mathematical invariants, 4 file I/O failures.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 from . import __version__, checks
 from .disks import sup_on_circle, sup_on_line
-from .errors import ConfigError, MathInvariantError
+from .errors import ConfigError, MathInvariantError, NonFiniteError
 from .experiments import (
     default_grid,
     emit_figure,
@@ -30,7 +33,7 @@ from .experiments import (
     run_figure,
     validate_tail_bound,
 )
-from .hermite import build_rule, k_for_support, rule_from_csv, rule_to_csv
+from .hermite import build_rule, k_for_support, rule_to_csv
 from .measures import (
     DiscreteMeasure,
     StandardGaussian,
@@ -136,15 +139,7 @@ def _measure_and_bits(args, radius_hint: float):
     radius = max(1.0, float(radius_hint))
     if kind == "csv":
         with open(value, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        first = next(
-            (ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")),
-            "",
-        )
-        if first == "node,weight":
-            loaded = DiscreteMeasure.from_quadrature(rule_from_csv(io.StringIO(text)))
-        else:
-            loaded = DiscreteMeasure.from_csv(io.StringIO(text))
+            loaded = DiscreteMeasure.from_csv(handle)
         bits = _resolve_bits(args, lambda: None)
         if bits is None or bits == loaded.bits:
             return loaded, loaded.bits
@@ -158,98 +153,69 @@ def _measure_and_bits(args, radius_hint: float):
         bits = _resolve_bits(args, lambda: working_bits(value, radius))
         return TruncatedGaussian(value, bits), bits
     if kind == "rule":
-        support = math.sqrt(4 * value + 2)
-        bits = _resolve_bits(args, lambda: working_bits(support, radius))
-        return DiscreteMeasure.from_quadrature(build_rule(value, bits)), bits
-    # rulefor: smallest rule whose nodes fit inside [-a, a]
-    bits = _resolve_bits(args, lambda: working_bits(value, radius))
-    k = k_for_support(value)
-    return DiscreteMeasure.from_quadrature(build_rule(k, bits)), bits
+        rule, bits = _rule_and_bits(args, radius, k=value)
+    else:  # rulefor
+        rule, bits = _rule_and_bits(args, radius, a=value)
+    return DiscreteMeasure.from_quadrature(rule), bits
+
+
+def _rule_and_bits(args, radius: float, k: int | None = None, a: float | None = None):
+    """The k-node rule, or the smallest one whose nodes fit inside [-a, a],
+    at the resolved precision; auto precision sizes for the rule's support
+    and the evaluation radius."""
+    if k is None:
+        k, support = k_for_support(a), a
+    else:
+        support = math.sqrt(4 * k + 2)
+    bits = _resolve_bits(args, lambda: working_bits(support, radius))
+    return build_rule(k, bits), bits
 
 
 # ---------------------------------------------------------------------------
-# config file overlay
+# config file
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
+# Options a config file may not set: the repeatable points, help and itself.
+_NOT_CONFIGURABLE = {"z", "t", "config", "help"}
 
 
-def _parse_config_bool(key: str, text: str) -> bool:
-    low = text.strip().lower()
-    if low in _TRUE_WORDS:
-        return True
-    if low in _FALSE_WORDS:
-        return False
-    raise ConfigError(f"config key {key!r}: expected a boolean, got {text!r}")
+def _config_tokens(path: str, commands: dict, command: str) -> list[str]:
+    """The key=value lines of ``path`` as option tokens for ``command``.
 
-
-# dest -> (option string, converter); used both to validate config keys and
-# to skip keys the user already pinned on the command line
-_CONFIG_KEYS = {
-    "precision": ("--precision", str),
-    "full_precision": ("--full-precision", _parse_config_bool),
-    "out": ("--out", str),
-    "k": ("--k", int),
-    "a": ("--a", float),
-    "measure": ("--measure", str),
-    "what": ("--what", str),
-    "r": ("--r", float),
-    "line": ("--line", _parse_config_bool),
-    "samples": ("--samples", int),
-    "grid": ("--grid", str),
-    "b": ("--b", float),
-    "csv": ("--csv", str),
-    "svg": ("--svg", str),
-    "manifest": ("--manifest", str),
-    "certify": ("--certify", _parse_config_bool),
-    "quick": ("--quick", _parse_config_bool),
-}
-
-
-def _read_config_file(path: str) -> dict:
-    pairs = {}
+    A key must name an option of some subcommand; one that ``command``
+    lacks is skipped.  A flag set to a true word becomes the bare flag, to
+    a false word nothing; any other key becomes --key=value.
+    """
+    known = {
+        action.dest
+        for parser in commands.values()
+        for action in parser._actions
+        if action.option_strings
+    } - _NOT_CONFIGURABLE
+    own = {action.dest: action for action in commands[command]._actions}
+    tokens = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw_line in enumerate(handle, start=1):
             line = raw_line.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            pairs[key.strip().replace("-", "_")] = value.strip()
-    return pairs
-
-
-def _apply_config(args, argv) -> None:
-    """Fill settings from the config file without overriding the CLI.
-
-    A key takes effect only when its option string is absent from the
-    command line and the active subcommand actually defines it.
-    """
-    pairs = _read_config_file(args.config)
-    pinned = set()
-    for token in argv:
-        if token == "--":
-            break
-        if token.startswith("--"):
-            pinned.add(token.split("=", 1)[0])
-    for key, text in pairs.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r} in {args.config}")
-        option, convert = _CONFIG_KEYS[key]
-        if not hasattr(args, key):
-            continue
-        if option in pinned:
-            continue
-        try:
-            value = convert(text) if convert is not _parse_config_bool else convert(key, text)
-        except ValueError:
-            raise ConfigError(
-                f"config key {key!r}: could not parse value {text!r}"
-            ) from None
-        setattr(args, key, value)
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, text = line.partition("=")
+            key, text = key.strip().replace("-", "_"), text.strip()
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r} in {path}")
+            if key not in own:
+                continue
+            option = own[key].option_strings[0]
+            if own[key].nargs != 0:
+                tokens.append(f"{option}={text}")
+            elif text.lower() in _TRUE_WORDS:
+                tokens.append(option)
+            elif text.lower() not in _FALSE_WORDS:
+                raise ConfigError(f"config key {key!r}: expected a boolean, got {text!r}")
+    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +225,11 @@ def _apply_config(args, argv) -> None:
 def _cmd_rule(args) -> int:
     if (args.k is None) == (args.a is None):
         raise ConfigError("rule: give exactly one of --k or --a")
-    if args.k is not None:
-        if args.k < 1:
-            raise ConfigError("rule: --k must be >= 1")
-        k = args.k
-        support = math.sqrt(4 * k + 2)
-    else:
-        if not math.isfinite(args.a) or args.a <= 0:
-            raise ConfigError("rule: --a must be positive")
-        k = k_for_support(args.a)
-        support = args.a
-    bits = _resolve_bits(args, lambda: working_bits(support, 1.0))
-    rule = build_rule(k, bits)
+    if args.k is not None and args.k < 1:
+        raise ConfigError("rule: --k must be >= 1")
+    if args.a is not None and not (math.isfinite(args.a) and args.a > 0):
+        raise ConfigError("rule: --a must be positive")
+    rule, _ = _rule_and_bits(args, 1.0, k=args.k, a=args.a)
     with _out_stream(args.out) as out:
         rule_to_csv(rule, out)
     return 0
@@ -286,26 +245,35 @@ def _parse_complex_token(token: str) -> tuple[str, str]:
 
 
 def _cmd_transform(args) -> int:
-    points = []
+    points = []  # (tag, real text, imaginary text, token as given)
     for token in args.z or []:
-        re_text, im_text = _parse_complex_token(token)
-        points.append(("z", re_text, im_text))
+        points.append(("z", *_parse_complex_token(token), token))
     for token in args.t or []:
-        points.append(("t", token, "0"))
+        points.append(("t", token, "0", token))
     if not points:
         raise ConfigError("transform: give at least one --z or --t")
 
-    def rough(text: str) -> float:
+    def size(re_text: str, im_text: str, token: str) -> float:
+        """|point| as a float: inf for a finite point past double range."""
         try:
-            return abs(float(text))
-        except ValueError:
-            raise ConfigError(f"could not parse number {text!r}") from None
+            parts = [abs(float(PReal(text, MIN_BITS))) for text in (re_text, im_text)]
+        except NonFiniteError:
+            raise ConfigError(f"transform: point {token!r} is not finite") from None
+        return math.hypot(*parts)
 
-    radius = max(math.hypot(rough(re), rough(im)) for _, re, im in points)
-    measure, bits = _measure_and_bits(args, radius)
+    radius, farthest = max((size(*point[1:]), point[3]) for point in points)
+    try:
+        measure, bits = _measure_and_bits(args, radius)
+    except NonFiniteError:
+        if math.isfinite(radius):
+            raise
+        raise ConfigError(
+            f"transform: point {farthest!r} is too large for automatic precision; "
+            "give --precision"
+        ) from None
     full = args.full_precision
     with _out_stream(args.out) as out:
-        for tag, re_text, im_text in points:
+        for tag, re_text, im_text, _ in points:
             re_val = PReal(re_text, bits)
             im_val = PReal(im_text, bits)
             # A frequency T (im_val is zero) is the point iT.
@@ -316,9 +284,8 @@ def _cmd_transform(args) -> int:
                 result = measure.laplace(point)
             else:
                 result = measure.laplace_error(point)
-            label = "t" if tag == "t" else "z"
             print(
-                f"{label} {_fmt_real(re_val, full)} {_fmt_real(im_val, full)} "
+                f"{tag} {_fmt_real(re_val, full)} {_fmt_real(im_val, full)} "
                 f"{args.what} {_fmt_complex(result, full)}",
                 file=out,
             )
@@ -472,8 +439,7 @@ def _cmd_superflat(args) -> int:
         raise ConfigError("superflat: --a must be at least 4")
     if args.samples < 8:
         raise ConfigError("superflat: --samples must be at least 8")
-    bits = _resolve_bits(args, lambda: working_bits(args.a, 2.0))
-    mixture = build_superflat(args.a, bits)
+    mixture = build_superflat(args.a, _resolve_bits(args, lambda: None))
     full = args.full_precision
     with _out_stream(args.out) as out:
         superflat_to_csv(mixture, out)
@@ -504,7 +470,8 @@ def _cmd_superflat(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    ok = checks.run_all(quick=args.quick)
+    with _out_stream(args.out) as out, redirect_stdout(out):
+        ok = checks.run_all(quick=args.quick)
     return 0 if ok else 3
 
 
@@ -512,33 +479,8 @@ def _cmd_verify(args) -> int:
 # parser assembly
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--precision",
-        default="auto",
-        metavar="BITS",
-        help="working precision in bits, or 'auto' for the built-in policy "
-        f"(environment override: {_ENV_PRECISION})",
-    )
-    common.add_argument(
-        "--config",
-        default=None,
-        metavar="PATH",
-        help="key=value file supplying defaults for options not given here",
-    )
-    common.add_argument(
-        "--full-precision",
-        action="store_true",
-        help="print exact serialized values instead of 40 significant digits",
-    )
-    common.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write output to a file instead of stdout",
-    )
-
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="gausdisk",
         description="Compactly supported stand-ins for the standard Gaussian: "
@@ -550,10 +492,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_rule = sub.add_parser(
-        "rule",
-        parents=[common],
-        help="print a Gaussian quadrature rule as CSV",
+    def command(name, func, help, precision=True, full_precision=True):
+        """A subcommand with the shared options it reads."""
+        p = sub.add_parser(name, help=help)
+        if precision:
+            p.add_argument(
+                "--precision",
+                default="auto",
+                metavar="BITS",
+                help="working precision in bits, or 'auto' for the built-in policy "
+                f"(environment override: {_ENV_PRECISION})",
+            )
+        p.add_argument(
+            "--config",
+            default=None,
+            metavar="PATH",
+            help="key=value file of option defaults; options given here win",
+        )
+        if full_precision:
+            p.add_argument(
+                "--full-precision",
+                action="store_true",
+                help="print exact serialized values instead of 40 significant digits",
+            )
+        p.add_argument(
+            "--out",
+            default=None,
+            metavar="PATH",
+            help="write output to a file instead of stdout",
+        )
+        p.set_defaults(func=func)
+        return p
+
+    p_rule = command(
+        "rule", _cmd_rule, "print a Gaussian quadrature rule as CSV", full_precision=False
     )
     group = p_rule.add_argument_group("rule selection")
     group.add_argument("--k", type=int, default=None, help="number of nodes")
@@ -563,12 +535,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="support half-width; picks the smallest rule fitting inside",
     )
-    p_rule.set_defaults(func=_cmd_rule)
 
-    p_transform = sub.add_parser(
+    p_transform = command(
         "transform",
-        parents=[common],
-        help="evaluate a measure's exponential transform at given points",
+        _cmd_transform,
+        "evaluate a measure's exponential transform at given points",
     )
     p_transform.add_argument(
         "--measure", default="gauss", metavar="SPEC", help=_MEASURE_HELP
@@ -591,12 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
         default="error",
         help="which quantity to print (default: error against the Gaussian)",
     )
-    p_transform.set_defaults(func=_cmd_transform)
 
-    p_supdisk = sub.add_parser(
+    p_supdisk = command(
         "supdisk",
-        parents=[common],
-        help="certified lower bound for the transform error sup on a circle "
+        _cmd_supdisk,
+        "certified lower bound for the transform error sup on a circle "
         "or vertical line",
     )
     p_supdisk.add_argument(
@@ -616,12 +586,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_supdisk.add_argument(
         "--samples", type=int, default=1024, help="seed points for the scan"
     )
-    p_supdisk.set_defaults(func=_cmd_supdisk)
 
-    p_figure = sub.add_parser(
+    p_figure = command(
         "figure",
-        parents=[common],
-        help="run the two error curves over a grid of support half-widths "
+        _cmd_figure,
+        "run the two error curves over a grid of support half-widths "
         "and emit CSV/SVG/manifest artifacts",
     )
     p_figure.add_argument(
@@ -643,12 +612,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_figure.add_argument("--csv", default=None, metavar="PATH")
     p_figure.add_argument("--svg", default=None, metavar="PATH")
     p_figure.add_argument("--manifest", default=None, metavar="PATH")
-    p_figure.set_defaults(func=_cmd_figure)
 
-    p_superflat = sub.add_parser(
+    p_superflat = command(
         "superflat",
-        parents=[common],
-        help="build the tilted mixture whose transform is flat on a disk",
+        _cmd_superflat,
+        "build the tilted mixture whose transform is flat on a disk",
     )
     p_superflat.add_argument(
         "--a", type=float, required=True, help="support half-width (>= 4)"
@@ -661,36 +629,35 @@ def _build_parser() -> argparse.ArgumentParser:
     p_superflat.add_argument(
         "--samples", type=int, default=512, help="seed points per certificate scan"
     )
-    p_superflat.set_defaults(func=_cmd_superflat)
 
-    p_verify = sub.add_parser(
+    p_verify = command(
         "verify",
-        parents=[common],
-        help="run the internal cross-check suite",
+        _cmd_verify,
+        "run the internal cross-check suite",
+        precision=False,
+        full_precision=False,
     )
     p_verify.add_argument(
         "--quick",
         action="store_true",
         help="smaller parameter ranges, same set of checks",
     )
-    p_verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
-        if getattr(args, "config", None):
-            _apply_config(args, argv)
+        if args.config:
+            at = argv.index(args.command) + 1
+            tokens = _config_tokens(args.config, commands, args.command)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,7 @@ from .errors import (
     MathInvariantError,
     SupportViolation,
 )
-from .precision import PComplex, PReal, _check_bits
+from .precision import PComplex, PReal, _check_bits, read_tag_rows
 
 __all__ = [
     "QuadratureRule",
@@ -386,21 +386,9 @@ def rule_to_csv(rule: QuadratureRule, out: TextIO) -> None:
 
 def rule_from_csv(src: TextIO) -> QuadratureRule:
     """Rebuild a rule written by :func:`rule_to_csv`, bit for bit."""
-    reader = csv.reader(src)
-    header = next(reader, None)
-    if header != ["node", "weight"]:
-        raise ConfigError("expected a CSV with header node,weight")
-    nodes, weights = [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ConfigError(f"malformed rule row {row!r}")
-        nodes.append(PReal.parse(row[0]))
-        weights.append(PReal.parse(row[1]))
-    if not nodes:
+    rows = read_tag_rows(src, "node,weight")
+    if not rows:
         raise ConfigError("rule CSV contained no atoms")
+    nodes, weights = zip(*rows)
     bits = max(v.bits for v in nodes + weights)
-    return QuadratureRule(
-        k=len(nodes), bits=bits, nodes=tuple(nodes), weights=tuple(weights)
-    )
+    return QuadratureRule(k=len(nodes), bits=bits, nodes=nodes, weights=weights)

@@ -87,7 +87,7 @@ from mpmath.libmp import (
 
 from .errors import ChainViolation, ConfigError, ConvergenceError
 from .hermite import QuadratureRule, build_rule, k_for_support
-from .precision import PComplex, PReal, _check_bits
+from .precision import PComplex, PReal, _check_bits, read_tag_rows
 
 __all__ = [
     "normal_cdf",
@@ -280,9 +280,6 @@ class Measure:
         the default is the safe False."""
         return False
 
-    def description(self) -> str:
-        return type(self).__name__
-
 
 class DiscreteMeasure(Measure):
     """A measure with finitely many atoms, locations sorted ascending.
@@ -344,9 +341,6 @@ class DiscreteMeasure(Measure):
         # A Gauss rule's remainder for x**(2m) is f^(2k)(xi) k!/(2k)! >= 0.
         return self._gauss_hermite and self._symmetric
 
-    def description(self) -> str:
-        return f"discrete measure with {len(self.atoms)} atoms"
-
     def laplace(self, z):
         z = _coerce_point(z, self.bits)
         out_bits = max(self.bits, z.bits)
@@ -374,18 +368,9 @@ class DiscreteMeasure(Measure):
 
     @classmethod
     def from_csv(cls, src: TextIO) -> "DiscreteMeasure":
-        reader = csv.reader(src)
-        header = next(reader, None)
-        if header != ["location", "mass"]:
-            raise ConfigError("expected a CSV with header location,mass")
-        atoms = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ConfigError(f"malformed measure row {row!r}")
-            atoms.append((PReal.parse(row[0]), PReal.parse(row[1])))
-        return cls(atoms)
+        """Atoms from a location,mass CSV (see :meth:`to_csv`) or from a
+        rule CSV (see :func:`gausdisk.hermite.rule_to_csv`)."""
+        return cls(read_tag_rows(src, "location,mass", "node,weight"))
 
 
 def _series_cutoff(at: float, bits_needed: float) -> int:
@@ -472,9 +457,6 @@ class TruncatedGaussian(Measure):
         # Conditioning on |X| <= a lowers every even moment.
         return True
 
-    def description(self) -> str:
-        return f"Gaussian truncated to [-{float(self.a):g}, {float(self.a):g}]"
-
     def laplace(self, z):
         z = _coerce_point(z, self.bits)
         out_bits = max(self.bits, z.bits)
@@ -504,9 +486,6 @@ class StandardGaussian(Measure):
 
     def is_symmetric(self) -> bool:
         return True
-
-    def description(self) -> str:
-        return "standard Gaussian"
 
     def laplace(self, z):
         z = _coerce_point(z, self.bits)

@@ -20,8 +20,10 @@ finite binary float has one), so parsing recovers the value bit for bit.
 
 from __future__ import annotations
 
+import csv
 import math
 import re
+from typing import TextIO
 
 from mpmath.libmp import (
     from_float,
@@ -72,6 +74,7 @@ __all__ = [
     "pi_value",
     "cos_sin",
     "double_factorial",
+    "read_tag_rows",
     "working_bits",
 ]
 
@@ -575,42 +578,59 @@ class PComplex:
         )
 
 
+# -- tag tables -------------------------------------------------------
+
+
+def read_tag_rows(src: TextIO, *headers: str) -> list[tuple[PReal, PReal]]:
+    """The rows of a two-column CSV of value tags whose header is one of
+    ``headers`` (each written "first,second").
+
+    Blank lines and lines starting with '#' are skipped wherever they
+    appear, so a file may open with comments.
+    """
+    lines = (line for line in src if line.strip() and not line.startswith("#"))
+    reader = csv.reader(lines)
+    if next(reader, None) not in [header.split(",") for header in headers]:
+        raise ConfigError(f"expected a CSV with header {' or '.join(headers)}")
+    rows = []
+    for row in reader:
+        if len(row) != 2:
+            raise ConfigError(f"malformed tag row {row!r}")
+        rows.append((PReal.parse(row[0]), PReal.parse(row[1])))
+    return rows
+
+
 # -- elementary functions ---------------------------------------------
 
 
-def exp(x, bits: int | None = None):
-    """e**x for PReal or PComplex, rounded at the result precision."""
+def exp(x):
+    """e**x for PReal or PComplex, rounded at the argument's precision."""
     if isinstance(x, PReal):
-        b = x.bits if bits is None else _check_bits(bits)
-        return PReal._wrap(mpf_exp(x._raw, b, _RND), b)
+        return PReal._wrap(mpf_exp(x._raw, x.bits, _RND), x.bits)
     if isinstance(x, PComplex):
-        b = x.bits if bits is None else _check_bits(bits)
-        re_raw, im_raw = mpc_exp(x.raw, b, _RND)
-        return PComplex._wrap(re_raw, im_raw, b)
+        re_raw, im_raw = mpc_exp(x.raw, x.bits, _RND)
+        return PComplex._wrap(re_raw, im_raw, x.bits)
     raise ConfigError(f"exp expects PReal or PComplex, got {type(x).__name__}")
 
 
-def log(x: PReal, bits: int | None = None) -> PReal:
+def log(x: PReal) -> PReal:
     """Natural logarithm of a positive PReal."""
     if not isinstance(x, PReal):
         raise ConfigError(f"log expects PReal, got {type(x).__name__}")
     if x._raw[0] or x.is_zero():
         raise ConfigError("log requires a positive argument")
-    b = x.bits if bits is None else _check_bits(bits)
-    return PReal._wrap(mpf_log(x._raw, b, _RND), b)
+    return PReal._wrap(mpf_log(x._raw, x.bits, _RND), x.bits)
 
 
-def sqrt(x, bits: int | None = None):
+def sqrt(x):
     """Square root of a nonnegative PReal or of a PComplex."""
     if isinstance(x, PReal):
         if x._raw[0]:
             raise ConfigError("sqrt of a negative PReal; use PComplex")
-        b = x.bits if bits is None else _check_bits(bits)
-        return PReal._wrap(mpf_sqrt(x._raw, b, _RND), b)
+        return PReal._wrap(mpf_sqrt(x._raw, x.bits, _RND), x.bits)
     if isinstance(x, PComplex):
-        b = x.bits if bits is None else _check_bits(bits)
-        re_raw, im_raw = mpc_sqrt(x.raw, b, _RND)
-        return PComplex._wrap(re_raw, im_raw, b)
+        re_raw, im_raw = mpc_sqrt(x.raw, x.bits, _RND)
+        return PComplex._wrap(re_raw, im_raw, x.bits)
     raise ConfigError(f"sqrt expects PReal or PComplex, got {type(x).__name__}")
 
 
@@ -619,27 +639,23 @@ def pi_value(bits: int) -> PReal:
     return PReal._wrap(mpf_pi(bits, _RND), bits)
 
 
-def cos_sin(x: PReal, bits: int | None = None) -> tuple[PReal, PReal]:
+def cos_sin(x: PReal) -> tuple[PReal, PReal]:
     """(cos x, sin x) computed together."""
     if not isinstance(x, PReal):
         raise ConfigError(f"cos_sin expects PReal, got {type(x).__name__}")
-    b = x.bits if bits is None else _check_bits(bits)
-    c_raw, s_raw = mpf_cos_sin(x._raw, b, _RND)
-    return PReal._wrap(c_raw, b), PReal._wrap(s_raw, b)
+    c_raw, s_raw = mpf_cos_sin(x._raw, x.bits, _RND)
+    return PReal._wrap(c_raw, x.bits), PReal._wrap(s_raw, x.bits)
 
 
-def double_factorial(n: int, bits: int | None = None) -> PReal:
-    """n!! as an exact integer value (n >= -1); -1!! = 0!! = 1.
-
-    With bits=None the stated precision is just large enough to hold the
-    product exactly.
-    """
+def double_factorial(n: int) -> PReal:
+    """n!! as an exact integer value (n >= -1); -1!! = 0!! = 1, at a stated
+    precision just large enough to hold the product exactly."""
     if not isinstance(n, int) or isinstance(n, bool) or n < -1:
         raise ConfigError(f"double_factorial expects an integer n >= -1, got {n!r}")
     value = 1
     for factor in range(n, 1, -2):
         value *= factor
-    return PReal(value, bits)
+    return PReal(value)
 
 
 def working_bits(a: float, radius: float = 1.0) -> int:

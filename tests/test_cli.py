@@ -81,6 +81,11 @@ class TestRule:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "cannot host" in err
 
+    def test_full_precision_is_not_an_option(self, capsys):
+        # The rule CSV always carries exact tags.
+        code, out, err = run_cli(capsys, "rule", "--k", "2", "--full-precision")
+        assert code == 2 and out == "" and "--full-precision" in err
+
     def test_requires_exactly_one_selector(self, capsys):
         code, _, err = run_cli(capsys, "rule")
         assert code == 2 and "exactly one" in err
@@ -216,6 +221,31 @@ class TestTransform:
         )
         assert code == 2 and out == ""
         assert "precision tag" in err
+
+    @pytest.mark.parametrize("header", ["node,weight", "location,mass"])
+    def test_csv_may_open_with_comment_lines(self, capsys, tmp_path, header):
+        path = tmp_path / "m.csv"
+        rows = "-1e0@96,5e-1@96\n1e0@96,5e-1@96\n"
+        path.write_text(f"# note\n{header}\n\n# between\n{rows}", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "transform", "--measure", f"csv:{path}", "--z", "1", "--what", "laplace"
+        )
+        assert code == 0 and err == ""
+        # Atoms at -1 and 1 with mass 1/2 each: L(1) = cosh(1).
+        assert float(out.split()[4]) == pytest.approx(1.5430806348152437, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "argv", [("--z", "nan"), ("--z", "inf"), ("--t", "inf"), ("--z", "1,-inf"), ("--z", "1e400")]
+    )
+    def test_unusable_point_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "transform", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: transform: point ") and repr(argv[1]) in err
+
+    def test_point_past_double_range_with_explicit_precision(self, capsys):
+        code, out, err = run_cli(capsys, "transform", "--z", "1e400", "--precision", "96")
+        assert code == 0 and err == ""
+        assert out == "z 1.00000000000000000000000000000180641782e+400 0.0 error 0.0 0.0\n"
 
     def test_missing_csv_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -406,6 +436,19 @@ class TestVerify:
         assert all(line.startswith("PASS ") for line in lines)
         assert len(lines) == 14
 
+    def test_out_file(self, capsys, tmp_path):
+        target = tmp_path / "verify.txt"
+        code, out, err = run_cli(capsys, "verify", "--quick", "--out", str(target))
+        assert code == 0 and out == ""
+        names = [name for name, _ in checks.ALL_CHECKS]
+        assert target.read_text() == "".join(f"PASS {name}\n" for name in names)
+        assert len(names) == 14 and len(err.splitlines()) == 14
+
+    @pytest.mark.parametrize("option", [("--precision", "96"), ("--full-precision",)])
+    def test_takes_no_precision_options(self, capsys, option):
+        code, out, _ = run_cli(capsys, "verify", "--quick", *option)
+        assert code == 2 and out == ""
+
     def test_seconds_per_check_go_to_stderr(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--quick")
         names = [name for name, _ in checks.ALL_CHECKS]
@@ -546,11 +589,40 @@ class TestPrecedence:
         )
         assert "@96" in out
 
+    def test_abbreviated_flag_beats_config(self, capsys, tmp_path):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("precision=128\n")
+        code, out, _ = run_cli(
+            capsys, "rule", "--k", "2", "--prec", "96", "--config", str(conf)
+        )
+        assert code == 0 and "@96" in out and "@128" not in out
+
+    def test_config_values_are_checked_like_flags(self, capsys, tmp_path):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("what=bogus\n")
+        code, out, err = run_cli(
+            capsys, "transform", "--z", "1", "--config", str(conf)
+        )
+        assert code == 2 and out == "" and "bogus" in err
+
+    def test_config_key_the_command_lacks_is_skipped(self, capsys, tmp_path):
+        conf = tmp_path / "conf.txt"
+        conf.write_text("full-precision=yes\nwhat=laplace\nprecision=96\n")
+        code, out, _ = run_cli(capsys, "rule", "--k", "2", "--config", str(conf))
+        assert code == 0 and out == "node,weight\n-1e0@96,5e-1@96\n1e0@96,5e-1@96\n"
+
     def test_unknown_config_key(self, capsys, tmp_path):
         conf = tmp_path / "conf.txt"
         conf.write_text("wibble=3\n")
         code, _, err = run_cli(capsys, "rule", "--k", "2", "--config", str(conf))
         assert code == 2 and "unknown config key" in err
+
+    @pytest.mark.parametrize("key", ["z", "t", "config"])
+    def test_repeatable_options_and_config_are_not_config_keys(self, capsys, tmp_path, key):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(f"{key}=1\n")
+        code, out, err = run_cli(capsys, "transform", "--z", "1", "--config", str(conf))
+        assert code == 2 and out == "" and f"unknown config key {key!r}" in err
 
     def test_malformed_config_line(self, capsys, tmp_path):
         conf = tmp_path / "conf.txt"

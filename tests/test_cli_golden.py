@@ -1,0 +1,57 @@
+"""CLI output is byte-identical to the golden files in tests/data/cli.
+
+Each case is one command line; its stdout (and, for ``figure``, the CSV,
+SVG and manifest it writes) must match the stored bytes exactly.  The
+goldens were captured before the option table was rebuilt on argparse, so
+they pin the output across changes to the CLI plumbing.
+"""
+
+import os
+
+import pytest
+
+from gausdisk.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli")
+
+CASES = {
+    "rule_k8_p128": ("rule", "--k", "8", "--precision", "128"),
+    "rule_a6": ("rule", "--a", "6"),
+    "transform_trunc6": (
+        "transform", "--measure", "trunc:6", "--z", "0.5", "--z", "0.5,1.5", "--t", "2",
+    ),
+    "transform_rulefor5_laplace_full": (
+        "transform", "--measure", "rulefor:5", "--what", "laplace", "--z", "1,1",
+        "--full-precision",
+    ),
+    "transform_rule4_char": ("transform", "--measure", "rule:4", "--what", "char", "--t", "3"),
+    "supdisk_rulefor4_circle": ("supdisk", "--measure", "rulefor:4", "--r", "1", "--samples", "128"),
+    "supdisk_rule3_line": ("supdisk", "--measure", "rule:3", "--r", "2", "--line", "--samples", "64"),
+}
+FIGURE = ("figure", "--grid", "4:6:1", "--samples", "64")
+FIGURE_ARTIFACTS = {"--csv": "figure.csv", "--svg": "figure.svg", "--manifest": "figure.json"}
+
+
+def golden_bytes(name: str) -> bytes:
+    with open(os.path.join(GOLDEN, name), "rb") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(capsys, name):
+    code = main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == golden_bytes(f"{name}.txt")
+
+
+def test_figure_matches_golden(capsys, tmp_path):
+    argv = list(FIGURE)
+    for flag, name in FIGURE_ARTIFACTS.items():
+        argv += [flag, str(tmp_path / name)]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == golden_bytes("figure.txt")
+    for name in FIGURE_ARTIFACTS.values():
+        assert (tmp_path / name).read_bytes() == golden_bytes(name), name

@@ -109,7 +109,9 @@ def _parse_measure_spec(spec: str):
             raise ConfigError(
                 f"measure spec {spec!r}: expected a numeric half-width"
             ) from None
-        if not math.isfinite(a) or a <= 0:
+        if not math.isfinite(a):
+            raise ConfigError(f"measure spec {spec!r}: half-width must be finite")
+        if a <= 0:
             raise ConfigError(f"measure spec {spec!r}: half-width must be positive")
         return (kind, a)
     if kind == "rule" and sep:
@@ -227,8 +229,11 @@ def _cmd_rule(args) -> int:
         raise ConfigError("rule: give exactly one of --k or --a")
     if args.k is not None and args.k < 1:
         raise ConfigError("rule: --k must be >= 1")
-    if args.a is not None and not (math.isfinite(args.a) and args.a > 0):
-        raise ConfigError("rule: --a must be positive")
+    if args.a is not None:
+        if not math.isfinite(args.a):
+            raise ConfigError("rule: --a must be finite")
+        if args.a <= 0:
+            raise ConfigError("rule: --a must be positive")
     rule, _ = _rule_and_bits(args, 1.0, k=args.k, a=args.a)
     with _out_stream(args.out) as out:
         rule_to_csv(rule, out)
@@ -293,7 +298,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_supdisk(args) -> int:
-    if not math.isfinite(args.r) or args.r < 0:
+    if not math.isfinite(args.r):
+        raise ConfigError("supdisk: --r must be finite")
+    if args.r < 0:
         raise ConfigError("supdisk: --r must be nonnegative")
     if args.samples < 8:
         raise ConfigError("supdisk: --samples must be at least 8")
@@ -362,7 +369,9 @@ def _cmd_figure(args) -> int:
     grid = _parse_grid_text(args.grid) if args.grid else default_grid()
     if args.samples < 8:
         raise ConfigError("figure: --samples must be at least 8")
-    if not math.isfinite(args.b) or args.b <= 0:
+    if not math.isfinite(args.b):
+        raise ConfigError("figure: --b must be finite")
+    if args.b <= 0:
         raise ConfigError("figure: --b must be positive")
     override = _resolve_bits(args, lambda: None)
     table = run_figure(
@@ -435,7 +444,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_superflat(args) -> int:
-    if not math.isfinite(args.a) or args.a < 4:
+    if not math.isfinite(args.a):
+        raise ConfigError("superflat: --a must be finite")
+    if args.a < 4:
         raise ConfigError("superflat: --a must be at least 4")
     if args.samples < 8:
         raise ConfigError("superflat: --samples must be at least 8")
@@ -453,6 +464,11 @@ def _cmd_superflat(args) -> int:
             print(
                 f"# deviation_witness "
                 f"{_fmt_complex(certificate.eps2_witness, full)}",
+                file=out,
+            )
+            print(
+                f"# boundary_deviation_ceiling "
+                f"{_fmt_real(certificate.eps2_ceiling, full)}",
                 file=out,
             )
             for index, bound in enumerate(certificate.derivative_bounds):

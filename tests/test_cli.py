@@ -418,7 +418,8 @@ class TestSuperflat:
     @pytest.mark.parametrize("a", ["4", "6"])
     def test_certificate_output_is_golden(self, capsys, a):
         # Captured from the release whose order scans each evaluated the
-        # density on their own.
+        # density on their own; the boundary_deviation_ceiling line came
+        # later and is the only line added since.
         with open(os.path.join(DATA, f"superflat_a{a}_certify_s64.txt"), encoding="utf-8") as fh:
             golden = fh.read()
         code, out, err = run_cli(
@@ -673,3 +674,20 @@ class TestExitCodes:
     def test_version(self, capsys):
         code, out, _ = run_cli(capsys, "--version")
         assert code == 0 and out.startswith("gausdisk ")
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("transform", "--measure", "trunc:{}", "--z", "1"), "half-width must be finite"),
+            (("rule", "--a", "{}"), "rule: --a must be finite"),
+            (("supdisk", "--r", "{}"), "supdisk: --r must be finite"),
+            (("figure", "--b", "{}"), "figure: --b must be finite"),
+            (("superflat", "--a", "{}"), "superflat: --a must be finite"),
+        ],
+        ids=["trunc", "rule", "supdisk", "figure", "superflat"],
+    )
+    def test_non_finite_number_is_named(self, capsys, argv, message, value):
+        code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err

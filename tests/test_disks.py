@@ -8,6 +8,7 @@ import pytest
 
 from gausdisk.disks import (
     ConvexityReport,
+    circle_point,
     growth_profile,
     sup_abs_on_circle,
     sup_on_circle,
@@ -25,7 +26,15 @@ from gausdisk.measures import (
     TruncatedGaussian,
     quadrature_measure_for_support,
 )
-from gausdisk.precision import PComplex, PReal, double_factorial, exp, working_bits
+from gausdisk.precision import (
+    PComplex,
+    PReal,
+    cos_sin,
+    double_factorial,
+    exp,
+    pi_value,
+    working_bits,
+)
 
 
 def numpy_circle_error_max(measure: DiscreteMeasure, radius: float, n: int = 20001):
@@ -96,6 +105,21 @@ class TestCircleScan:
             sup_abs_on_circle(exp, PReal(1, 128), 128, n_samples=2)
         with pytest.raises(ConfigError):
             sup_on_circle(lambda z: z, 1)
+
+    def test_circle_points_are_kept_in_a_bounded_cache(self):
+        assert circle_point.cache_info().maxsize == 2048
+        bits = 160
+        theta = pi_value(bits) / 7
+        for r in (PReal(1, bits), PReal("0.3", 96)):
+            c, s = cos_sin(theta)
+            want = PComplex(r.round_to(bits) * c, r.round_to(bits) * s, bits=bits)
+            assert circle_point(r, theta, bits).raw == want.raw
+        # The key's values and bits fix the point, whatever precision the
+        # angle came at.
+        coarse = PReal(1, 64)
+        c, s = cos_sin(coarse.round_to(bits))
+        got = circle_point(PReal(1, bits), coarse, bits)
+        assert got.raw == PComplex(c, s, bits=bits).raw and got.bits == bits
 
 
 def forced_scan(measure, radius, n_samples):

@@ -41,16 +41,23 @@ def reference_density_derivative(mix, z, n):
     return total
 
 
+def reference_boundary_scan(mix, n_samples):
+    """The quarter-arc scan of |L(z)exp(-z**2/2) - 1| over |z| = 2: the
+    oracle for the certificate's one-point eps2."""
+    b = mix.bits
+    source = mix.source_measure()
+    return sup_abs_on_circle(
+        lambda z: source.laplace(z) * exp(-(z * z) / 2) - 1,
+        PReal(2, b), b, n_samples=n_samples, arc="quarter",
+    )
+
+
 def reference_certificate_scans(mix, n_samples):
     """eps2 and the direct sups of orders 1..4 from independent scans, each
     evaluating its own function at every point."""
     b = mix.bits
-    source = mix.source_measure()
     scale = sqrt(2 * pi_value(b)) * mix.tilt_total.round_to(b)
-    eps = sup_abs_on_circle(
-        lambda z: source.laplace(z) * exp(-(z * z) / 2) - 1,
-        PReal(2, b), b, n_samples=n_samples, arc="quarter",
-    )
+    eps = reference_boundary_scan(mix, n_samples)
     direct = [
         sup_abs_on_circle(
             lambda z, n=n: scale * reference_density_derivative(mix, z, n),
@@ -268,13 +275,42 @@ class TestCertificate:
         monkeypatch.setattr(superflat, "density_derivatives", counted_kernel)
         monkeypatch.setattr(superflat, "sup_abs_on_circle", recorded_scan)
         cert = flatness_certificate(build_superflat(4), n_samples=256)
-        assert cert.passed and len(scans) == 5
+        assert cert.passed and len(scans) == 4  # eps2 takes no scan
         # Every scanned function is still called once per visited point.
         for report, calls in scans:
             assert calls == report.n_samples + 2 + report.refine_iterations
-        one_scan = max(calls for _, calls in scans[1:])
+        one_scan = max(calls for _, calls in scans)
         assert len(kernel_calls) <= one_scan + 16
         assert kernel_calls.count(0) == 16  # the identity samples
+
+    @pytest.mark.parametrize("a", [4, 4.5, 5, 6, 7, 8])
+    def test_eps2_is_the_boundary_scan_sup(self, a):
+        # At the policy precision the scan's sup is its theta = pi/2 seed,
+        # the one point the certificate evaluates.  Forced precisions of
+        # 64-128 bits can let the scan's refinement beat the seed by
+        # rounding noise; those are not the policy.
+        mix = build_superflat(a)
+        for n in (16, 64, 256):
+            cert = flatness_certificate(mix, n_samples=n)
+            scan = reference_boundary_scan(mix, n)
+            assert cert.eps2.raw == scan.sup_value.raw, (a, n)
+            assert cert.eps2_witness.raw == scan.witness.raw, (a, n)
+            assert cert.eps2_ceiling >= scan.sup_value
+
+    @pytest.mark.parametrize("a", [4, 6, 8])
+    def test_ceiling_margin_covers_a_finer_evaluation(self, a):
+        cert = flatness_certificate(build_superflat(a), n_samples=16)
+        b = cert.bits
+        fine = build_superflat(a, b + 256)
+        two = PReal(2, b + 256)
+        exact = exp(two) * abs(fine.source_measure().laplace_error(two))
+        # The ceiling is e**2 |E(2)|, E the source rule's transform error,
+        # rounded up by a relative 2**-(b//2).
+        unrounded = cert.eps2_ceiling / (1 + PReal(2, b) ** (-(b // 2)))
+        assert abs(unrounded - exact) <= exact * PReal(2, b) ** (-(b // 2) - 8)
+        assert cert.eps2_ceiling >= exact
+        # The two ends of [e**2 |E(2i)|, e**2 |E(2)|] sit about 6.6x apart.
+        assert 6.5 < float(cert.eps2_ceiling / cert.eps2) < 6.8
 
     def test_bounds_grow_factorially(self):
         cert = flatness_certificate(build_superflat(4), n_samples=64)
@@ -291,6 +327,12 @@ class TestCertificate:
     def test_rejects_non_mixture(self):
         with pytest.raises(ConfigError):
             flatness_certificate("mixture")
+
+    def test_ceiling_needs_a_gauss_hermite_source(self):
+        mix = build_superflat(4, 256)
+        unmarked = dataclasses.replace(mix.rule, gauss_hermite=False)
+        with pytest.raises(ConfigError, match="Gauss-Hermite"):
+            flatness_certificate(dataclasses.replace(mix, rule=unmarked), n_samples=16)
 
 
 class TestCsv:

@@ -398,7 +398,7 @@ def _cmd_figure(args) -> int:
                 f"intercept {trunc_fit.intercept:.6f} rows {trunc_fit.n_rows}",
                 file=out,
             )
-        except Exception as exc:  # noqa: BLE001 - report, keep going
+        except ConfigError as exc:
             print(f"fit_trunc unavailable: {exc}", file=out)
         try:
             quad_fit = fit_quadrature_rate(table)
@@ -407,7 +407,7 @@ def _cmd_figure(args) -> int:
                 f"intercept {quad_fit.intercept:.6f} rows {quad_fit.n_rows}",
                 file=out,
             )
-        except Exception as exc:  # noqa: BLE001
+        except ConfigError as exc:
             print(f"fit_quad unavailable: {exc}", file=out)
         try:
             model = fit_c1(table)
@@ -416,7 +416,7 @@ def _cmd_figure(args) -> int:
                 f"floored {model.floored}",
                 file=out,
             )
-        except Exception as exc:  # noqa: BLE001
+        except ConfigError as exc:
             print(f"fit_c1 unavailable: {exc}", file=out)
         if model is not None:
             for row in table.rows:

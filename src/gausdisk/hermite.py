@@ -51,7 +51,7 @@ from .errors import (
     MathInvariantError,
     SupportViolation,
 )
-from .precision import PComplex, PReal, _check_bits, read_tag_rows
+from .precision import PReal, _check_bits, _like, _real, _scalar, read_tag_rows
 
 __all__ = [
     "QuadratureRule",
@@ -74,23 +74,19 @@ MAX_RULE_SIZE = 512
 def hermite_pair(n: int, x):
     """Return (He_n(x), He_{n-1}(x)); He_{-1} is taken to be 0.
 
-    ``x`` may be a PReal, a PComplex, an int, or a float; the result has
-    the same kind and stated precision as ``x``.  The recurrence runs
-    with 64 guard bits before the final rounding.
+    ``x`` may be a PReal, a PComplex, or a Python int, float or complex
+    (see :func:`gausdisk.precision._scalar`); the result has the same kind
+    and stated precision as ``x``.  The recurrence runs with 64 guard bits
+    before the final rounding.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ConfigError(f"hermite_pair expects an integer n >= 0, got {n!r}")
-    if isinstance(x, (int, float)):
-        x = PReal(x)
-    if not isinstance(x, (PReal, PComplex)):
-        raise ConfigError(f"hermite_pair expects a scalar, got {type(x).__name__}")
+    x = _scalar(x)
     bits = x.bits
-    xw = x.round_to(bits + 64)
-    one = (PReal(1) if isinstance(x, PReal) else PComplex(1, 0)).round_to(bits + 64)
-    zero = one - one
     if n == 0:
-        return one.round_to(bits), zero.round_to(bits)
-    prev, cur = one, xw
+        return _like(x, (fone, fzero), bits), _like(x, (fzero, fzero), bits)
+    xw = x.round_to(bits + 64)
+    prev, cur = _like(x, (fone, fzero), bits + 64), xw
     for m in range(1, n):
         prev, cur = cur, xw * cur - m * prev
     return cur.round_to(bits), prev.round_to(bits)
@@ -134,6 +130,15 @@ class QuadratureRule:
 
     def atoms(self) -> Iterable[tuple[PReal, PReal]]:
         return zip(self.nodes, self.weights)
+
+
+def _sums_to_one(weights: Iterable[PReal], bits: int) -> bool:
+    """True when ``weights`` sum to one within 2**(16 - bits)."""
+    total = fzero
+    for w in weights:
+        total = mpf_add(total, w.raw, bits + 32, _RND)
+    drift = mpf_sub(total, fone, bits + 32, _RND)
+    return drift[1] == 0 or drift[2] + drift[3] <= 16 - bits
 
 
 _RULE_CACHE: dict[tuple[int, int], QuadratureRule] = {}
@@ -256,17 +261,6 @@ def build_rule(k: int, bits: int = 256) -> QuadratureRule:
         return cached
 
     work = bits + 128
-    if k == 1:
-        rule = QuadratureRule(
-            k=1,
-            bits=bits,
-            nodes=(PReal(0, bits),),
-            weights=(PReal(1, bits),),
-            gauss_hermite=True,
-        )
-        _RULE_CACHE[key] = rule
-        return rule
-
     positives = _polished_positive_roots(k, bits)
     if len(positives) != k // 2:
         raise MathInvariantError(
@@ -297,14 +291,8 @@ def build_rule(k: int, bits: int = 256) -> QuadratureRule:
     w_half = [PReal._wrap(mpf_pos(w, bits, _RND), bits) for w in raw_weights[k // 2:]]
     weight_vals = tuple(list(reversed(w_half[len(centers):])) + w_half)
 
-    check = fzero
-    for w in weight_vals:
-        check = mpf_add(check, w.raw, bits + 32, _RND)
-    drift = mpf_sub(check, fone, bits + 32, _RND)
-    if drift[1] != 0 and (drift[2] + drift[3]) > -(bits - 16):
-        raise MathInvariantError(
-            f"rule weights for k={k} sum to 1 only within 2^{drift[2] + drift[3]}"
-        )
+    if not _sums_to_one(weight_vals, bits):
+        raise MathInvariantError(f"rule weights for k={k} do not sum to 1 within 2^{16 - bits}")
 
     bound = mpf_shift(from_int(4 * k + 2), 0)
     top = node_vals[-1].raw
@@ -358,10 +346,7 @@ def k_for_support(a) -> int:
     sqrt(4k+2) would not fit inside [-a, a], which happens for
     a < sqrt(6) and for sqrt(8) < a < sqrt(10).
     """
-    if isinstance(a, (int, float)):
-        a = PReal(a)
-    if not isinstance(a, PReal):
-        raise ConfigError(f"k_for_support expects a real scalar, got {type(a).__name__}")
+    a = _real(a)
     if a < 1:
         raise ConfigError("support half-width must be at least 1")
     exact = 2 * a.bits + 8
@@ -385,10 +370,20 @@ def rule_to_csv(rule: QuadratureRule, out: TextIO) -> None:
 
 
 def rule_from_csv(src: TextIO) -> QuadratureRule:
-    """Rebuild a rule written by :func:`rule_to_csv`, bit for bit."""
+    """Rebuild a rule written by :func:`rule_to_csv`, bit for bit.
+
+    Raises ConfigError unless the nodes ascend strictly and mirror about
+    zero and the weights are positive and sum to one within 2**(16 - bits).
+    """
     rows = read_tag_rows(src, "node,weight")
     if not rows:
         raise ConfigError("rule CSV contained no atoms")
     nodes, weights = zip(*rows)
     bits = max(v.bits for v in nodes + weights)
+    if any(lo >= hi for lo, hi in zip(nodes, nodes[1:])):
+        raise ConfigError("rule nodes must ascend strictly")
+    if any(x != -y for x, y in zip(nodes, reversed(nodes))):
+        raise ConfigError("rule nodes must mirror about zero")
+    if any(w <= 0 for w in weights) or not _sums_to_one(weights, bits):
+        raise ConfigError(f"rule weights must be positive and sum to 1 within 2^{16 - bits}")
     return QuadratureRule(k=len(nodes), bits=bits, nodes=nodes, weights=weights)

@@ -12,9 +12,9 @@ Each measure exposes its two-sided Laplace transform L(z) = E[exp(zX)]
 as an entire function of a complex argument, the characteristic function
 L(it), and the error functional L(z) - exp(z**2/2) measuring the drift
 from the Gaussian transform.  Every transform has one kernel, on raw
-libmp (re, im) pairs: a real argument is the complex point with an exact
-zero imaginary part, which libmp's complex operations round as their real
-twins do and keep zero, and the result comes back as a PReal.
+libmp (re, im) pairs: arguments enter through ``precision._scalar`` and
+``precision._pair``, so a real argument is the complex point with an exact
+zero imaginary part, and ``precision._like`` returns a PReal for it.
 
 The truncated family has one kernel, the series of its even moments,
 
@@ -86,8 +86,8 @@ from mpmath.libmp import (
 )
 
 from .errors import ChainViolation, ConfigError, ConvergenceError
-from .hermite import QuadratureRule, build_rule, k_for_support
-from .precision import PComplex, PReal, _check_bits, read_tag_rows
+from .hermite import QuadratureRule, _sums_to_one, build_rule, k_for_support
+from .precision import PComplex, PReal, _check_bits, _like, _pair, _real, _scalar, read_tag_rows
 
 __all__ = [
     "normal_cdf",
@@ -117,22 +117,6 @@ def _mag(raw) -> int:
 def _inv_sqrt_2pi(prec: int):
     two_pi = mpf_mul_int(mpf_pi(prec + 8, _RND), 2, prec + 8, _RND)
     return mpf_div(fone, mpf_sqrt(two_pi, prec + 8, _RND), prec, _RND)
-
-
-def _pair(z):
-    """The raw (re, im) pair of a PReal or PComplex; a real point gets an
-    exact zero imaginary part, which the libmp complex operations round as
-    their real twins do and keep zero."""
-    return (z.raw, fzero) if isinstance(z, PReal) else z.raw
-
-
-def _like(z, pair, bits: int):
-    """A raw pair rounded to ``bits``, returned as the kind of ``z``: a
-    PReal for a real point (its imaginary part is then zero), else a
-    PComplex."""
-    if isinstance(z, PReal):
-        return PReal._wrap(mpf_pos(pair[0], bits, _RND), bits)
-    return PComplex._wrap(mpf_pos(pair[0], bits, _RND), mpf_pos(pair[1], bits, _RND), bits)
 
 
 def _gauss_raw(pair, prec: int):
@@ -203,12 +187,7 @@ def normal_cdf(z, bits: int | None = None):
     Returns a PReal for real input and a PComplex otherwise, at the
     argument's precision unless ``bits`` overrides it.
     """
-    if isinstance(z, (int, float)):
-        z = PReal(z, bits)
-    elif isinstance(z, complex):
-        z = PComplex(z, bits=bits)
-    if not isinstance(z, (PReal, PComplex)):
-        raise ConfigError(f"normal_cdf expects a scalar, got {type(z).__name__}")
+    z = _scalar(z, bits)
     b = z.bits if bits is None else _check_bits(bits)
     return _like(z, _phi_series(_pair(z), b), b)
 
@@ -216,30 +195,12 @@ def normal_cdf(z, bits: int | None = None):
 def gauss_upper_tail(a, bits: int | None = None) -> PReal:
     """Q(a) = P(N(0,1) > a) = Phi(-a), accurate to the stated precision in
     relative terms even deep in the tail, with no lift of its own."""
-    if isinstance(a, (int, float)):
-        a = PReal(a, bits)
-    if not isinstance(a, PReal):
-        raise ConfigError(f"gauss_upper_tail expects a real scalar, got {type(a).__name__}")
+    a = _real(a, bits)
     b = a.bits if bits is None else _check_bits(bits)
     return _like(a, _phi_series((mpf_neg(a.raw), fzero), b), b)
 
 
 # -- measures ----------------------------------------------------------
-
-
-def _coerce_point(z, bits: int):
-    """Lift a Python scalar to the package types; reject anything else."""
-    if isinstance(z, bool):
-        raise ConfigError("expected a real or complex scalar, got a bool")
-    if isinstance(z, (int, float)):
-        return PReal(z, bits)
-    if isinstance(z, complex):
-        return PComplex(z, bits=bits)
-    if isinstance(z, (PReal, PComplex)):
-        return z
-    raise ConfigError(
-        f"expected a real or complex scalar, got {type(z).__name__}"
-    )
 
 
 class Measure:
@@ -253,12 +214,12 @@ class Measure:
 
     def char_fn(self, t):
         """Characteristic function: the Laplace transform at i*t."""
-        t = PComplex(_coerce_point(t, self.bits))
+        t = PComplex(_scalar(t, self.bits))
         return self.laplace(PComplex(-t.imag, t.real))
 
     def laplace_error(self, z):
         """L(z) - exp(z**2/2): the drift from the Gaussian transform."""
-        z = _coerce_point(z, self.bits)
+        z = _scalar(z, self.bits)
         value = self.laplace(z)
         bits = value.bits
         gauss = _gauss_raw(_pair(z), bits + 8)
@@ -303,14 +264,8 @@ class DiscreteMeasure(Measure):
         for _, mass in coerced:
             if mass.raw[0]:
                 raise ConfigError("atom masses must be nonnegative")
-        total = fzero
-        for _, mass in coerced:
-            total = mpf_add(total, mass.raw, bits + 32, _RND)
-        drift = mpf_sub(total, fone, bits + 32, _RND)
-        if drift[1] != 0 and _mag(drift) > -(bits - 16):
-            raise ConfigError(
-                f"atom masses sum to {to_float(total, rnd=_RND)!r}, not 1"
-            )
+        if not _sums_to_one((mass for _, mass in coerced), bits):
+            raise ConfigError(f"atom masses do not sum to 1 within 2^{16 - bits}")
         self.atoms = tuple(coerced)
         self.bits = bits
         self._symmetric = self._check_symmetric()
@@ -342,7 +297,7 @@ class DiscreteMeasure(Measure):
         return self._gauss_hermite and self._symmetric
 
     def laplace(self, z):
-        z = _coerce_point(z, self.bits)
+        z = _scalar(z, self.bits)
         out_bits = max(self.bits, z.bits)
         wp = out_bits + 32
         zw = tuple(mpf_pos(part, wp, _RND) for part in _pair(z))
@@ -436,10 +391,7 @@ class TruncatedGaussian(Measure):
 
     def __init__(self, a, bits: int = 256):
         _check_bits(bits)
-        if isinstance(a, (int, float)):
-            a = PReal(a, bits)
-        if not isinstance(a, PReal):
-            raise ConfigError(f"half-width must be a real scalar, got {type(a).__name__}")
+        a = _real(a, bits)
         if a < 1:
             raise ConfigError("truncation half-width must be at least 1")
         if a > _MAX_CDF_ARG:
@@ -458,7 +410,7 @@ class TruncatedGaussian(Measure):
         return True
 
     def laplace(self, z):
-        z = _coerce_point(z, self.bits)
+        z = _scalar(z, self.bits)
         out_bits = max(self.bits, z.bits)
         af = float(self.a)
         z_abs = abs(complex(z))
@@ -488,12 +440,12 @@ class StandardGaussian(Measure):
         return True
 
     def laplace(self, z):
-        z = _coerce_point(z, self.bits)
+        z = _scalar(z, self.bits)
         out_bits = max(self.bits, z.bits)
         return _like(z, _gauss_raw(_pair(z), out_bits + 8), out_bits)
 
     def laplace_error(self, z):
-        z = _coerce_point(z, self.bits)
+        z = _scalar(z, self.bits)
         return _like(z, (fzero, fzero), max(self.bits, z.bits))
 
 
@@ -514,7 +466,7 @@ def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | P
     """
     if not isinstance(measure, TruncatedGaussian):
         raise ConfigError("closed form applies to truncated Gaussians")
-    z = _coerce_point(z, measure.bits)
+    z = _scalar(z, measure.bits)
     out_bits = max(measure.bits, z.bits)
     wp = out_bits + 32
     a = measure.a

@@ -13,6 +13,12 @@ operation and makes values safe to share across threads.
 Infinities and NaNs are rejected at construction and whenever an
 operation would produce one; see :class:`gausdisk.errors.NonFiniteError`.
 
+The kernels run on raw libmp values, and this module owns the way in and
+out: ``_real`` and ``_scalar`` lift Python numbers to PReal and PComplex,
+``_pair`` gives a value's raw (re, im) pair, a real one with an exact zero
+imaginary part, and ``_like`` rounds a raw pair back to a given value's
+kind.
+
 Serialization uses an exact decimal tag ``<sign><digits>e<exp10>@<bits>``.
 The digit string is the full decimal expansion of the binary value (every
 finite binary float has one), so parsing recovers the value bit for bit.
@@ -51,7 +57,6 @@ from mpmath.libmp import (
     mpf_neg,
     mpf_pi,
     mpf_pos,
-    mpf_pow,
     mpf_pow_int,
     mpf_shift,
     mpf_sqrt,
@@ -234,67 +239,41 @@ class PReal:
             return from_float(other), self._bits
         return None
 
-    def __add__(self, other):
+    def _binop(self, other, op, reverse=False):
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         raw, obits = pair
         bits = max(self._bits, obits)
-        return PReal._wrap(mpf_add(self._raw, raw, bits, _RND), bits)
+        a, b = (raw, self._raw) if reverse else (self._raw, raw)
+        return PReal._wrap(op(a, b, bits, _RND), bits)
+
+    def __add__(self, other):
+        return self._binop(other, mpf_add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        raw, obits = pair
-        bits = max(self._bits, obits)
-        return PReal._wrap(mpf_sub(self._raw, raw, bits, _RND), bits)
+        return self._binop(other, mpf_sub)
 
     def __rsub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        raw, obits = pair
-        bits = max(self._bits, obits)
-        return PReal._wrap(mpf_sub(raw, self._raw, bits, _RND), bits)
+        return self._binop(other, mpf_sub, reverse=True)
 
     def __mul__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        raw, obits = pair
-        bits = max(self._bits, obits)
-        return PReal._wrap(mpf_mul(self._raw, raw, bits, _RND), bits)
+        return self._binop(other, mpf_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        raw, obits = pair
-        bits = max(self._bits, obits)
-        return PReal._wrap(mpf_div(self._raw, raw, bits, _RND), bits)
+        return self._binop(other, mpf_div)
 
     def __rtruediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        raw, obits = pair
-        bits = max(self._bits, obits)
-        return PReal._wrap(mpf_div(raw, self._raw, bits, _RND), bits)
+        return self._binop(other, mpf_div, reverse=True)
 
     def __pow__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
             return PReal._wrap(mpf_pow_int(self._raw, other, self._bits, _RND), self._bits)
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        raw, obits = pair
-        bits = max(self._bits, obits)
-        return PReal._wrap(mpf_pow(self._raw, raw, bits, _RND), bits)
+        return NotImplemented
 
     def __neg__(self):
         return PReal._wrap(mpf_neg(self._raw), self._bits)
@@ -576,6 +555,47 @@ class PComplex:
             f"PComplex({to_str(self._re, 24)}, {to_str(self._im, 24)}, "
             f"bits={self._bits})"
         )
+
+
+# -- the scalar boundary ----------------------------------------------
+
+
+def _real(x, bits: int | None = None) -> PReal:
+    """A PReal as it is, or a Python int or float at ``bits``; anything
+    else, a bool included, raises ConfigError."""
+    if isinstance(x, PReal):
+        return x
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        return PReal(x, bits)
+    raise ConfigError(f"expected a real scalar, got {type(x).__name__}")
+
+
+def _scalar(z, bits: int | None = None):
+    """As :func:`_real`, and a PComplex as it is or a Python complex at
+    ``bits``."""
+    if isinstance(z, PComplex):
+        return z
+    if isinstance(z, complex):
+        return PComplex(z, bits=bits)
+    if isinstance(z, (PReal, int, float)):
+        return _real(z, bits)
+    raise ConfigError(f"expected a real or complex scalar, got {type(z).__name__}")
+
+
+def _pair(z):
+    """The raw (re, im) pair of a PReal or PComplex; a real point gets an
+    exact zero imaginary part, which the libmp complex operations round as
+    their real twins do and keep zero."""
+    return (z._raw, fzero) if isinstance(z, PReal) else (z._re, z._im)
+
+
+def _like(z, pair, bits: int):
+    """A raw pair rounded to ``bits``, returned as the kind of ``z``: a
+    PReal for a real point (its imaginary part is then dropped), else a
+    PComplex."""
+    if isinstance(z, PReal):
+        return PReal._wrap(mpf_pos(pair[0], bits, _RND), bits)
+    return PComplex._wrap(mpf_pos(pair[0], bits, _RND), mpf_pos(pair[1], bits, _RND), bits)
 
 
 # -- tag tables -------------------------------------------------------

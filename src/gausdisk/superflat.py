@@ -61,7 +61,6 @@ from mpmath.libmp import (
     mpc_mul_mpf,
     mpc_neg,
     mpc_sub,
-    mpf_neg,
     mpf_pos,
     mpf_shift,
     round_nearest,
@@ -75,6 +74,10 @@ from .precision import (
     PComplex,
     PReal,
     _check_bits,
+    _like,
+    _pair,
+    _real,
+    _scalar,
     exp,
     pi_value,
     sqrt,
@@ -124,10 +127,7 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
     The default precision follows the radius-2 policy, since the
     flatness certificate lives on the disk |z| <= 2.
     """
-    if isinstance(a, (int, float)):
-        a = PReal(a)
-    if not isinstance(a, PReal):
-        raise ConfigError(f"support half-width must be real, got {type(a).__name__}")
+    a = _real(a)
     if a < 4:
         raise ConfigError("the superflat construction requires a >= 4")
     if bits is None:
@@ -178,10 +178,10 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
 
     Each atom costs one exp and one Hermite recurrence, run at 64 guard
     bits with every He_n rounded back to the working precision, exactly
-    as :func:`gausdisk.hermite.hermite_pair` computes it.  A real z is
-    carried as a complex value with a zero imaginary part, which the
-    libmp complex operations round exactly as their real counterparts;
-    the results then have z's kind.  The real factors 1/sqrt(2*pi) and
+    as :func:`gausdisk.hermite.hermite_pair` computes it.  z enters
+    through ``precision._scalar`` and ``precision._pair``, so a real z is
+    carried with an exact zero imaginary part, and ``precision._like``
+    gives the results z's kind.  The real factors 1/sqrt(2*pi) and
     v_m scale both parts with ``mpc_mul_mpf``, which rounds each part
     once, as ``mpc_mul`` does with a zero imaginary part.
     """
@@ -189,15 +189,9 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
         raise ConfigError("expected a SuperflatMixture")
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
         raise ConfigError(f"derivative order must be an integer >= 0, got {n_max!r}")
-    if isinstance(z, (int, float)):
-        z = PReal(z, mix.bits)
-    elif isinstance(z, complex):
-        z = PComplex(z, bits=mix.bits)
-    if not isinstance(z, (PReal, PComplex)):
-        raise ConfigError(f"expected a scalar, got {type(z).__name__}")
-    real = isinstance(z, PReal)
+    z = _scalar(z, mix.bits)
     bits = max(mix.bits, z.bits)
-    zw = (z.round_to(bits).raw, fzero) if real else z.round_to(bits).raw
+    zw = _pair(z.round_to(bits))
     guard = bits + 64
     inv_root = _inv_root_2pi(bits)
     totals = [(fzero, fzero)] * (n_max + 1)
@@ -218,12 +212,7 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
             )
             he_n = (mpf_pos(he[0], bits, _RND), mpf_pos(he[1], bits, _RND))
             totals[n] = mpc_add(totals[n], mpc_mul(phi, he_n, bits, _RND), bits, _RND)
-    out = []
-    for n, (re_raw, im_raw) in enumerate(totals):
-        if n % 2:
-            re_raw, im_raw = mpf_neg(re_raw), mpf_neg(im_raw)
-        out.append(PReal._wrap(re_raw, bits) if real else PComplex._wrap(re_raw, im_raw, bits))
-    return tuple(out)
+    return tuple(_like(z, mpc_neg(t) if n % 2 else t, bits) for n, t in enumerate(totals))
 
 
 def _tilted_transform_error(mix: SuperflatMixture):

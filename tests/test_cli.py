@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gausdisk import checks, experiments, hermite
+from gausdisk import checks, cli, experiments, hermite
 from gausdisk.cli import main
 from gausdisk.errors import MathInvariantError
 from gausdisk.hermite import build_rule, rule_from_csv
@@ -384,6 +384,16 @@ class TestFigure:
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "figure", "--grid", "5:4:1", "--samples", "16")
         assert code == 2
+
+    @pytest.mark.parametrize("fit", ["fit_truncation_rate", "fit_quadrature_rate", "fit_c1"])
+    def test_programming_error_in_a_fit_propagates(self, capsys, monkeypatch, fit):
+        # Only a ConfigError (too few rows, log of zero) reads "unavailable".
+        def broken(table):
+            raise TypeError("broken fit")
+
+        monkeypatch.setattr(cli, fit, broken)
+        with pytest.raises(TypeError, match="broken fit"):
+            main(["figure", "--grid", "4:6:1", "--samples", "16"])
 
     def test_explicit_precision_overrides_policy(self, capsys):
         code, out, _ = run_cli(

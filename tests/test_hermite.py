@@ -21,7 +21,7 @@ from gausdisk.hermite import (
     rule_from_csv,
     rule_to_csv,
 )
-from gausdisk.precision import PReal, double_factorial, sqrt
+from gausdisk.precision import PComplex, PReal, double_factorial, sqrt
 
 
 def monic_poly_value(n: int, x: float) -> float:
@@ -59,6 +59,12 @@ class TestHermitePair:
         value, below = hermite_pair(0, PReal(7, 64))
         assert value == 1 and below.is_zero()
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_python_complex_is_lifted_at_64_bits(self, n):
+        ours = hermite_pair(n, 1.25 + 0.5j)
+        ref = hermite_pair(n, PComplex(1.25, 0.5, bits=64))
+        assert [(v.bits, v.raw) for v in ours] == [(v.bits, v.raw) for v in ref]
+
 
 class TestBuildRule:
     def test_single_point_rule(self):
@@ -66,6 +72,17 @@ class TestBuildRule:
         assert rule.k == 1
         assert rule.nodes == (PReal(0, 128),)
         assert rule.weights == (PReal(1, 128),)
+
+    @pytest.mark.parametrize("bits", [64, 65, 96, 128, 197, 256, 1000])
+    def test_single_point_rule_from_the_general_path(self, monkeypatch, bits):
+        # k = 1 has no special case: the lone root 0 and its weight come
+        # out of the same code as every other rule.
+        monkeypatch.setattr(hermite, "_RULE_CACHE", {})
+        rule = build_rule(1, bits)
+        assert (rule.k, rule.bits, rule.gauss_hermite) == (1, bits, True)
+        assert [v.raw for v in rule.nodes] == [PReal(0, bits).raw]
+        assert [v.raw for v in rule.weights] == [PReal(1, bits).raw]
+        assert {v.bits for v in rule.nodes + rule.weights} == {bits}
 
     def test_two_point_rule_exact(self):
         rule = build_rule(2, 256)
@@ -296,3 +313,25 @@ class TestCsv:
     def test_header_required(self):
         with pytest.raises(ConfigError):
             rule_from_csv(io.StringIO("1e0@64,1e0@64\n"))
+
+    @staticmethod
+    def rows(*atoms):
+        return io.StringIO("node,weight\n" + "".join(f"{x},{w}\n" for x, w in atoms))
+
+    def test_nodes_out_of_order_rejected(self):
+        with pytest.raises(ConfigError, match="ascend"):
+            rule_from_csv(self.rows(("1e0@64", "5e-1@64"), ("-1e0@64", "5e-1@64")))
+
+    def test_asymmetric_nodes_rejected(self):
+        # Read as a rule, these nodes would claim support radius 1.
+        with pytest.raises(ConfigError, match="mirror"):
+            rule_from_csv(self.rows(("-3e0@64", "5e-1@64"), ("1e0@64", "5e-1@64")))
+
+    def test_negative_weight_rejected(self):
+        atoms = (("-1e0@64", "75e-2@64"), ("0e0@64", "-5e-1@64"), ("1e0@64", "75e-2@64"))
+        with pytest.raises(ConfigError, match="positive"):
+            rule_from_csv(self.rows(*atoms))
+
+    def test_weights_not_summing_to_one_rejected(self):
+        with pytest.raises(ConfigError, match="sum to 1"):
+            rule_from_csv(self.rows(("-1e0@64", "5e-1@64"), ("1e0@64", "25e-2@64")))

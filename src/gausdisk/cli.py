@@ -9,6 +9,12 @@ A --config file holds key=value lines; each becomes the option --key=value
 placed right after the subcommand, so argparse checks it like a typed
 option and the options typed after it win.
 
+Each input rule is checked once: argparse checks types and choices,
+``main`` that float options are finite and --samples is at least 8, and
+the library the ranges (ConfigError).  Subcommands check only what the
+library cannot say as well: --k >= 1, a positive spec half-width, one of
+--k or --a, the grid.  --out PATH is written only when the command succeeds.
+
 Exit codes: 0 success, 2 configuration or usage problems, 3 violated
 mathematical invariants, 4 file I/O failures.
 """
@@ -16,6 +22,7 @@ mathematical invariants, 4 file I/O failures.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -63,14 +70,14 @@ def _bits_from_text(text: str, source: str) -> int:
     return bits
 
 
-def _resolve_bits(args, auto_policy) -> int | None:
-    """Precedence: explicit --precision, then the environment, then policy."""
+def _resolve_bits(args) -> int | None:
+    """The explicit --precision, else the environment's; None means auto."""
     if args.precision != "auto":
         return _bits_from_text(args.precision, "--precision")
     env = os.environ.get(_ENV_PRECISION)
     if env is not None and env.strip() and env.strip().lower() != "auto":
         return _bits_from_text(env.strip(), _ENV_PRECISION)
-    return auto_policy()
+    return None
 
 
 def _fmt_real(value: PReal, full: bool) -> str:
@@ -83,11 +90,14 @@ def _fmt_complex(value: PComplex, full: bool) -> str:
 
 @contextmanager
 def _out_stream(path):
+    """stdout, or a buffer that reaches ``path`` only if the block succeeds."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            yield handle
+        return
+    buffer = io.StringIO()
+    yield buffer
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(buffer.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +106,20 @@ def _out_stream(path):
 _MEASURE_HELP = "gauss | trunc:A | rule:K | rulefor:A | csv:PATH"
 
 
-def _parse_measure_spec(spec: str):
+def _measure_and_bits(args, radius_hint: float):
+    """Parse --measure and build it at the resolved working precision.
+
+    Auto precision uses the support half-width implied by the spec
+    together with the largest evaluation radius the command will touch.
+    """
+    spec = args.measure
     kind, sep, rest = spec.partition(":")
     kind = kind.strip().lower()
     rest = rest.strip()
+    radius = max(1.0, float(radius_hint))
     if kind == "gauss" and not sep:
-        return ("gauss", None)
+        bits = _resolve_bits(args) or working_bits(1.0, radius)
+        return StandardGaussian(bits), bits
     if kind in ("trunc", "rulefor") and sep:
         try:
             a = float(rest)
@@ -113,7 +131,11 @@ def _parse_measure_spec(spec: str):
             raise ConfigError(f"measure spec {spec!r}: half-width must be finite")
         if a <= 0:
             raise ConfigError(f"measure spec {spec!r}: half-width must be positive")
-        return (kind, a)
+        if kind == "trunc":
+            bits = _resolve_bits(args) or working_bits(a, radius)
+            return TruncatedGaussian(a, bits), bits
+        rule, bits = _rule_and_bits(args, radius, a=a)
+        return DiscreteMeasure.from_quadrature(rule), bits
     if kind == "rule" and sep:
         try:
             k = int(rest)
@@ -123,42 +145,19 @@ def _parse_measure_spec(spec: str):
             ) from None
         if k < 1:
             raise ConfigError(f"measure spec {spec!r}: node count must be >= 1")
-        return ("rule", k)
+        rule, bits = _rule_and_bits(args, radius, k=k)
+        return DiscreteMeasure.from_quadrature(rule), bits
     if kind == "csv" and sep:
         if not rest:
             raise ConfigError(f"measure spec {spec!r}: missing file path")
-        return ("csv", rest)
-    raise ConfigError(f"unknown measure spec {spec!r}; use {_MEASURE_HELP}")
-
-
-def _measure_and_bits(args, radius_hint: float):
-    """Build the requested measure at the resolved working precision.
-
-    Auto precision uses the support half-width implied by the spec
-    together with the largest evaluation radius the command will touch.
-    """
-    kind, value = _parse_measure_spec(args.measure)
-    radius = max(1.0, float(radius_hint))
-    if kind == "csv":
-        with open(value, "r", encoding="utf-8") as handle:
+        with open(rest, "r", encoding="utf-8") as handle:
             loaded = DiscreteMeasure.from_csv(handle)
-        bits = _resolve_bits(args, lambda: None)
+        bits = _resolve_bits(args)
         if bits is None or bits == loaded.bits:
             return loaded, loaded.bits
         atoms = [(x.round_to(bits), w.round_to(bits)) for x, w in loaded.atoms]
         return DiscreteMeasure(atoms, bits), bits
-
-    if kind == "gauss":
-        bits = _resolve_bits(args, lambda: working_bits(1.0, radius))
-        return StandardGaussian(bits), bits
-    if kind == "trunc":
-        bits = _resolve_bits(args, lambda: working_bits(value, radius))
-        return TruncatedGaussian(value, bits), bits
-    if kind == "rule":
-        rule, bits = _rule_and_bits(args, radius, k=value)
-    else:  # rulefor
-        rule, bits = _rule_and_bits(args, radius, a=value)
-    return DiscreteMeasure.from_quadrature(rule), bits
+    raise ConfigError(f"unknown measure spec {spec!r}; use {_MEASURE_HELP}")
 
 
 def _rule_and_bits(args, radius: float, k: int | None = None, a: float | None = None):
@@ -169,7 +168,7 @@ def _rule_and_bits(args, radius: float, k: int | None = None, a: float | None = 
         k, support = k_for_support(a), a
     else:
         support = math.sqrt(4 * k + 2)
-    bits = _resolve_bits(args, lambda: working_bits(support, radius))
+    bits = _resolve_bits(args) or working_bits(support, radius)
     return build_rule(k, bits), bits
 
 
@@ -229,11 +228,6 @@ def _cmd_rule(args) -> int:
         raise ConfigError("rule: give exactly one of --k or --a")
     if args.k is not None and args.k < 1:
         raise ConfigError("rule: --k must be >= 1")
-    if args.a is not None:
-        if not math.isfinite(args.a):
-            raise ConfigError("rule: --a must be finite")
-        if args.a <= 0:
-            raise ConfigError("rule: --a must be positive")
     rule, _ = _rule_and_bits(args, 1.0, k=args.k, a=args.a)
     with _out_stream(args.out) as out:
         rule_to_csv(rule, out)
@@ -298,12 +292,6 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_supdisk(args) -> int:
-    if not math.isfinite(args.r):
-        raise ConfigError("supdisk: --r must be finite")
-    if args.r < 0:
-        raise ConfigError("supdisk: --r must be nonnegative")
-    if args.samples < 8:
-        raise ConfigError("supdisk: --samples must be at least 8")
     measure, bits = _measure_and_bits(args, args.r)
     full = args.full_precision
     with _out_stream(args.out) as out:
@@ -318,8 +306,6 @@ def _cmd_supdisk(args) -> int:
             print(f"tail_ceiling {_fmt_real(report.tail_ceiling, full)}", file=out)
             print(f"certified {report.certified}", file=out)
         else:
-            if args.r == 0:
-                raise ConfigError("supdisk: circle radius must be positive")
             report = sup_on_circle(measure, args.r, bits=bits, n_samples=args.samples)
             print(f"circle_radius {_fmt_real(report.radius, full)}", file=out)
             print(f"bits {bits}", file=out)
@@ -367,21 +353,19 @@ def _parse_grid_text(text: str):
 
 def _cmd_figure(args) -> int:
     grid = _parse_grid_text(args.grid) if args.grid else default_grid()
-    if args.samples < 8:
-        raise ConfigError("figure: --samples must be at least 8")
-    if not math.isfinite(args.b):
-        raise ConfigError("figure: --b must be finite")
-    if args.b <= 0:
-        raise ConfigError("figure: --b must be positive")
-    override = _resolve_bits(args, lambda: None)
     table = run_figure(
         grid,
         b=args.b,
         n_samples=args.samples,
-        bits_override=override,
+        bits_override=_resolve_bits(args),
         progress=lambda line: print(line, file=sys.stderr),
     )
     full = args.full_precision
+
+    def c1(m) -> str:
+        return f"{_fmt_real(m.c1, full)} binding_a {m.binding_a!r} floored {m.floored}"
+
+    rate = "slope {0.slope:.6f} intercept {0.intercept:.6f} rows {0.n_rows}".format
     with _out_stream(args.out) as out:
         for row in table.rows:
             print(
@@ -390,34 +374,20 @@ def _cmd_figure(args) -> int:
                 f"err_quad {_fmt_real(row.err_quad, full)}",
                 file=out,
             )
-        trunc_fit = quad_fit = model = None
-        try:
-            trunc_fit = fit_truncation_rate(table)
-            print(
-                f"fit_trunc slope {trunc_fit.slope:.6f} "
-                f"intercept {trunc_fit.intercept:.6f} rows {trunc_fit.n_rows}",
-                file=out,
-            )
-        except ConfigError as exc:
-            print(f"fit_trunc unavailable: {exc}", file=out)
-        try:
-            quad_fit = fit_quadrature_rate(table)
-            print(
-                f"fit_quad slope {quad_fit.slope:.6f} "
-                f"intercept {quad_fit.intercept:.6f} rows {quad_fit.n_rows}",
-                file=out,
-            )
-        except ConfigError as exc:
-            print(f"fit_quad unavailable: {exc}", file=out)
-        try:
-            model = fit_c1(table)
-            print(
-                f"fit_c1 {_fmt_real(model.c1, full)} binding_a {model.binding_a!r} "
-                f"floored {model.floored}",
-                file=out,
-            )
-        except ConfigError as exc:
-            print(f"fit_c1 unavailable: {exc}", file=out)
+        fits = {}
+        # Built per call, so a fit rebound in this module (test, tracer) is used.
+        for label, fit, describe in (
+            ("fit_trunc", fit_truncation_rate, rate),
+            ("fit_quad", fit_quadrature_rate, rate),
+            ("fit_c1", fit_c1, c1),
+        ):
+            try:
+                fits[label] = fit(table)
+            except ConfigError as exc:
+                print(f"{label} unavailable: {exc}", file=out)
+            else:
+                print(f"{label} {describe(fits[label])}", file=out)
+        model = fits.get("fit_c1")
         if model is not None:
             for row in table.rows:
                 report = validate_tail_bound(
@@ -437,20 +407,14 @@ def _cmd_figure(args) -> int:
         svg_path=args.svg,
         manifest_path=args.manifest,
         model=model,
-        trunc_fit=trunc_fit,
-        quad_fit=quad_fit,
+        trunc_fit=fits.get("fit_trunc"),
+        quad_fit=fits.get("fit_quad"),
     )
     return 0
 
 
 def _cmd_superflat(args) -> int:
-    if not math.isfinite(args.a):
-        raise ConfigError("superflat: --a must be finite")
-    if args.a < 4:
-        raise ConfigError("superflat: --a must be at least 4")
-    if args.samples < 8:
-        raise ConfigError("superflat: --samples must be at least 8")
-    mixture = build_superflat(args.a, _resolve_bits(args, lambda: None))
+    mixture = build_superflat(args.a, _resolve_bits(args))
     full = args.full_precision
     with _out_stream(args.out) as out:
         superflat_to_csv(mixture, out)
@@ -671,6 +635,12 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             tokens = _config_tokens(args.config, commands, args.command)
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        # The number rules every subcommand shares; ranges are the library's.
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{args.command}: --{name} must be finite")
+        if getattr(args, "samples", 8) < 8:
+            raise ConfigError(f"{args.command}: --samples must be at least 8")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .disks import sup_on_circle
+from .disks import _RESOLUTION_EXP, sup_on_circle
 from .errors import ChainViolation, ConfigError, InsufficientDataError
 from .hermite import build_rule, k_for_support
 from .measures import DiscreteMeasure, TruncatedGaussian
@@ -434,6 +434,7 @@ def figure_svg_text(table: RateTable, model: TailBoundModel | None = None) -> st
         f'<rect x="{left:.2f}" y="{top:.2f}" width="{right - left:.2f}" '
         f'height="{bottom - top:.2f}" fill="none" stroke="#333333"/>'
     )
+    legend, legend_y = [], top + 16
     for key, label, color, dash in _SVG_SERIES:
         if key not in series:
             continue
@@ -445,21 +446,17 @@ def figure_svg_text(table: RateTable, model: TailBoundModel | None = None) -> st
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="1.8"{dash_attr}/>'
         )
-    legend_y = top + 16
-    for key, label, color, dash in _SVG_SERIES:
-        if key not in series:
-            continue
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        out.append(
+        legend.append(
             f'<line x1="{right - 190:.2f}" y1="{legend_y:.2f}" '
             f'x2="{right - 160:.2f}" y2="{legend_y:.2f}" stroke="{color}" '
             f'stroke-width="1.8"{dash_attr}/>'
         )
-        out.append(
+        legend.append(
             f'<text x="{right - 152:.2f}" y="{legend_y + 4:.2f}" '
             f'font-family="monospace" font-size="11">{label}</text>'
         )
         legend_y += 16
+    out += legend
     out.append(
         f'<text x="{(left + right) / 2:.2f}" y="430" font-family="monospace" '
         'font-size="12" text-anchor="middle">support half-width a</text>'
@@ -482,27 +479,13 @@ def manifest_text(
     doc = {
         "b": table.b,
         "n_samples": table.n_samples,
-        "scan_resolution_exp": -64,
+        "scan_resolution_exp": _RESOLUTION_EXP,
         "rows": [
             {"a": row.a, "k": row.k, "bits": row.bits} for row in table.rows
         ],
         "fits": {
-            "truncation": None
-            if trunc_fit is None
-            else {
-                "slope": trunc_fit.slope,
-                "intercept": trunc_fit.intercept,
-                "n_rows": trunc_fit.n_rows,
-                "x_label": trunc_fit.x_label,
-            },
-            "quadrature": None
-            if quad_fit is None
-            else {
-                "slope": quad_fit.slope,
-                "intercept": quad_fit.intercept,
-                "n_rows": quad_fit.n_rows,
-                "x_label": quad_fit.x_label,
-            },
+            "truncation": None if trunc_fit is None else asdict(trunc_fit),
+            "quadrature": None if quad_fit is None else asdict(quad_fit),
         },
         "c1_fit": None
         if model is None
@@ -528,16 +511,14 @@ def emit_figure(
 ) -> list:
     """Write the requested artifacts; returns the paths written."""
     written = []
-    if csv_path is not None:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(figure_csv_text(table, model))
-        written.append(csv_path)
-    if svg_path is not None:
-        with open(svg_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(figure_svg_text(table, model))
-        written.append(svg_path)
-    if manifest_path is not None:
-        with open(manifest_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(manifest_text(table, trunc_fit, quad_fit, model))
-        written.append(manifest_path)
+    for path, render in (
+        (csv_path, lambda: figure_csv_text(table, model)),
+        (svg_path, lambda: figure_svg_text(table, model)),
+        (manifest_path, lambda: manifest_text(table, trunc_fit, quad_fit, model)),
+    ):
+        if path is not None:
+            text = render()
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            written.append(path)
     return written

@@ -110,6 +110,13 @@ class TestTransform:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_negative_real_part_takes_the_equals_form(self, capsys):
+        # "--z -2,0.25" reads as an unknown option; "--z=-2,0.25" does not.
+        code1, out1, _ = run_cli(capsys, "transform", "--z=-2,0.25")
+        code2, out2, _ = run_cli(capsys, "transform", "--z", "-2 0.25")
+        assert code1 == code2 == 0
+        assert out1 == out2 and out1.startswith("z -2.0 0.25 error ")
+
     def test_char_of_two_point_rule(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -380,6 +387,15 @@ class TestFigure:
         code, out, err = run_cli(capsys, "figure", "--grid", "4:70:1")
         assert code == 2 and out == ""
         assert err == "error: support half-width a=65 is outside [1, 64]\n"
+
+    def test_unrenderable_artifact_leaves_no_file(self, capsys, tmp_path):
+        # One row is too few to draw, and the SVG is rendered before its file opens.
+        svg_path = tmp_path / "fig.svg"
+        code, _, err = run_cli(
+            capsys, "figure", "--grid", "4", "--samples", "16", "--svg", str(svg_path)
+        )
+        assert code == 2 and "need at least 2 rows" in err
+        assert not svg_path.exists()
 
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "figure", "--grid", "5:4:1", "--samples", "16")
@@ -670,6 +686,41 @@ class TestExitCodes:
     def test_no_subcommand(self, capsys):
         assert run_cli(capsys, )[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("supdisk", "--r", "0"),
+            ("supdisk", "--measure", "gauss", "--line", "--r", "1"),
+            ("transform", "--measure", "trunc:60", "--z", "1", "--z", "10"),
+        ],
+        ids=["zero-radius", "line-needs-support", "second-point-fails"],
+    )
+    def test_failed_command_leaves_no_out_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("rule", "--a", "-3"), "support half-width must be at least 1"),
+            (("supdisk", "--r", "-1"), "circle radius must be positive"),
+            (
+                ("supdisk", "--measure", "rule:4", "--line", "--r", "-1"),
+                "line offset must be nonnegative",
+            ),
+            (("supdisk", "--r", "0"), "circle radius must be positive"),
+            (("figure", "--b", "0"), "disk radius b must be positive"),
+            (("superflat", "--a", "3"), "the superflat construction requires a >= 4"),
+        ],
+        ids=["rule-a", "supdisk-circle", "supdisk-line", "supdisk-zero", "figure-b", "superflat-a"],
+    )
+    def test_range_is_checked_by_the_library(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -694,10 +745,13 @@ class TestExitCodes:
             (("supdisk", "--r", "{}"), "supdisk: --r must be finite"),
             (("figure", "--b", "{}"), "figure: --b must be finite"),
             (("superflat", "--a", "{}"), "superflat: --a must be finite"),
+            (("figure", "--config", "{conf}"), "figure: --b must be finite"),
         ],
-        ids=["trunc", "rule", "supdisk", "figure", "superflat"],
+        ids=["trunc", "rule", "supdisk", "figure", "superflat", "config"],
     )
-    def test_non_finite_number_is_named(self, capsys, argv, message, value):
-        code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
+    def test_non_finite_number_is_named(self, capsys, tmp_path, argv, message, value):
+        conf = tmp_path / "conf.txt"
+        conf.write_text(f"b={value}\n")
+        code, out, err = run_cli(capsys, *(arg.format(value, conf=conf) for arg in argv))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err

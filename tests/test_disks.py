@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gausdisk.disks import (
     ConvexityReport,
@@ -185,6 +187,37 @@ class TestRealAxisPath:
             gap = abs(moment(rule, 2 * m) - double_factorial(2 * m - 1))
             bound = bound + 2 * gap * PReal(r, bits) ** (2 * m) / math.factorial(2 * m)
         assert bound < PReal(2, bits) ** -(bits // 2) * at_axis
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @given(
+        family=st.one_of(
+            st.tuples(st.just("rule"), st.integers(2, 12)),
+            st.tuples(st.just("trunc"), st.floats(1, 8)),
+        ),
+        r=st.floats(0.25, 3),
+        bits=st.sampled_from([96, 128, 192, 256]),
+    )
+    # |B(1/4)| = 2.8e-30 for the 12-node rule, under the 96-bit floor: the
+    # axis reads 4.3e-30 there and the scan 1.2e-29.
+    @example(family=("rule", 12), r=0.25, bits=96)
+    def test_scan_never_beats_the_theorem_value(self, family, r, bits):
+        # -B has nonnegative Taylor coefficients, so the circle's max is |B(r)|.
+        # The scan starts at theta = 0, so it cannot read less; it may read
+        # more by rounding: relatively 2**-(bits//2), or, where |B| lies below
+        # the rounding floor of the terms e**(z**2/2) and L(z) that cancel in
+        # it, a few units in the last place of e**(r**2/2).
+        kind, value = family
+        if kind == "rule":
+            m = DiscreteMeasure.from_quadrature(build_rule(value, bits))
+        else:
+            m = TruncatedGaussian(value, bits)
+        axis = sup_on_circle(m, r, n_samples=16)
+        scan = forced_scan(m, r, 16)
+        assert axis.method == "real-axis" and scan.method == "scan"
+        two = PReal(2, bits)
+        floor = exp(PReal(r, bits) ** 2 / 2) * two ** (4 - bits)
+        assert axis.sup_value <= scan.sup_value
+        assert scan.sup_value <= axis.sup_value * (1 + two ** -(bits // 2)) + floor
 
     def test_convexity_retry_skipped_for_exact_sups(self):
         class Kinked(Measure):

@@ -401,15 +401,15 @@ def _cmd_figure(args) -> int:
                     f"{name}={value}" for name, value in sorted(report.checks.items())
                 )
                 print(f"tail_chain a {row.a!r} {flags}", file=out)
-    emit_figure(
-        table,
-        csv_path=args.csv,
-        svg_path=args.svg,
-        manifest_path=args.manifest,
-        model=model,
-        trunc_fit=fits.get("fit_trunc"),
-        quad_fit=fits.get("fit_quad"),
-    )
+        emit_figure(
+            table,
+            csv_path=args.csv,
+            svg_path=args.svg,
+            manifest_path=args.manifest,
+            model=model,
+            trunc_fit=fits.get("fit_trunc"),
+            quad_fit=fits.get("fit_quad"),
+        )
     return 0
 
 

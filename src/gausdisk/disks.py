@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 from .errors import ConfigError, ConvexityViolation, EnvelopeViolation
 from .measures import Measure
-from .precision import PComplex, PReal, _check_bits, cos_sin, exp, log, pi_value, sqrt
+from .precision import PComplex, PReal, _check_bits, _real, cos_sin, exp, log, pi_value, sqrt
 
 __all__ = [
     "CircleSupReport",
@@ -118,14 +118,8 @@ class ConvexityReport:
     passed: bool
 
 
-def _as_preal(value, bits: int) -> PReal:
-    if isinstance(value, PReal):
-        return value.round_to(bits) if value.bits != bits else value
-    return PReal(value, bits)
-
-
 def _circle_radius(radius, bits: int) -> PReal:
-    r = _as_preal(radius, bits)
+    r = _real(radius, bits).round_to(bits)
     if not r > 0:
         raise ConfigError("circle radius must be positive")
     return r
@@ -301,7 +295,7 @@ def sup_on_line(measure: Measure, offset, n_samples: int = 1024) -> LineSupRepor
     if a is None:
         raise ConfigError("sup_on_line needs a compactly supported measure")
     b = measure.bits
-    r = _as_preal(offset, b)
+    r = _real(offset, b).round_to(b)
     if r < 0:
         raise ConfigError("line offset must be nonnegative")
     a_b = a.round_to(b)
@@ -445,7 +439,7 @@ def three_circles_check(
     if not isinstance(measure, Measure):
         raise ConfigError("three_circles_check expects a Measure")
     b = measure.bits
-    rs = tuple(_as_preal(r, b) for r in (r1, r2, r3))
+    rs = tuple(_real(r, b).round_to(b) for r in (r1, r2, r3))
     if not (0 < rs[0] < rs[1] < rs[2]):
         raise ConfigError("radii must satisfy 0 < r1 < r2 < r3")
     lam = (log(rs[1]) - log(rs[0])) / (log(rs[2]) - log(rs[0]))
@@ -479,7 +473,7 @@ def three_lines_check(
     if not isinstance(measure, Measure):
         raise ConfigError("three_lines_check expects a Measure")
     b = measure.bits
-    rs = tuple(_as_preal(r, b) for r in (r1, r2, r3))
+    rs = tuple(_real(r, b).round_to(b) for r in (r1, r2, r3))
     if not (rs[0] < rs[1] < rs[2]):
         raise ConfigError("offsets must satisfy r1 < r2 < r3")
     if rs[0] < 0:

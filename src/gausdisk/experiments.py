@@ -43,7 +43,7 @@ from .disks import _RESOLUTION_EXP, sup_on_circle
 from .errors import ChainViolation, ConfigError, InsufficientDataError
 from .hermite import build_rule, k_for_support
 from .measures import DiscreteMeasure, TruncatedGaussian
-from .precision import PReal, _check_bits, exp, log, sqrt, working_bits
+from .precision import PReal, _check_bits, _real, exp, log, sqrt, working_bits
 
 __all__ = [
     "RateRow",
@@ -244,9 +244,7 @@ def fit_c1(table: RateTable) -> TailBoundModel:
 def tail_bound_value(c1, a, b, bits: int = 256) -> PReal:
     """3 * (c1*b/a)**(a**2/4) at the stated precision."""
     _check_bits(bits)
-    c1 = c1 if isinstance(c1, PReal) else PReal(c1, bits)
-    a = a if isinstance(a, PReal) else PReal(a, bits)
-    b = b if isinstance(b, PReal) else PReal(b, bits)
+    c1, a, b = (_real(x, bits) for x in (c1, a, b))
     ratio = c1.round_to(bits) * b / a
     return 3 * exp(log(ratio) * (a * a) / 4)
 
@@ -311,7 +309,7 @@ def validate_tail_bound(
 
     err = None
     if err_quad is not None:
-        err = err_quad if isinstance(err_quad, PReal) else PReal(err_quad, bits)
+        err = _real(err_quad, bits)
 
     checks = {
         "err_le_ell_sum": None if err is None else bool(err <= ell_sum),
@@ -509,16 +507,19 @@ def emit_figure(
     trunc_fit: RateFit | None = None,
     quad_fit: RateFit | None = None,
 ) -> list:
-    """Write the requested artifacts; returns the paths written."""
-    written = []
-    for path, render in (
-        (csv_path, lambda: figure_csv_text(table, model)),
-        (svg_path, lambda: figure_svg_text(table, model)),
-        (manifest_path, lambda: manifest_text(table, trunc_fit, quad_fit, model)),
-    ):
-        if path is not None:
-            text = render()
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-            written.append(path)
-    return written
+    """Write the requested artifacts; returns the paths written.  Every
+    artifact is rendered before any file is opened, so an artifact that
+    cannot be drawn leaves no file."""
+    texts = [
+        (path, render())
+        for path, render in (
+            (csv_path, lambda: figure_csv_text(table, model)),
+            (svg_path, lambda: figure_svg_text(table, model)),
+            (manifest_path, lambda: manifest_text(table, trunc_fit, quad_fit, model)),
+        )
+        if path is not None
+    ]
+    for path, text in texts:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return [path for path, _ in texts]

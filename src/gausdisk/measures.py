@@ -249,11 +249,7 @@ class DiscreteMeasure(Measure):
     """
 
     def __init__(self, atoms: Iterable[tuple], bits: int | None = None):
-        coerced = []
-        for loc, mass in atoms:
-            loc = loc if isinstance(loc, PReal) else PReal(loc, bits)
-            mass = mass if isinstance(mass, PReal) else PReal(mass, bits)
-            coerced.append((loc, mass))
+        coerced = [(_real(loc, bits), _real(mass, bits)) for loc, mass in atoms]
         if not coerced:
             raise ConfigError("a discrete measure needs at least one atom")
         if bits is None:
@@ -476,7 +472,7 @@ def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | P
     a_w = PComplex(a, PReal(0, wp), bits=wp)
     q_plus = 1 - normal_cdf(a_w + zw, wp)
     q_minus = 1 - normal_cdf(a_w - zw, wp)
-    gauss = PComplex._wrap(*_gauss_raw(zw.raw, wp), wp)
+    gauss = PComplex._wrap(_gauss_raw(zw.raw, wp), wp)
     value = -(gauss * (q_plus + q_minus - 2 * q_a)) / denom
     return _like(z, value.raw, out_bits)
 

@@ -13,6 +13,15 @@ operation and makes values safe to share across threads.
 Infinities and NaNs are rejected at construction and whenever an
 operation would produce one; see :class:`gausdisk.errors.NonFiniteError`.
 
+PReal and PComplex share one core: each holds one raw libmp value (an mpf
+tuple, or for PComplex the pair (re, im) of them) and its bits, and each
+arithmetic operator, ``**``, unary minus and ``round_to`` is written once,
+calling the ``mpf_*`` or ``mpc_*`` function its class names.  Equal
+scalars hash equally, across both classes and Python's int, float and
+complex: a PReal hashes with libmp's ``mpf_hash``, which is Python's
+numeric hash, and a PComplex with Python's complex rule over its two part
+hashes.
+
 The kernels run on raw libmp values, and this module owns the way in and
 out: ``_real`` and ``_scalar`` lift Python numbers to PReal and PComplex,
 ``_pair`` gives a value's raw (re, im) pair, a real one with an exact zero
@@ -28,7 +37,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import re
+import sys
 from typing import TextIO
 
 from mpmath.libmp import (
@@ -43,6 +54,7 @@ from mpmath.libmp import (
     mpc_exp,
     mpc_mul,
     mpc_neg,
+    mpc_pos,
     mpc_pow_int,
     mpc_sqrt,
     mpc_sub,
@@ -52,6 +64,7 @@ from mpmath.libmp import (
     mpf_cos_sin,
     mpf_div,
     mpf_exp,
+    mpf_hash,
     mpf_log,
     mpf_mul,
     mpf_neg,
@@ -92,6 +105,11 @@ MAX_BITS = 2**18
 _RND = round_nearest
 
 _LOG10_2 = math.log10(2.0)
+
+# Python hashes a complex number as hash(re) + _HASH_IMAG * hash(im),
+# wrapped to a signed machine word.
+_HASH_IMAG = sys.hash_info.imag
+_HASH_WORD = 2**sys.hash_info.width
 
 # The exponent and the precision of a tag are short numbers; capping their
 # digit counts keeps int() away from the interpreter's digit limit.
@@ -145,22 +163,104 @@ def _check_bits(bits: int) -> int:
     return bits
 
 
-def _raw_is_finite(raw) -> bool:
+def _checked(raw, what: str = "operation"):
     # Normalized mpf tuples use a zero mantissa only for 0 and the three
     # special values, which are distinguished by the exponent slot.
-    return raw[1] != 0 or raw == fzero
-
-
-def _checked(raw, what: str = "operation"):
-    if not _raw_is_finite(raw):
+    if raw[1] == 0 and raw != fzero:
         raise NonFiniteError(f"{what} produced a non-finite value")
     return raw
 
 
-class PReal:
-    """An immutable real number with a stated precision in bits."""
+def _checked_pair(pair):
+    _checked(pair[0])
+    _checked(pair[1])
+    return pair
+
+
+class _Scalar:
+    """What PReal and PComplex share: a raw libmp value and a stated
+    precision, and the operators that differ only in the libmp functions
+    they call.  Each subclass names its functions (``mpf_*`` or ``mpc_*``)
+    and its finiteness check, and supplies ``_coerce``, which turns an
+    operand into a raw value of its own kind and that operand's bits, or
+    None when the operand is not a number it takes."""
 
     __slots__ = ("_raw", "_bits")
+
+    @classmethod
+    def _wrap(cls, raw, bits: int):
+        out = object.__new__(cls)
+        out._raw = cls._check(raw)
+        out._bits = bits
+        return out
+
+    @property
+    def bits(self) -> int:
+        return self._bits
+
+    @property
+    def raw(self):
+        """The underlying libmp value: a normalized tuple (sign, man, exp,
+        bc) for PReal, a pair (re, im) of them for PComplex."""
+        return self._raw
+
+    def round_to(self, bits: int):
+        """Return this value rounded to nearest at a new stated precision."""
+        _check_bits(bits)
+        return self._wrap(self._pos(self._raw, bits, _RND), bits)
+
+    def _binop(self, other, op, reverse=False):
+        pair = self._coerce(other)
+        if pair is None:
+            return NotImplemented
+        raw, obits = pair
+        bits = max(self._bits, obits)
+        a, b = (raw, self._raw) if reverse else (self._raw, raw)
+        return self._wrap(op(a, b, bits, _RND), bits)
+
+    # Addition and multiplication round the exact result, so their operands
+    # commute bit for bit and the reflected forms need no swap.
+    def __add__(self, other):
+        return self._binop(other, self._add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._binop(other, self._sub)
+
+    def __rsub__(self, other):
+        return self._binop(other, self._sub, reverse=True)
+
+    def __mul__(self, other):
+        return self._binop(other, self._mul)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._binop(other, self._div)
+
+    def __rtruediv__(self, other):
+        return self._binop(other, self._div, reverse=True)
+
+    def __pow__(self, other):
+        if isinstance(other, int) and not isinstance(other, bool):
+            return self._wrap(self._pow_int(self._raw, other, self._bits, _RND), self._bits)
+        return NotImplemented
+
+    def __neg__(self):
+        # Exact: negation never rounds.
+        return self._wrap(self._neg(self._raw), self._bits)
+
+
+class PReal(_Scalar):
+    """An immutable real number with a stated precision in bits."""
+
+    __slots__ = ()
+    _check, _pos, _neg, _add, _sub, _mul, _div, _pow_int, _exp, _sqrt = map(
+        staticmethod,
+        (_checked, mpf_pos, mpf_neg, mpf_add, mpf_sub,
+         mpf_mul, mpf_div, mpf_pow_int, mpf_exp, mpf_sqrt),
+    )
 
     def __init__(self, value, bits: int | None = None):
         if isinstance(value, PReal):
@@ -200,31 +300,8 @@ class PReal:
         self._raw = _checked(raw, "construction")
         self._bits = bits
 
-    @classmethod
-    def _wrap(cls, raw, bits: int) -> "PReal":
-        out = object.__new__(cls)
-        out._raw = _checked(raw)
-        out._bits = bits
-        return out
-
-    @property
-    def bits(self) -> int:
-        return self._bits
-
-    @property
-    def raw(self):
-        """The underlying normalized libmp tuple (sign, man, exp, bc)."""
-        return self._raw
-
-    def round_to(self, bits: int) -> "PReal":
-        """Return this value rounded to nearest at a new stated precision."""
-        _check_bits(bits)
-        return PReal._wrap(mpf_pos(self._raw, bits, _RND), bits)
-
     def is_zero(self) -> bool:
         return self._raw == fzero
-
-    # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, PReal):
@@ -239,82 +316,30 @@ class PReal:
             return from_float(other), self._bits
         return None
 
-    def _binop(self, other, op, reverse=False):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        raw, obits = pair
-        bits = max(self._bits, obits)
-        a, b = (raw, self._raw) if reverse else (self._raw, raw)
-        return PReal._wrap(op(a, b, bits, _RND), bits)
-
-    def __add__(self, other):
-        return self._binop(other, mpf_add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, mpf_sub)
-
-    def __rsub__(self, other):
-        return self._binop(other, mpf_sub, reverse=True)
-
-    def __mul__(self, other):
-        return self._binop(other, mpf_mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, mpf_div)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, mpf_div, reverse=True)
-
-    def __pow__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            return PReal._wrap(mpf_pow_int(self._raw, other, self._bits, _RND), self._bits)
-        return NotImplemented
-
-    def __neg__(self):
-        return PReal._wrap(mpf_neg(self._raw), self._bits)
-
     def __pos__(self):
         return self
 
     def __abs__(self):
+        # Exact, as negation is.
         return PReal._wrap(mpf_abs(self._raw), self._bits)
 
     # -- comparisons ---------------------------------------------------
 
-    def _cmp(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return None
-        return mpf_cmp(self._raw, pair[0])
+    def _comparison(test):
+        def compare(self, other):
+            pair = self._coerce(other)
+            return NotImplemented if pair is None else test(mpf_cmp(self._raw, pair[0]), 0)
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c == 0
+        return compare
 
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is None else c >= 0
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _comparison, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+    )
+    del _comparison
 
     def __hash__(self):
-        # Normalized tuples are canonical, so equal values hash equally.
-        return hash(self._raw)
+        # Python's numeric hash, so a PReal hashes as the equal int or float.
+        return mpf_hash(self._raw)
 
     # -- conversions ---------------------------------------------------
 
@@ -379,20 +404,24 @@ class PReal:
         return cls._wrap(raw, bits)
 
 
-class PComplex:
-    """An immutable complex number; both parts share one stated precision."""
+class PComplex(_Scalar):
+    """An immutable complex number; both parts share one stated precision,
+    and its raw value is the libmp pair (re, im)."""
 
-    __slots__ = ("_re", "_im", "_bits")
+    __slots__ = ()
+    _check, _pos, _neg, _add, _sub, _mul, _div, _pow_int, _exp, _sqrt = map(
+        staticmethod,
+        (_checked_pair, mpc_pos, mpc_neg, mpc_add, mpc_sub,
+         mpc_mul, mpc_div, mpc_pow_int, mpc_exp, mpc_sqrt),
+    )
 
     def __init__(self, real, imag=None, bits: int | None = None):
         if isinstance(real, PComplex) and imag is None:
             if bits is None:
-                self._re, self._im, self._bits = real._re, real._im, real._bits
+                self._raw, self._bits = real._raw, real._bits
             else:
                 _check_bits(bits)
-                self._re = mpf_pos(real._re, bits, _RND)
-                self._im = mpf_pos(real._im, bits, _RND)
-                self._bits = bits
+                self._raw, self._bits = mpc_pos(real._raw, bits, _RND), bits
             return
         if isinstance(real, complex):
             if imag is not None:
@@ -406,52 +435,27 @@ class PComplex:
             bits = max(re_part.bits, im_part.bits)
         else:
             _check_bits(bits)
-        self._re = mpf_pos(re_part._raw, bits, _RND)
-        self._im = mpf_pos(im_part._raw, bits, _RND)
+        self._raw = mpc_pos((re_part._raw, im_part._raw), bits, _RND)
         self._bits = bits
-
-    @classmethod
-    def _wrap(cls, re_raw, im_raw, bits: int) -> "PComplex":
-        out = object.__new__(cls)
-        out._re = _checked(re_raw)
-        out._im = _checked(im_raw)
-        out._bits = bits
-        return out
-
-    @property
-    def bits(self) -> int:
-        return self._bits
 
     @property
     def real(self) -> PReal:
-        return PReal._wrap(self._re, self._bits)
+        return PReal._wrap(self._raw[0], self._bits)
 
     @property
     def imag(self) -> PReal:
-        return PReal._wrap(self._im, self._bits)
-
-    @property
-    def raw(self):
-        """The underlying pair of libmp tuples (re, im)."""
-        return (self._re, self._im)
-
-    def round_to(self, bits: int) -> "PComplex":
-        _check_bits(bits)
-        return PComplex._wrap(
-            mpf_pos(self._re, bits, _RND), mpf_pos(self._im, bits, _RND), bits
-        )
+        return PReal._wrap(self._raw[1], self._bits)
 
     def conjugate(self) -> "PComplex":
-        return PComplex._wrap(self._re, mpf_neg(self._im), self._bits)
+        re_raw, im_raw = self._raw
+        return PComplex._wrap((re_raw, mpf_neg(im_raw)), self._bits)
 
     def is_zero(self) -> bool:
-        return self._re == fzero and self._im == fzero
-
-    # -- arithmetic ----------------------------------------------------
+        return self._raw == (fzero, fzero)
 
     def _coerce(self, other):
         if isinstance(other, PComplex):
-            return (other._re, other._im), other._bits
+            return other._raw, other._bits
         if isinstance(other, PReal):
             return (other._raw, fzero), other._bits
         if isinstance(other, bool):
@@ -468,67 +472,26 @@ class PComplex:
             return (from_float(other.real), from_float(other.imag)), self._bits
         return None
 
-    def _binop(self, other, op, reverse=False):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        z, obits = pair
-        bits = max(self._bits, obits)
-        a, b = (z, (self._re, self._im)) if reverse else ((self._re, self._im), z)
-        re_raw, im_raw = op(a, b, bits, _RND)
-        return PComplex._wrap(re_raw, im_raw, bits)
-
-    def __add__(self, other):
-        return self._binop(other, mpc_add)
-
-    def __radd__(self, other):
-        return self._binop(other, mpc_add, reverse=True)
-
-    def __sub__(self, other):
-        return self._binop(other, mpc_sub)
-
-    def __rsub__(self, other):
-        return self._binop(other, mpc_sub, reverse=True)
-
-    def __mul__(self, other):
-        return self._binop(other, mpc_mul)
-
-    def __rmul__(self, other):
-        return self._binop(other, mpc_mul, reverse=True)
-
-    def __truediv__(self, other):
-        return self._binop(other, mpc_div)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, mpc_div, reverse=True)
-
-    def __pow__(self, other):
-        if isinstance(other, int) and not isinstance(other, bool):
-            re_raw, im_raw = mpc_pow_int(
-                (self._re, self._im), other, self._bits, _RND
-            )
-            return PComplex._wrap(re_raw, im_raw, self._bits)
-        return NotImplemented
-
-    def __neg__(self):
-        re_raw, im_raw = mpc_neg((self._re, self._im))
-        return PComplex._wrap(re_raw, im_raw, self._bits)
-
     def __abs__(self) -> PReal:
-        return PReal._wrap(mpc_abs((self._re, self._im), self._bits, _RND), self._bits)
+        return PReal._wrap(mpc_abs(self._raw, self._bits, _RND), self._bits)
 
     def __eq__(self, other):
         pair = self._coerce(other)
         if pair is None:
             return NotImplemented
         (re_raw, im_raw), _ = pair
-        return mpf_cmp(self._re, re_raw) == 0 and mpf_cmp(self._im, im_raw) == 0
+        return mpf_cmp(self._raw[0], re_raw) == 0 and mpf_cmp(self._raw[1], im_raw) == 0
 
     def __hash__(self):
-        return hash((self._re, self._im))
+        # Python's complex hash over the two part hashes, so a PComplex
+        # hashes as the equal complex, float, int or PReal.  mpc_hash is not
+        # used: it reduces unsigned, and -1+0j would not hash as -1.
+        re_hash, im_hash = map(mpf_hash, self._raw)
+        h = (re_hash + _HASH_IMAG * im_hash) % _HASH_WORD
+        return h - _HASH_WORD if h >= _HASH_WORD // 2 else h
 
     def __complex__(self) -> complex:
-        return complex(to_float(self._re, rnd=_RND), to_float(self._im, rnd=_RND))
+        return complex(to_float(self._raw[0], rnd=_RND), to_float(self._raw[1], rnd=_RND))
 
     def serialize(self) -> str:
         """Two real tags separated by one space, real part first."""
@@ -545,16 +508,14 @@ class PComplex:
             raise ConfigError(
                 f"complex tag parts disagree on precision: {text!r}"
             )
-        return cls._wrap(re_part._raw, im_part._raw, re_part.bits)
+        return cls._wrap((re_part._raw, im_part._raw), re_part.bits)
 
     def __str__(self) -> str:
-        return f"({self.real} {'+' if self._im[0] == 0 else '-'} {abs(self.imag)}j)"
+        return f"({self.real} {'+' if self._raw[1][0] == 0 else '-'} {abs(self.imag)}j)"
 
     def __repr__(self) -> str:
-        return (
-            f"PComplex({to_str(self._re, 24)}, {to_str(self._im, 24)}, "
-            f"bits={self._bits})"
-        )
+        re_raw, im_raw = self._raw
+        return f"PComplex({to_str(re_raw, 24)}, {to_str(im_raw, 24)}, bits={self._bits})"
 
 
 # -- the scalar boundary ----------------------------------------------
@@ -586,7 +547,7 @@ def _pair(z):
     """The raw (re, im) pair of a PReal or PComplex; a real point gets an
     exact zero imaginary part, which the libmp complex operations round as
     their real twins do and keep zero."""
-    return (z._raw, fzero) if isinstance(z, PReal) else (z._re, z._im)
+    return (z._raw, fzero) if isinstance(z, PReal) else z._raw
 
 
 def _like(z, pair, bits: int):
@@ -595,7 +556,7 @@ def _like(z, pair, bits: int):
     PComplex."""
     if isinstance(z, PReal):
         return PReal._wrap(mpf_pos(pair[0], bits, _RND), bits)
-    return PComplex._wrap(mpf_pos(pair[0], bits, _RND), mpf_pos(pair[1], bits, _RND), bits)
+    return PComplex._wrap(mpc_pos(pair, bits, _RND), bits)
 
 
 # -- tag tables -------------------------------------------------------
@@ -625,12 +586,9 @@ def read_tag_rows(src: TextIO, *headers: str) -> list[tuple[PReal, PReal]]:
 
 def exp(x):
     """e**x for PReal or PComplex, rounded at the argument's precision."""
-    if isinstance(x, PReal):
-        return PReal._wrap(mpf_exp(x._raw, x.bits, _RND), x.bits)
-    if isinstance(x, PComplex):
-        re_raw, im_raw = mpc_exp(x.raw, x.bits, _RND)
-        return PComplex._wrap(re_raw, im_raw, x.bits)
-    raise ConfigError(f"exp expects PReal or PComplex, got {type(x).__name__}")
+    if not isinstance(x, _Scalar):
+        raise ConfigError(f"exp expects PReal or PComplex, got {type(x).__name__}")
+    return x._wrap(x._exp(x._raw, x._bits, _RND), x._bits)
 
 
 def log(x: PReal) -> PReal:
@@ -644,14 +602,11 @@ def log(x: PReal) -> PReal:
 
 def sqrt(x):
     """Square root of a nonnegative PReal or of a PComplex."""
-    if isinstance(x, PReal):
-        if x._raw[0]:
-            raise ConfigError("sqrt of a negative PReal; use PComplex")
-        return PReal._wrap(mpf_sqrt(x._raw, x.bits, _RND), x.bits)
-    if isinstance(x, PComplex):
-        re_raw, im_raw = mpc_sqrt(x.raw, x.bits, _RND)
-        return PComplex._wrap(re_raw, im_raw, x.bits)
-    raise ConfigError(f"sqrt expects PReal or PComplex, got {type(x).__name__}")
+    if not isinstance(x, _Scalar):
+        raise ConfigError(f"sqrt expects PReal or PComplex, got {type(x).__name__}")
+    if isinstance(x, PReal) and x._raw[0]:
+        raise ConfigError("sqrt of a negative PReal; use PComplex")
+    return x._wrap(x._sqrt(x._raw, x._bits, _RND), x._bits)
 
 
 def pi_value(bits: int) -> PReal:

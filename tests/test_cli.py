@@ -397,6 +397,16 @@ class TestFigure:
         assert code == 2 and "need at least 2 rows" in err
         assert not svg_path.exists()
 
+    def test_failed_figure_leaves_none_of_its_paths(self, capsys, tmp_path):
+        # The CSV renders from one row; it must still not be written, nor --out.
+        paths = {name: tmp_path / name for name in ("f.csv", "f.svg", "o.txt")}
+        code, out, err = run_cli(
+            capsys, "figure", "--grid", "4", "--csv", str(paths["f.csv"]),
+            "--svg", str(paths["f.svg"]), "--out", str(paths["o.txt"]),
+        )
+        assert code == 2 and out == "" and "need at least 2 rows" in err
+        assert [p.name for p in paths.values() if p.exists()] == []
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "figure", "--grid", "5:4:1", "--samples", "16")
         assert code == 2

@@ -1,5 +1,6 @@
-"""Property tests of the scalar layer: every operator rounds as libmp does,
-and values cross the raw boundary unchanged."""
+"""Property tests of the scalar layer: every operator and elementary
+function rounds as libmp does, for PReal and PComplex alike; values cross
+the raw boundary unchanged; and equal scalars hash equally."""
 
 import operator
 
@@ -10,19 +11,35 @@ from mpmath.libmp import (
     from_float,
     from_int,
     fzero,
+    mpc_abs,
     mpc_add,
     mpc_div,
+    mpc_exp,
     mpc_mul,
+    mpc_neg,
+    mpc_pos,
+    mpc_pow_int,
+    mpc_sqrt,
     mpc_sub,
+    mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_exp,
     mpf_mul,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
 )
 
+from gausdisk.disks import sup_on_circle, sup_on_line, three_circles_check, three_lines_check
 from gausdisk.errors import ConfigError
-from gausdisk.precision import PComplex, PReal, _like, _pair, _real, _scalar
+from gausdisk.experiments import tail_bound_value, validate_tail_bound
+from gausdisk.hermite import build_rule
+from gausdisk.measures import DiscreteMeasure
+from gausdisk.precision import PComplex, PReal, _like, _pair, _real, _scalar, exp, sqrt
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 PER_PAIR = settings(PROPERTY, max_examples=20)
@@ -96,3 +113,175 @@ def test_raw_pair_round_trip_is_the_identity(z):
 def test_boundary_rejects_non_numbers(convert, value):
     with pytest.raises(ConfigError):
         convert(value)
+
+
+# -- the rest of the shared core: one definition serves both classes ------
+
+exponents = st.integers(-12, 12)
+
+
+@PROPERTY
+@given(scalars, exponents)
+def test_integer_power_matches_libmp(x, n):
+    fn = mpc_pow_int if isinstance(x, PComplex) else mpf_pow_int
+    try:
+        want = fn(x.raw, n, x.bits, round_nearest)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            x**n
+        return
+    got = x**n
+    assert type(got) is type(x) and (got.bits, got.raw) == (x.bits, want)
+
+
+@PROPERTY
+@given(scalars)
+def test_negation_is_exact(x):
+    got = -x
+    want = mpc_neg(x.raw) if isinstance(x, PComplex) else mpf_neg(x.raw)
+    assert type(got) is type(x) and (got.bits, got.raw) == (x.bits, want)
+
+
+@PROPERTY
+@given(scalars)
+def test_abs_matches_libmp(x):
+    # A real's abs is exact; a complex one's modulus rounds at its bits.
+    got = abs(x)
+    want = mpc_abs(x.raw, x.bits, round_nearest) if isinstance(x, PComplex) else mpf_abs(x.raw)
+    assert type(got) is PReal and (got.bits, got.raw) == (x.bits, want)
+
+
+@PROPERTY
+@given(scalars, bits)
+def test_round_to_matches_libmp(x, prec):
+    got = x.round_to(prec)
+    fn = mpc_pos if isinstance(x, PComplex) else mpf_pos
+    assert type(got) is type(x) and (got.bits, got.raw) == (prec, fn(x.raw, prec, round_nearest))
+
+
+# exp of a value near 2**40 would not fit in memory; keep arguments moderate.
+moderate = st.builds(PReal, st.floats(-700, 700), bits)
+moderate_scalars = st.one_of(
+    moderate, st.builds(lambda re, im: PComplex(re, im), moderate, moderate)
+)
+
+
+@PROPERTY
+@given(moderate_scalars)
+def test_exp_matches_libmp(x):
+    fn = mpc_exp if isinstance(x, PComplex) else mpf_exp
+    got = exp(x)
+    assert type(got) is type(x)
+    assert (got.bits, got.raw) == (x.bits, fn(x.raw, x.bits, round_nearest))
+
+
+@PROPERTY
+@given(scalars)
+def test_sqrt_matches_libmp(x):
+    if isinstance(x, PReal) and x < 0:
+        with pytest.raises(ConfigError):
+            sqrt(x)
+        return
+    fn = mpc_sqrt if isinstance(x, PComplex) else mpf_sqrt
+    got = sqrt(x)
+    assert type(got) is type(x)
+    assert (got.bits, got.raw) == (x.bits, fn(x.raw, x.bits, round_nearest))
+
+
+@PROPERTY
+@given(st.one_of(reals, ints, floats), st.one_of(st.none(), bits))
+def test_real_is_the_old_ladder(x, prec):
+    # The atom, tail-bound and err_quad sites used to write
+    # ``x if isinstance(x, PReal) else PReal(x, bits)``.
+    got = _real(x, prec)
+    if isinstance(x, PReal):
+        assert got is x
+    else:
+        want = PReal(x, prec)
+        assert type(got) is PReal and (got.bits, got.raw) == (want.bits, want.raw)
+
+
+@PROPERTY
+@given(reals, st.integers(64, 256))
+def test_real_rounded_is_the_old_disk_ladder(x, prec):
+    # disks rounds a PReal radius or offset to the measure's bits.
+    got = _real(x, prec).round_to(prec)
+    want = x if x.bits == prec else x.round_to(prec)
+    assert (got.bits, got.raw) == (want.bits, want.raw)
+
+
+def _measure():
+    return DiscreteMeasure.from_quadrature(build_rule(3, 96))
+
+
+@pytest.mark.parametrize(
+    "site",
+    [
+        lambda v: DiscreteMeasure([(v, 1)], bits=64),
+        lambda v: DiscreteMeasure([(0, v)], bits=64),
+        lambda v: tail_bound_value(v, 4, 1),
+        lambda v: tail_bound_value(1, v, 1),
+        lambda v: tail_bound_value(1, 4, v),
+        lambda v: validate_tail_bound(4, 1, err_quad=v),
+        lambda v: sup_on_circle(_measure(), v),
+        lambda v: sup_on_line(_measure(), v),
+        lambda v: three_circles_check(_measure(), v, 2, 3),
+        lambda v: three_lines_check(_measure(), v, 2, 3),
+    ],
+    ids=[
+        "atom-location", "atom-mass", "tail-c1", "tail-a", "tail-b", "err-quad",
+        "circle-radius", "line-offset", "three-circles", "three-lines",
+    ],
+)
+@pytest.mark.parametrize("value", ["1", True, PComplex(1, 1)])
+def test_former_ladder_sites_take_numbers_only(site, value):
+    with pytest.raises(ConfigError):
+        site(value)
+
+
+# -- hashing: equal values hash equally, as Python requires -------------
+
+small_ints = st.integers(-(2**70), 2**70)
+
+
+@PROPERTY
+@given(st.one_of(small_ints, floats), bits)
+def test_equal_reals_hash_equally(v, prec):
+    # Exact at any precision: a float has 53 bits, and an int keeps its own.
+    x = PReal(v) if isinstance(v, int) else PReal(v, prec)
+    z = PComplex(x, 0)
+    forms = [v, x, x.round_to(max(prec, x.bits) + 7)]
+    if float(x) == v:
+        forms += [float(x), complex(float(x), 0.0)]
+    assert x == v
+    for form in forms:
+        assert form == z and z == form and hash(form) == hash(z)
+
+
+@PROPERTY
+@given(floats, floats, bits)
+def test_equal_complexes_hash_equally(re, im, prec):
+    c = complex(re, im)
+    z = PComplex(c, bits=prec)
+    assert z == c and hash(z) == hash(c)
+    assert z.round_to(prec + 64) == z and hash(z.round_to(prec + 64)) == hash(z)
+
+
+@PROPERTY
+@given(reals)
+def test_reals_beyond_double_hash_as_their_complex(x):
+    z = PComplex(x, 0)
+    assert z == x and hash(z) == hash(x)
+
+
+@pytest.mark.parametrize("v", [1, -1, -0.5, 3, 2**70, -(2**70)])
+def test_pinned_hashes(v):
+    assert hash(PReal(v, 96)) == hash(v)
+    assert hash(PComplex(v, 0, bits=96)) == hash(v) == hash(complex(v))
+
+
+def test_equal_scalars_share_a_set_entry():
+    one = PReal(1, 64)
+    assert len({one, 1}) == 1
+    assert len({one, PComplex(1, 0, bits=64)}) == 1
+    assert one in {1} and PComplex(-1, 0, bits=64) in {-1}

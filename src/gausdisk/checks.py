@@ -21,7 +21,6 @@ from .errors import MathInvariantError
 from .experiments import RateRow, RateTable, figure_csv_text, validate_tail_bound
 from .hermite import build_rule, moment
 from .measures import (
-    DiscreteMeasure,
     TruncatedGaussian,
     char_bound_check,
     normal_cdf,
@@ -76,17 +75,11 @@ def check_rule_geometry(quick: bool) -> None:
     for k in ks:
         rule = build_rule(k, 192)
         bound = PReal(4 * k + 2, 192)
-        top = rule.support_radius
+        top = rule.support_radius()
         _require(top * top <= bound, f"k={k} nodes escaped their interval")
-        for j in range(k):
-            _require(
-                rule.nodes[j].raw == (-rule.nodes[k - 1 - j]).raw,
-                f"k={k} nodes are not mirror-symmetric",
-            )
-            _require(
-                rule.weights[j].raw == rule.weights[k - 1 - j].raw,
-                f"k={k} weights are not mirror-symmetric",
-            )
+        for (x, w), (y, v) in zip(rule.atoms, reversed(rule.atoms)):
+            _require(x.raw == (-y).raw, f"k={k} nodes are not mirror-symmetric")
+            _require(w.raw == v.raw, f"k={k} weights are not mirror-symmetric")
 
 
 def check_cdf_symmetry(quick: bool) -> None:
@@ -107,7 +100,7 @@ def check_cdf_symmetry(quick: bool) -> None:
 def check_transform_identities(quick: bool) -> None:
     rng = random.Random(20240814)
     bits = 256
-    rule2 = DiscreteMeasure.from_quadrature(build_rule(2, bits))
+    rule2 = build_rule(2, bits)
     tol = PReal(2, bits) ** -(bits - 24)
     for _ in range(20 if quick else 100):
         z = PComplex(rng.uniform(-2, 2), rng.uniform(-2, 2), bits=bits)
@@ -130,19 +123,19 @@ def check_char_chain(quick: bool) -> None:
 def check_three_circles(quick: bool) -> None:
     a = 4.0
     bits = working_bits(a, 20.0)
-    measure = DiscreteMeasure.from_quadrature(build_rule(2, bits))
+    measure = build_rule(2, bits)
     report = three_circles_check(measure, 1, 12, 20, n_samples=64 if quick else 128)
     _require(report.passed, "three-circles check failed")
 
 
 def check_three_lines(quick: bool) -> None:
-    measure = DiscreteMeasure.from_quadrature(build_rule(2, 512))
+    measure = build_rule(2, 512)
     report = three_lines_check(measure, 0, 3, 6, n_samples=64 if quick else 128)
     _require(report.passed, "three-lines check failed")
 
 
 def check_envelope(quick: bool) -> None:
-    measure = DiscreteMeasure.from_quadrature(build_rule(2, 512))
+    measure = build_rule(2, 512)
     profile = growth_profile(measure, [6, 10], n_samples=32 if quick else 64)
     _require(any(profile.envelope_checked), "no radius qualified for the envelope")
 
@@ -161,7 +154,7 @@ def check_superflat(quick: bool) -> None:
 
 def check_tail_chain(quick: bool) -> None:
     bits = working_bits(6.0, 1.0)
-    quad = DiscreteMeasure.from_quadrature(build_rule(5, bits))
+    quad = build_rule(5, bits)
     err = sup_on_circle(quad, 1, n_samples=32 if quick else 64).sup_value
     report = validate_tail_bound(6.0, 1.0, err_quad=err)
     _require(report.passed, "tail chain audit failed at a=6")

@@ -134,8 +134,7 @@ def _measure_and_bits(args, radius_hint: float):
         if kind == "trunc":
             bits = _resolve_bits(args) or working_bits(a, radius)
             return TruncatedGaussian(a, bits), bits
-        rule, bits = _rule_and_bits(args, radius, a=a)
-        return DiscreteMeasure.from_quadrature(rule), bits
+        return _rule_and_bits(args, radius, a=a)
     if kind == "rule" and sep:
         try:
             k = int(rest)
@@ -145,8 +144,7 @@ def _measure_and_bits(args, radius_hint: float):
             ) from None
         if k < 1:
             raise ConfigError(f"measure spec {spec!r}: node count must be >= 1")
-        rule, bits = _rule_and_bits(args, radius, k=k)
-        return DiscreteMeasure.from_quadrature(rule), bits
+        return _rule_and_bits(args, radius, k=k)
     if kind == "csv" and sep:
         if not rest:
             raise ConfigError(f"measure spec {spec!r}: missing file path")

@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass
 from .disks import _RESOLUTION_EXP, sup_on_circle
 from .errors import ChainViolation, ConfigError, InsufficientDataError
 from .hermite import build_rule, k_for_support
-from .measures import DiscreteMeasure, TruncatedGaussian
+from .measures import TruncatedGaussian
 from .precision import PReal, _check_bits, _real, exp, log, sqrt, working_bits
 
 __all__ = [
@@ -140,10 +140,10 @@ def run_figure(
     """
     if a_values is None:
         a_values = default_grid()
-    grid = sorted(set(float(a) for a in a_values))
+    grid = sorted(set(float(_real(a)) for a in a_values))
     if not grid:
         raise ConfigError("empty grid of support half-widths")
-    if b <= 0:
+    if _real(b) <= 0:
         raise ConfigError("disk radius b must be positive")
     if bits_override is not None:
         _check_bits(bits_override)
@@ -160,7 +160,7 @@ def run_figure(
         if progress is not None:
             progress(f"a={a:g}: k={k}, bits={bits}")
         trunc = TruncatedGaussian(a, bits)
-        quad = DiscreteMeasure.from_quadrature(build_rule(k, bits))
+        quad = build_rule(k, bits)
         err_trunc = sup_on_circle(trunc, b, bits=bits, n_samples=n_samples).sup_value
         err_quad = sup_on_circle(quad, b, bits=bits, n_samples=n_samples).sup_value
         rows.append(
@@ -260,8 +260,8 @@ def validate_tail_bound(
     docstring for the regime structure.  Raises ChainViolation only if
     the always-valid link err <= l-indexed sum fails."""
     _check_bits(bits)
-    af = float(a)
-    bf = float(b)
+    af = float(_real(a))
+    bf = float(_real(b))
     if bf <= 0:
         raise ConfigError("disk radius b must be positive")
     k = k_for_support(PReal(af, bits))

@@ -16,14 +16,18 @@ using He_k' = k*He_{k-1}.  Rules stop at k = MAX_RULE_SIZE.  Weights are
 renormalized so they sum to one exactly at working precision before the
 final rounding, making the rule a probability measure to within the
 stated precision.
+
+A rule is a measure: ``build_rule`` returns a ``QuadratureRule``, the
+``DiscreteMeasure`` whose atoms are the nodes and weights, so it is
+evaluated, scanned and tilted as it is.  ``rule_to_csv`` writes it, and
+``DiscreteMeasure.from_csv`` reads the file back as a plain measure.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from mpmath.libmp import (
     fone,
@@ -51,7 +55,8 @@ from .errors import (
     MathInvariantError,
     SupportViolation,
 )
-from .precision import PReal, _check_bits, _like, _real, _scalar, read_tag_rows
+from .measures import DiscreteMeasure, _sums_to_one
+from .precision import PReal, _check_bits, _like, _real, _scalar
 
 __all__ = [
     "QuadratureRule",
@@ -60,7 +65,6 @@ __all__ = [
     "moment",
     "k_for_support",
     "rule_to_csv",
-    "rule_from_csv",
     "MAX_RULE_SIZE",
 ]
 
@@ -106,39 +110,32 @@ def _he_pair_raw(n: int, x, prec: int):
     return cur, prev
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """A k-point matched-moment rule for the standard Gaussian.
+class QuadratureRule(DiscreteMeasure):
+    """The k-point Gauss-Hermite rule as a probability measure, made only
+    by :func:`build_rule`.
 
-    Nodes are sorted ascending and symmetric about zero; weights are
-    positive and sum to one at the stated precision.  ``gauss_hermite``
-    is set only by :func:`build_rule`: it vouches that the atoms are the
-    Gauss rule itself, whose quadrature remainder for every even power
-    x**(2m) is nonnegative, so no even moment exceeds the Gaussian's
-    beyond rounding.  Rules read from elsewhere carry no such promise.
+    Nodes ascend and mirror about zero bit for bit; weights are positive
+    and sum to one at the stated precision.  The type vouches that the
+    atoms are the Gauss rule itself, whose quadrature remainder for every
+    even power x**(2m) is f^(2k)(xi) k!/(2k)! >= 0, so no even moment
+    exceeds the Gaussian's beyond rounding.  Atoms read from elsewhere are
+    a plain DiscreteMeasure and carry no such promise.
     """
 
-    k: int
-    bits: int
-    nodes: tuple[PReal, ...]
-    weights: tuple[PReal, ...]
-    gauss_hermite: bool = field(default=False, compare=False)
+    @property
+    def k(self) -> int:
+        return len(self.atoms)
 
     @property
-    def support_radius(self) -> PReal:
-        return abs(self.nodes[-1])
+    def nodes(self) -> tuple[PReal, ...]:
+        return tuple(x for x, _ in self.atoms)
 
-    def atoms(self) -> Iterable[tuple[PReal, PReal]]:
-        return zip(self.nodes, self.weights)
+    @property
+    def weights(self) -> tuple[PReal, ...]:
+        return tuple(w for _, w in self.atoms)
 
-
-def _sums_to_one(weights: Iterable[PReal], bits: int) -> bool:
-    """True when ``weights`` sum to one within 2**(16 - bits)."""
-    total = fzero
-    for w in weights:
-        total = mpf_add(total, w.raw, bits + 32, _RND)
-    drift = mpf_sub(total, fone, bits + 32, _RND)
-    return drift[1] == 0 or drift[2] + drift[3] <= 16 - bits
+    def error_peaks_on_real_axis(self) -> bool:
+        return True
 
 
 _RULE_CACHE: dict[tuple[int, int], QuadratureRule] = {}
@@ -301,9 +298,7 @@ def build_rule(k: int, bits: int = 256) -> QuadratureRule:
             f"largest node of the k={k} rule escaped sqrt({4 * k + 2})"
         )
 
-    rule = QuadratureRule(
-        k=k, bits=bits, nodes=node_vals, weights=weight_vals, gauss_hermite=True
-    )
+    rule = QuadratureRule(zip(node_vals, weight_vals), bits)
     _RULE_CACHE[key] = rule
     return rule
 
@@ -317,25 +312,26 @@ def moment(rule: QuadratureRule, i: int) -> PReal:
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise ConfigError(f"moment order must be an integer >= 0, got {i!r}")
     work = rule.bits + 64
-    n = len(rule.nodes)
+    nodes, weights = rule.nodes, rule.weights
+    n = len(nodes)
     total = fzero
     for j in range(n // 2):
-        x = rule.nodes[n - 1 - j].raw
+        x = nodes[n - 1 - j].raw
         pow_pos = mpf_pow_int(x, i, work, _RND)
         pow_neg = mpf_neg(pow_pos) if i % 2 else pow_pos
         paired = mpf_add(pow_pos, pow_neg, work, _RND)
         total = mpf_add(
-            total, mpf_mul(rule.weights[j].raw, paired, work, _RND), work, _RND
+            total, mpf_mul(weights[j].raw, paired, work, _RND), work, _RND
         )
     if n % 2:
-        mid = rule.nodes[n // 2].raw
+        mid = nodes[n // 2].raw
         if mid[1] != 0:
             term = mpf_mul(
-                rule.weights[n // 2].raw, mpf_pow_int(mid, i, work, _RND), work, _RND
+                weights[n // 2].raw, mpf_pow_int(mid, i, work, _RND), work, _RND
             )
             total = mpf_add(total, term, work, _RND)
         elif i == 0:
-            total = mpf_add(total, rule.weights[n // 2].raw, work, _RND)
+            total = mpf_add(total, weights[n // 2].raw, work, _RND)
     return PReal._wrap(mpf_pos(total, rule.bits, _RND), rule.bits)
 
 
@@ -365,25 +361,5 @@ def rule_to_csv(rule: QuadratureRule, out: TextIO) -> None:
     """Write the rule as CSV with exact value tags."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["node", "weight"])
-    for x, w in rule.atoms():
+    for x, w in rule.atoms:
         writer.writerow([x.serialize(), w.serialize()])
-
-
-def rule_from_csv(src: TextIO) -> QuadratureRule:
-    """Rebuild a rule written by :func:`rule_to_csv`, bit for bit.
-
-    Raises ConfigError unless the nodes ascend strictly and mirror about
-    zero and the weights are positive and sum to one within 2**(16 - bits).
-    """
-    rows = read_tag_rows(src, "node,weight")
-    if not rows:
-        raise ConfigError("rule CSV contained no atoms")
-    nodes, weights = zip(*rows)
-    bits = max(v.bits for v in nodes + weights)
-    if any(lo >= hi for lo, hi in zip(nodes, nodes[1:])):
-        raise ConfigError("rule nodes must ascend strictly")
-    if any(x != -y for x, y in zip(nodes, reversed(nodes))):
-        raise ConfigError("rule nodes must mirror about zero")
-    if any(w <= 0 for w in weights) or not _sums_to_one(weights, bits):
-        raise ConfigError(f"rule weights must be positive and sum to 1 within 2^{16 - bits}")
-    return QuadratureRule(k=len(nodes), bits=bits, nodes=nodes, weights=weights)

@@ -3,8 +3,9 @@ transforms used to compare them with it.
 
 Three measure families live here:
 
-* ``DiscreteMeasure`` — finitely many atoms; in particular the
-  matched-moment quadrature rules viewed as probability measures.
+* ``DiscreteMeasure`` — finitely many atoms.  A matched-moment rule is
+  one: ``hermite.build_rule`` returns a ``QuadratureRule``, the subclass
+  whose type vouches for the Gauss-Hermite atoms.
 * ``TruncatedGaussian`` — the Gaussian conditioned on [-a, a].
 * ``StandardGaussian`` — the target itself, for reference.
 
@@ -86,7 +87,6 @@ from mpmath.libmp import (
 )
 
 from .errors import ChainViolation, ConfigError, ConvergenceError
-from .hermite import QuadratureRule, _sums_to_one, build_rule, k_for_support
 from .precision import PComplex, PReal, _check_bits, _like, _pair, _real, _scalar, read_tag_rows
 
 __all__ = [
@@ -96,7 +96,6 @@ __all__ = [
     "DiscreteMeasure",
     "TruncatedGaussian",
     "StandardGaussian",
-    "quadrature_measure_for_support",
     "truncation_error_closed_form",
     "CharBoundReport",
     "char_bound_check",
@@ -203,6 +202,15 @@ def gauss_upper_tail(a, bits: int | None = None) -> PReal:
 # -- measures ----------------------------------------------------------
 
 
+def _sums_to_one(weights: Iterable[PReal], bits: int) -> bool:
+    """True when ``weights`` sum to one within 2**(16 - bits)."""
+    total = fzero
+    for w in weights:
+        total = mpf_add(total, w.raw, bits + 32, _RND)
+    drift = mpf_sub(total, fone, bits + 32, _RND)
+    return drift[1] == 0 or drift[2] + drift[3] <= 16 - bits
+
+
 class Measure:
     """A probability measure on the real line with an entire Laplace
     transform.  Subclasses implement :meth:`laplace`."""
@@ -265,7 +273,6 @@ class DiscreteMeasure(Measure):
         self.atoms = tuple(coerced)
         self.bits = bits
         self._symmetric = self._check_symmetric()
-        self._gauss_hermite = False
 
     def _check_symmetric(self) -> bool:
         n = len(self.atoms)
@@ -276,21 +283,16 @@ class DiscreteMeasure(Measure):
                 return False
         return True
 
-    @classmethod
-    def from_quadrature(cls, rule: QuadratureRule) -> "DiscreteMeasure":
-        measure = cls(zip(rule.nodes, rule.weights), bits=rule.bits)
-        measure._gauss_hermite = rule.gauss_hermite
-        return measure
+    @staticmethod
+    def from_quadrature(rule: "DiscreteMeasure") -> "DiscreteMeasure":
+        """The rule itself: a rule from ``build_rule`` is already a measure."""
+        return rule
 
     def support_radius(self) -> PReal:
         return max(abs(self.atoms[0][0]), abs(self.atoms[-1][0]))
 
     def is_symmetric(self) -> bool:
         return self._symmetric
-
-    def error_peaks_on_real_axis(self) -> bool:
-        # A Gauss rule's remainder for x**(2m) is f^(2k)(xi) k!/(2k)! >= 0.
-        return self._gauss_hermite and self._symmetric
 
     def laplace(self, z):
         z = _scalar(z, self.bits)
@@ -445,12 +447,6 @@ class StandardGaussian(Measure):
         return _like(z, (fzero, fzero), max(self.bits, z.bits))
 
 
-def quadrature_measure_for_support(a, bits: int = 256) -> DiscreteMeasure:
-    """The smallest admissible matched-moment rule fitting in [-a, a],
-    as a probability measure."""
-    return DiscreteMeasure.from_quadrature(build_rule(k_for_support(a), bits))
-
-
 def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | PReal":
     """The truncated-Gaussian transform error written through upper tails:
 
@@ -513,9 +509,10 @@ def char_bound_check(
     the precision the largest t needs; on every eighth of the grid it is
     cross-checked against ``truncation_error_closed_form`` at z = it.
     """
-    af = float(a)
+    af = float(_real(a))
     if not (1.0 <= af <= 8.0):
         raise ConfigError("char_bound_check supports 1 <= a <= 8")
+    t_max, t_step = float(_real(t_max)), float(_real(t_step))
     if t_max <= 0 or t_step <= 0:
         raise ConfigError("t_max and t_step must be positive")
     bits = max(192, int(af * af / (2 * _LN2)) + 96)

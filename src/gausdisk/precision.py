@@ -332,10 +332,21 @@ class PReal(_Scalar):
 
         return compare
 
-    __eq__, __lt__, __le__, __gt__, __ge__ = map(
-        _comparison, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+    __lt__, __le__, __gt__, __ge__ = map(
+        _comparison, (operator.lt, operator.le, operator.gt, operator.ge)
     )
     del _comparison
+
+    def __eq__(self, other):
+        pair = self._coerce(other)
+        if pair is not None:
+            return mpf_cmp(self._raw, pair[0]) == 0
+        if isinstance(other, complex):
+            # Equal as the PComplex with an exact zero imaginary part, so
+            # equality stays transitive; arithmetic and ordering with a
+            # complex stay unsupported.
+            return PComplex._wrap((self._raw, fzero), self._bits) == other
+        return NotImplemented
 
     def __hash__(self):
         # Python's numeric hash, so a PReal hashes as the equal int or float.
@@ -643,8 +654,8 @@ def working_bits(a: float, radius: float = 1.0) -> int:
     bits), and a fixed guard.  Never returns less than 128; raises
     ConfigError when the budget exceeds MAX_BITS.
     """
-    a = float(a)
-    radius = float(radius)
+    a = float(_real(a))
+    radius = float(_real(radius))
     if not (math.isfinite(a) and math.isfinite(radius)):
         raise NonFiniteError("working_bits got a non-finite input")
     if a <= 0 or radius < 0:

@@ -69,7 +69,6 @@ from mpmath.libmp import (
 from .disks import circle_point, sup_abs_on_circle, sup_on_circle
 from .errors import CertificateViolation, ConfigError
 from .hermite import QuadratureRule, build_rule, k_for_support
-from .measures import DiscreteMeasure
 from .precision import (
     PComplex,
     PReal,
@@ -116,10 +115,6 @@ class SuperflatMixture:
     tilt_total: PReal
     rule: QuadratureRule
 
-    def source_measure(self) -> DiscreteMeasure:
-        """The untilted rule as a probability measure."""
-        return DiscreteMeasure.from_quadrature(self.rule)
-
 
 def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
     """Build the mixture for support half-width a >= 4.
@@ -138,7 +133,7 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
     rule = build_rule(k, bits)
     work = bits + 32
     tilted = []
-    for x, w in rule.atoms():
+    for x, w in rule.atoms:
         xw = x.round_to(work)
         tilted.append(w.round_to(work) * exp(xw * xw / 2))
     total = tilted[0]
@@ -217,10 +212,8 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
 
 def _tilted_transform_error(mix: SuperflatMixture):
     """g(z) - 1 with g the tilted transform L(z)exp(-z**2/2)."""
-    source = mix.source_measure()
-
     def f(z: PComplex):
-        return source.laplace(z) * exp(-(z * z) / 2) - 1
+        return mix.rule.laplace(z) * exp(-(z * z) / 2) - 1
 
     return f
 
@@ -290,7 +283,7 @@ def flatness_certificate(
     # 2**-(b//2) that covers the rounding of E(2).
     witness = circle_point(two, 2 * pi_value(b) / 4, b)
     eps2 = abs(g_minus_1(witness))
-    axis = sup_on_circle(mix.source_measure(), two, b)
+    axis = sup_on_circle(mix.rule, two, b)
     if axis.method != "real-axis":
         raise ConfigError("the flatness certificate needs a symmetric Gauss-Hermite source rule")
     margin = 1 + PReal(2, b) ** (-(b // 2))

@@ -36,7 +36,6 @@ from gausdisk import (
     moment,
     normal_cdf,
     pi_value,
-    quadrature_measure_for_support,
     run_figure,
     sqrt,
     sup_on_circle,
@@ -120,7 +119,7 @@ def test_criterion_2_node_containment(rules512, emit):
 def test_criterion_3_closed_form_cross_checks(emit):
     bits = 320
     rng = random.Random(1733)
-    rule2 = DiscreteMeasure.from_quadrature(build_rule(2, bits))
+    rule2 = build_rule(2, bits)
     tol = PReal(2, bits) ** (-bits + 24)
     worst = 0.0
     ok = True
@@ -270,14 +269,14 @@ def test_criterion_6_hadamard_suites(emit):
     details = []
     for a in (4, 6, 8):
         bits = working_bits(a, 5 * a)
-        m = quadrature_measure_for_support(a, bits=bits)
+        m = build_rule(k_for_support(a), bits)
         circles = three_circles_check(m, 1, 3 * a, 5 * a)
         if not circles.passed:
             ok = False
         details.append(f"circles a={a} margin {float(circles.margin):.3g}")
 
     delta0 = DiscreteMeasure([(0, 1)], bits=256)
-    rule2 = DiscreteMeasure.from_quadrature(build_rule(2, 256))
+    rule2 = build_rule(2, 256)
     for name, m in (("delta0", delta0), ("k2", rule2)):
         lines = three_lines_check(m, 0, 3, 6)
         if not lines.passed:
@@ -287,7 +286,7 @@ def test_criterion_6_hadamard_suites(emit):
     for a in (4, 6, 8):
         radii = (3 * a, 3 * a + 2)
         bits = working_bits(a, radii[-1])
-        m = quadrature_measure_for_support(a, bits=bits)
+        m = build_rule(k_for_support(a), bits)
         profile = growth_profile(m, radii, n_samples=512)
         if not all(profile.envelope_checked):
             ok = False
@@ -324,7 +323,7 @@ def test_criterion_8_superflat_identity(superflat_certs, emit):
         bits = mix.bits
         tol = PReal(2, bits) ** (-bits + 24)
         root_2pi = sqrt(2 * pi_value(bits))
-        source = mix.source_measure()
+        source = mix.rule
         for _ in range(50):
             z = PComplex(
                 complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), bits=bits

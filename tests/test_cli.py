@@ -10,7 +10,8 @@ import pytest
 from gausdisk import checks, cli, experiments, hermite
 from gausdisk.cli import main
 from gausdisk.errors import MathInvariantError
-from gausdisk.hermite import build_rule, rule_from_csv
+from gausdisk.hermite import build_rule
+from gausdisk.measures import DiscreteMeasure
 
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -26,13 +27,13 @@ class TestRule:
     def test_k_to_stdout(self, capsys):
         code, out, err = run_cli(capsys, "rule", "--k", "3", "--precision", "128")
         assert code == 0 and err == ""
-        rule = rule_from_csv(io.StringIO(out))
-        assert rule.k == 3 and rule.bits == 128
+        rule = DiscreteMeasure.from_csv(io.StringIO(out))
+        assert len(rule.atoms) == 3 and rule.bits == 128
 
     def test_a_picks_size(self, capsys):
         code, out, _ = run_cli(capsys, "rule", "--a", "6", "--precision", "96")
         assert code == 0
-        assert rule_from_csv(io.StringIO(out)).k == 5
+        assert len(DiscreteMeasure.from_csv(io.StringIO(out)).atoms) == 5
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "rule.csv"
@@ -40,17 +41,17 @@ class TestRule:
             capsys, "rule", "--k", "2", "--precision", "64", "--out", str(target)
         )
         assert code == 0 and out == ""
-        assert rule_from_csv(io.StringIO(target.read_text())).k == 2
+        assert len(DiscreteMeasure.from_csv(io.StringIO(target.read_text())).atoms) == 2
 
     def test_tags_past_4300_digits_read_back(self, capsys):
         # k = 50 at 5888 bits: every tag is longer than str(int) allows.
         code, out, err = run_cli(capsys, "rule", "--a", "20")
         assert code == 0 and err == ""
-        rule = rule_from_csv(io.StringIO(out))
-        assert (rule.k, rule.bits) == (50, 5888)
+        rule = DiscreteMeasure.from_csv(io.StringIO(out))
+        assert rule.bits == 5888
         built = build_rule(50, 5888)
-        assert [v.raw for v in rule.nodes + rule.weights] == [
-            v.raw for v in built.nodes + built.weights
+        assert [(x.raw, w.raw) for x, w in rule.atoms] == [
+            (x.raw, w.raw) for x, w in built.atoms
         ]
 
     @pytest.mark.parametrize(

@@ -20,13 +20,12 @@ from gausdisk.disks import (
 )
 from gausdisk.errors import ConfigError, ConvexityViolation, EnvelopeViolation
 from gausdisk.experiments import default_grid
-from gausdisk.hermite import build_rule, k_for_support, moment, rule_from_csv, rule_to_csv
+from gausdisk.hermite import build_rule, k_for_support, moment, rule_to_csv
 from gausdisk.measures import (
     DiscreteMeasure,
     Measure,
     StandardGaussian,
     TruncatedGaussian,
-    quadrature_measure_for_support,
 )
 from gausdisk.precision import (
     PComplex,
@@ -76,13 +75,13 @@ class TestCircleScan:
         assert angle == pytest.approx(alpha, abs=1e-15)
 
     def test_agrees_with_numpy_grid(self):
-        m = quadrature_measure_for_support(5, 256)
+        m = build_rule(k_for_support(5), 256)
         report = sup_on_circle(m, 1, n_samples=128)
         oracle = numpy_circle_error_max(m, 1.0)
         assert float(report.sup_value) == pytest.approx(oracle, rel=1e-9)
 
     def test_quarter_arc_equals_full_scan_for_symmetric(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(3, 224))
+        m = build_rule(3, 224)
         quarter = sup_on_circle(m, 1.5, n_samples=96)
         assert quarter.arc == "quarter"
         full = sup_abs_on_circle(
@@ -137,7 +136,7 @@ class TestRealAxisPath:
     @pytest.mark.parametrize("a", [4, 5.5, 7])
     def test_equals_scan_bit_for_bit(self, a, r):
         bits = working_bits(a, r)
-        for m in (TruncatedGaussian(a, bits), quadrature_measure_for_support(a, bits)):
+        for m in (TruncatedGaussian(a, bits), build_rule(k_for_support(a), bits)):
             fast = sup_on_circle(m, r, n_samples=64)
             scan = forced_scan(m, r, 64)
             assert fast.method == "real-axis" and scan.method == "scan"
@@ -162,10 +161,10 @@ class TestRealAxisPath:
         rule = build_rule(5, 256)
         buf = io.StringIO()
         rule_to_csv(rule, buf)
-        loaded = DiscreteMeasure.from_quadrature(rule_from_csv(io.StringIO(buf.getvalue())))
+        loaded = DiscreteMeasure.from_csv(io.StringIO(buf.getvalue()))
         report = sup_on_circle(loaded, 1, n_samples=64)
         assert report.method == "scan"
-        built = sup_on_circle(DiscreteMeasure.from_quadrature(rule), 1, n_samples=64)
+        built = sup_on_circle(rule, 1, n_samples=64)
         assert built.method == "real-axis"
         assert report.sup_value.raw == built.sup_value.raw
 
@@ -181,7 +180,7 @@ class TestRealAxisPath:
         # weighted sum.
         r, bits = 1, working_bits(a, 1.0)
         rule = build_rule(k_for_support(PReal(a, bits)), bits)
-        at_axis = abs(DiscreteMeasure.from_quadrature(rule).laplace_error(PReal(r, bits)))
+        at_axis = abs(rule.laplace_error(PReal(r, bits)))
         bound = PReal(0, bits)
         for m in range(rule.k):
             gap = abs(moment(rule, 2 * m) - double_factorial(2 * m - 1))
@@ -208,7 +207,7 @@ class TestRealAxisPath:
         # it, a few units in the last place of e**(r**2/2).
         kind, value = family
         if kind == "rule":
-            m = DiscreteMeasure.from_quadrature(build_rule(value, bits))
+            m = build_rule(value, bits)
         else:
             m = TruncatedGaussian(value, bits)
         axis = sup_on_circle(m, r, n_samples=16)
@@ -244,7 +243,7 @@ class TestRealAxisPath:
 
 class TestLineScan:
     def test_two_point_rule_on_imaginary_axis(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 256))
+        m = build_rule(2, 256)
         report = sup_on_line(m, 0, n_samples=128)
         # max_y |cos y - exp(-y^2/2)| sits where sin y = y exp(-y^2/2)
         assert float(report.sup_value) == pytest.approx(1.0074649012, abs=1e-9)
@@ -252,7 +251,7 @@ class TestLineScan:
         assert float(report.witness.imag) == pytest.approx(3.11740748, abs=1e-6)
 
     def test_matches_numpy_grid(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 256))
+        m = build_rule(2, 256)
         report = sup_on_line(m, 0.5, n_samples=128)
         ys = np.linspace(0.0, float(report.height), 40001)
         z = 0.5 + 1j * ys
@@ -270,14 +269,14 @@ class TestLineScan:
             sup_on_line(StandardGaussian(128), 1)
 
     def test_negative_offset_rejected(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 128))
+        m = build_rule(2, 128)
         with pytest.raises(ConfigError):
             sup_on_line(m, -1)
 
 
 class TestGrowthProfile:
     def test_envelope_holds_for_small_support(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 320))
+        m = build_rule(2, 320)
         profile = growth_profile(m, [6, 10], n_samples=64)
         assert profile.envelope_checked == (True, True)
         assert all(rep.method == "real-axis" for rep in profile.reports)
@@ -286,7 +285,7 @@ class TestGrowthProfile:
             assert float(rep.sup_value) >= lower
 
     def test_small_radii_not_checked(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 192))
+        m = build_rule(2, 192)
         profile = growth_profile(m, [1, 2], n_samples=32)
         assert profile.envelope_checked == (False, False)
 
@@ -312,7 +311,7 @@ class TestGrowthProfile:
 class TestThreeCircles:
     def test_quadrature_measure_convex(self):
         bits = working_bits(4, 20)
-        m = quadrature_measure_for_support(4, bits)
+        m = build_rule(k_for_support(4), bits)
         report = three_circles_check(m, 1, 12, 20, n_samples=64)
         assert report.passed and report.status == "ok"
         assert float(report.margin) > 0
@@ -350,14 +349,14 @@ class TestThreeCircles:
 
 class TestThreeLines:
     def test_two_point_rule_convex(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 320))
+        m = build_rule(2, 320)
         report = three_lines_check(m, 0, 3, 6, n_samples=64)
         assert report.passed and report.status == "ok"
         assert 4.0 < float(report.margin) < 5.5
         assert float(report.lam) == pytest.approx(0.5)
 
     def test_offsets_validated(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 128))
+        m = build_rule(2, 128)
         with pytest.raises(ConfigError):
             three_lines_check(m, 3, 0, 6)
         with pytest.raises(ConfigError):
@@ -386,7 +385,7 @@ class TestThreeLines:
 
 
 def test_circle_and_line_checks_share_one_report_type():
-    m = DiscreteMeasure.from_quadrature(build_rule(2, 320))
+    m = build_rule(2, 320)
     lines = three_lines_check(m, 0, 3, 6, n_samples=16)
     circles = three_circles_check(m, 1, 2, 4, n_samples=16)
     assert type(lines) is ConvexityReport and type(circles) is ConvexityReport

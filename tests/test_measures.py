@@ -11,7 +11,7 @@ import pytest
 
 from gausdisk import measures
 from gausdisk.errors import ConfigError
-from gausdisk.hermite import build_rule
+from gausdisk.hermite import build_rule, k_for_support
 from gausdisk.measures import (
     CharBoundReport,
     DiscreteMeasure,
@@ -20,7 +20,6 @@ from gausdisk.measures import (
     char_bound_check,
     gauss_upper_tail,
     normal_cdf,
-    quadrature_measure_for_support,
     truncation_error_closed_form,
 )
 from gausdisk.precision import PComplex, PReal, exp
@@ -109,7 +108,7 @@ class TestUpperTail:
 
 class TestDiscreteMeasure:
     def test_two_point_laplace_is_cosh(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 256))
+        m = build_rule(2, 256)
         rng = random.Random(20240814)
         for _ in range(25):
             z = PComplex(rng.uniform(-3, 3), rng.uniform(-3, 3), bits=256)
@@ -118,7 +117,7 @@ class TestDiscreteMeasure:
             assert abs(direct - reference) <= PReal(2, 256) ** -232
 
     def test_two_point_char_is_cosine(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(2, 192))
+        m = build_rule(2, 192)
         from gausdisk.precision import cos_sin
 
         t = PReal("0.8", 192)
@@ -128,11 +127,11 @@ class TestDiscreteMeasure:
         assert abs(got.imag) <= PReal(2, 192) ** -170
 
     def test_laplace_at_zero_is_one(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(5, 192))
+        m = build_rule(5, 192)
         assert abs(m.laplace(PReal(0, 192)) - 1) <= PReal(2, 192) ** -170
 
     def test_laplace_error_small_near_zero(self):
-        m = quadrature_measure_for_support(6, 256)
+        m = build_rule(k_for_support(6), 256)
         err = m.laplace_error(PComplex(0.1, 0.1, bits=256))
         assert float(abs(err)) < 1e-4
 
@@ -168,11 +167,11 @@ class TestDiscreteMeasure:
         assert locs == sorted(locs)
 
     def test_support_radius(self):
-        m = quadrature_measure_for_support(5, 128)
+        m = build_rule(k_for_support(5), 128)
         assert float(m.support_radius()) <= 5.0
 
     def test_csv_roundtrip(self):
-        m = DiscreteMeasure.from_quadrature(build_rule(4, 200))
+        m = build_rule(4, 200)
         buf = io.StringIO()
         m.to_csv(buf)
         back = DiscreteMeasure.from_csv(io.StringIO(buf.getvalue()))
@@ -318,7 +317,7 @@ class TestStandardGaussian:
 def _three_families(bits):
     return (
         TruncatedGaussian(4, bits),
-        quadrature_measure_for_support(5, bits),
+        build_rule(k_for_support(5), bits),
         StandardGaussian(bits),
     )
 

@@ -36,10 +36,20 @@ from mpmath.libmp import (
 
 from gausdisk.disks import sup_on_circle, sup_on_line, three_circles_check, three_lines_check
 from gausdisk.errors import ConfigError
-from gausdisk.experiments import tail_bound_value, validate_tail_bound
+from gausdisk.experiments import run_figure, tail_bound_value, validate_tail_bound
 from gausdisk.hermite import build_rule
-from gausdisk.measures import DiscreteMeasure
-from gausdisk.precision import PComplex, PReal, _like, _pair, _real, _scalar, exp, sqrt
+from gausdisk.measures import DiscreteMeasure, char_bound_check
+from gausdisk.precision import (
+    PComplex,
+    PReal,
+    _like,
+    _pair,
+    _real,
+    _scalar,
+    exp,
+    sqrt,
+    working_bits,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 PER_PAIR = settings(PROPERTY, max_examples=20)
@@ -211,7 +221,7 @@ def test_real_rounded_is_the_old_disk_ladder(x, prec):
 
 
 def _measure():
-    return DiscreteMeasure.from_quadrature(build_rule(3, 96))
+    return build_rule(3, 96)
 
 
 @pytest.mark.parametrize(
@@ -227,16 +237,37 @@ def _measure():
         lambda v: sup_on_line(_measure(), v),
         lambda v: three_circles_check(_measure(), v, 2, 3),
         lambda v: three_lines_check(_measure(), v, 2, 3),
+        lambda v: working_bits(v),
+        lambda v: validate_tail_bound(4, v),
+        lambda v: run_figure([4], b=v),
+        lambda v: char_bound_check(v, 0.5, 0.25),
     ],
     ids=[
         "atom-location", "atom-mass", "tail-c1", "tail-a", "tail-b", "err-quad",
         "circle-radius", "line-offset", "three-circles", "three-lines",
+        "working-bits", "tail-chain-b", "figure-b", "char-sweep-a",
     ],
 )
 @pytest.mark.parametrize("value", ["1", True, PComplex(1, 1)])
 def test_former_ladder_sites_take_numbers_only(site, value):
     with pytest.raises(ConfigError):
         site(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: working_bits("4"),
+        lambda: validate_tail_bound("4", "1"),
+        lambda: run_figure(["4", "5"]),
+        lambda: char_bound_check("1", 0.5, 0.25),
+    ],
+    ids=["working-bits", "tail-chain", "figure-grid", "char-sweep"],
+)
+def test_decimal_strings_are_not_numbers(call):
+    # Each of these once read its string through float() and ran.
+    with pytest.raises(ConfigError, match="expected a real scalar"):
+        call()
 
 
 # -- hashing: equal values hash equally, as Python requires -------------
@@ -255,7 +286,8 @@ def test_equal_reals_hash_equally(v, prec):
         forms += [float(x), complex(float(x), 0.0)]
     assert x == v
     for form in forms:
-        assert form == z and z == form and hash(form) == hash(z)
+        for y in (x, z):
+            assert form == y and y == form and hash(form) == hash(y)
 
 
 @PROPERTY
@@ -285,3 +317,22 @@ def test_equal_scalars_share_a_set_entry():
     assert len({one, 1}) == 1
     assert len({one, PComplex(1, 0, bits=64)}) == 1
     assert one in {1} and PComplex(-1, 0, bits=64) in {-1}
+
+
+@PROPERTY
+@given(floats, floats, bits)
+def test_real_equals_a_complex_exactly_when_its_imaginary_part_is_zero(re, im, prec):
+    x = PReal(re, prec)
+    c = complex(re, im)
+    assert (x == c) == (c == x) == (im == 0) == (PComplex(x, 0) == c)
+    assert (x != c) == (im != 0)
+
+
+def test_complex_takes_no_arithmetic_or_ordering_with_a_real():
+    x = PReal(0, 64)
+    assert x == 0j and 0j == x and PComplex(0, 0, bits=64) == 0j
+    for op in (operator.add, operator.mul, operator.lt, operator.ge):
+        with pytest.raises(TypeError):
+            op(x, 0j)
+        with pytest.raises(TypeError):
+            op(0j, x)

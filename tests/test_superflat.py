@@ -11,6 +11,7 @@ from gausdisk import superflat
 from gausdisk.disks import sup_abs_on_circle
 from gausdisk.errors import CertificateViolation, ConfigError
 from gausdisk.hermite import hermite_pair
+from gausdisk.measures import DiscreteMeasure
 from gausdisk.precision import PComplex, PReal, exp, pi_value, sqrt
 from gausdisk.superflat import (
     build_superflat,
@@ -45,9 +46,8 @@ def reference_boundary_scan(mix, n_samples):
     """The quarter-arc scan of |L(z)exp(-z**2/2) - 1| over |z| = 2: the
     oracle for the certificate's one-point eps2."""
     b = mix.bits
-    source = mix.source_measure()
     return sup_abs_on_circle(
-        lambda z: source.laplace(z) * exp(-(z * z) / 2) - 1,
+        lambda z: mix.rule.laplace(z) * exp(-(z * z) / 2) - 1,
         PReal(2, b), b, n_samples=n_samples, arc="quarter",
     )
 
@@ -212,7 +212,7 @@ class TestTransformIdentity:
 
         rng = random.Random(20240817)
         mix = build_superflat(6, 320)
-        source = mix.source_measure()
+        source = mix.rule
         scale = sqrt(2 * pi_value(320)) * mix.tilt_total
         for _ in range(10):
             z = PComplex(rng.uniform(-2, 2), rng.uniform(-2, 2), bits=320)
@@ -303,7 +303,7 @@ class TestCertificate:
         b = cert.bits
         fine = build_superflat(a, b + 256)
         two = PReal(2, b + 256)
-        exact = exp(two) * abs(fine.source_measure().laplace_error(two))
+        exact = exp(two) * abs(fine.rule.laplace_error(two))
         # The ceiling is e**2 |E(2)|, E the source rule's transform error,
         # rounded up by a relative 2**-(b//2).
         unrounded = cert.eps2_ceiling / (1 + PReal(2, b) ** (-(b // 2)))
@@ -330,7 +330,7 @@ class TestCertificate:
 
     def test_ceiling_needs_a_gauss_hermite_source(self):
         mix = build_superflat(4, 256)
-        unmarked = dataclasses.replace(mix.rule, gauss_hermite=False)
+        unmarked = DiscreteMeasure(mix.rule.atoms, mix.bits)
         with pytest.raises(ConfigError, match="Gauss-Hermite"):
             flatness_certificate(dataclasses.replace(mix, rule=unmarked), n_samples=16)
 

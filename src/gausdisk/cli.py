@@ -10,7 +10,8 @@ placed right after the subcommand, so argparse checks it like a typed
 option and the options typed after it win.
 
 Each input rule is checked once: argparse checks types and choices,
-``main`` that float options are finite and --samples is at least 8, and
+``main`` that float options are finite and --samples is at least 8
+(``_parse_grid_text`` applies the same finite rule inside --grid), and
 the library the ranges (ConfigError).  Subcommands check only what the
 library cannot say as well: --k >= 1, a positive spec half-width, one of
 --k or --a, the grid.  --out PATH is written only when the command succeeds.
@@ -322,14 +323,19 @@ def _parse_grid_text(text: str):
     text = text.strip()
     if not text:
         raise ConfigError("figure: empty --grid")
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError("figure: range grids use START:STOP:STEP")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigError(f"figure: could not parse grid {text!r}") from None
+    is_range = ":" in text
+    parts = text.split(":") if is_range else [p for p in text.split(",") if p.strip()]
+    if is_range and len(parts) != 3:
+        raise ConfigError("figure: range grids use START:STOP:STEP")
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"figure: could not parse grid {text!r}") from None
+    # The finite-number rule of ``main``, for the numbers inside --grid.
+    if not all(math.isfinite(x) for x in numbers):
+        raise ConfigError("figure: --grid values must be finite")
+    if is_range:
+        start, stop, step = numbers
         if step <= 0 or stop < start:
             raise ConfigError("figure: need STEP > 0 and STOP >= START")
         values = []
@@ -343,10 +349,7 @@ def _parse_grid_text(text: str):
                 raise ConfigError(f"figure: grid has more than {_MAX_GRID_POINTS} values")
             index += 1
         return values
-    try:
-        return [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ConfigError(f"figure: could not parse grid {text!r}") from None
+    return numbers
 
 
 def _cmd_figure(args) -> int:

@@ -25,7 +25,6 @@ evaluated, scanned and tilted as it is.  ``rule_to_csv`` writes it, and
 
 from __future__ import annotations
 
-import csv
 import math
 from typing import TextIO
 
@@ -56,7 +55,7 @@ from .errors import (
     SupportViolation,
 )
 from .measures import DiscreteMeasure, _sums_to_one
-from .precision import PReal, _check_bits, _like, _real, _scalar
+from .precision import PReal, _check_bits, _like, _real, _scalar, write_tag_rows
 
 __all__ = [
     "QuadratureRule",
@@ -323,15 +322,10 @@ def moment(rule: QuadratureRule, i: int) -> PReal:
         total = mpf_add(
             total, mpf_mul(weights[j].raw, paired, work, _RND), work, _RND
         )
-    if n % 2:
-        mid = nodes[n // 2].raw
-        if mid[1] != 0:
-            term = mpf_mul(
-                weights[n // 2].raw, mpf_pow_int(mid, i, work, _RND), work, _RND
-            )
-            total = mpf_add(total, term, work, _RND)
-        elif i == 0:
-            total = mpf_add(total, weights[n // 2].raw, work, _RND)
+    if n % 2 and i == 0:
+        # build_rule makes an odd rule's middle node an exact zero, which
+        # only the zeroth moment sees.
+        total = mpf_add(total, weights[n // 2].raw, work, _RND)
     return PReal._wrap(mpf_pos(total, rule.bits, _RND), rule.bits)
 
 
@@ -359,7 +353,4 @@ def k_for_support(a) -> int:
 
 def rule_to_csv(rule: QuadratureRule, out: TextIO) -> None:
     """Write the rule as CSV with exact value tags."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["node", "weight"])
-    for x, w in rule.atoms:
-        writer.writerow([x.serialize(), w.serialize()])
+    write_tag_rows(out, "node,weight", rule.atoms)

@@ -51,8 +51,6 @@ point, and cross-checks it against the closed form on a subsample.
 
 from __future__ import annotations
 
-import csv
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO
@@ -76,10 +74,8 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
-    mpf_pi,
     mpf_pos,
     mpf_shift,
-    mpf_sqrt,
     mpf_sub,
     round_nearest,
     to_fixed,
@@ -87,7 +83,8 @@ from mpmath.libmp import (
 )
 
 from .errors import ChainViolation, ConfigError, ConvergenceError
-from .precision import PComplex, PReal, _check_bits, _like, _pair, _real, _scalar, read_tag_rows
+from .precision import PComplex, PReal, _check_bits, _inv_sqrt_2pi, _like, _pair, _real, _scalar
+from .precision import read_tag_rows, write_tag_rows
 
 __all__ = [
     "normal_cdf",
@@ -110,12 +107,6 @@ _MAX_CDF_ARG = 64.0
 def _mag(raw) -> int:
     """Upper bound on log2|raw|; very small for zero."""
     return raw[2] + raw[3] if raw[1] else -(1 << 60)
-
-
-@functools.lru_cache(maxsize=64)
-def _inv_sqrt_2pi(prec: int):
-    two_pi = mpf_mul_int(mpf_pi(prec + 8, _RND), 2, prec + 8, _RND)
-    return mpf_div(fone, mpf_sqrt(two_pi, prec + 8, _RND), prec, _RND)
 
 
 def _gauss_raw(pair, prec: int):
@@ -314,10 +305,7 @@ class DiscreteMeasure(Measure):
         return _like(z, total, out_bits)
 
     def to_csv(self, out: TextIO) -> None:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["location", "mass"])
-        for loc, mass in self.atoms:
-            writer.writerow([loc.serialize(), mass.serialize()])
+        write_tag_rows(out, "location,mass", self.atoms)
 
     @classmethod
     def from_csv(cls, src: TextIO) -> "DiscreteMeasure":
@@ -556,10 +544,7 @@ def char_bound_check(
     bound_tail = 4 * q
     half_a_sq = mpf_shift(mpf_mul(trunc.a.raw, trunc.a.raw, bits, _RND), -1)
     gauss_a = PReal._wrap(mpf_exp(mpf_neg(half_a_sq), bits, _RND), bits)
-    two_pi = PReal._wrap(mpf_mul_int(mpf_pi(bits, _RND), 2, bits, _RND), bits)
-    bound_density = 4 * gauss_a / (
-        PReal._wrap(mpf_sqrt(two_pi.raw, bits, _RND), bits) * trunc.a
-    )
+    bound_density = 4 * gauss_a * PReal._wrap(_inv_sqrt_2pi(bits), bits) / trunc.a
     bound_plain = 2 * gauss_a
     max_dev = PReal._wrap(mpf_pos(best, bits, _RND), bits)
 

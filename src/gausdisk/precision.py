@@ -31,18 +31,22 @@ kind.
 Serialization uses an exact decimal tag ``<sign><digits>e<exp10>@<bits>``.
 The digit string is the full decimal expansion of the binary value (every
 finite binary float has one), so parsing recovers the value bit for bit.
+``write_tag_rows`` and ``read_tag_rows`` write and read the two-column CSV
+tables of tags in which rules, measures and mixtures are stored.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import operator
 import re
 import sys
-from typing import TextIO
+from typing import Iterable, TextIO
 
 from mpmath.libmp import (
+    fone,
     from_float,
     from_int,
     from_man_exp,
@@ -93,6 +97,7 @@ __all__ = [
     "cos_sin",
     "double_factorial",
     "read_tag_rows",
+    "write_tag_rows",
     "working_bits",
 ]
 
@@ -592,6 +597,15 @@ def read_tag_rows(src: TextIO, *headers: str) -> list[tuple[PReal, PReal]]:
     return rows
 
 
+def write_tag_rows(out: TextIO, header: str, rows: Iterable[tuple]) -> None:
+    """Write ``header`` ("first,second") and one line of two value tags per
+    row of PReals: the table :func:`read_tag_rows` reads.  A tag holds no
+    comma, quote or space, so no field needs quoting."""
+    out.write(f"{header}\n")
+    for first, second in rows:
+        out.write(f"{first.serialize()},{second.serialize()}\n")
+
+
 # -- elementary functions ---------------------------------------------
 
 
@@ -623,6 +637,15 @@ def sqrt(x):
 def pi_value(bits: int) -> PReal:
     _check_bits(bits)
     return PReal._wrap(mpf_pi(bits, _RND), bits)
+
+
+@functools.lru_cache(maxsize=64)
+def _inv_sqrt_2pi(bits: int):
+    """The raw value of 1/sqrt(2*pi) at ``bits``, from pi and its root taken
+    at 8 guard bits: the normal density's constant, which the CDF series,
+    the mixture density and the characteristic deviation chain share."""
+    two_pi = mpf_shift(mpf_pi(bits + 8, _RND), 1)
+    return mpf_div(fone, mpf_sqrt(two_pi, bits + 8, _RND), bits, _RND)
 
 
 def cos_sin(x: PReal) -> tuple[PReal, PReal]:

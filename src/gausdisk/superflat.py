@@ -45,10 +45,8 @@ circle points, so they share one all-orders evaluation per point; the
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TextIO
 
 from mpmath.libmp import (
@@ -73,6 +71,7 @@ from .precision import (
     PComplex,
     PReal,
     _check_bits,
+    _inv_sqrt_2pi,
     _like,
     _pair,
     _real,
@@ -81,6 +80,7 @@ from .precision import (
     pi_value,
     sqrt,
     working_bits,
+    write_tag_rows,
 )
 
 __all__ = [
@@ -105,12 +105,11 @@ _CERTIFICATE_SLACK = 1e-3
 
 @dataclass(frozen=True)
 class SuperflatMixture:
-    """A tilted-weight Gaussian mixture centered on rule nodes."""
+    """Unit Gaussians on the nodes of ``rule``, with the tilted weights
+    ``weights`` in node order."""
 
     a: PReal
-    k: int
     bits: int
-    locations: tuple[PReal, ...]
     weights: tuple[PReal, ...]
     tilt_total: PReal
     rule: QuadratureRule
@@ -129,8 +128,7 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
         bits = working_bits(float(a), 2.0)
     else:
         _check_bits(bits)
-    k = k_for_support(a)
-    rule = build_rule(k, bits)
+    rule = build_rule(k_for_support(a), bits)
     work = bits + 32
     tilted = []
     for x, w in rule.atoms:
@@ -142,9 +140,7 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
     weights = tuple((t / total).round_to(bits) for t in tilted)
     return SuperflatMixture(
         a=a.round_to(bits),
-        k=k,
         bits=bits,
-        locations=rule.nodes,
         weights=weights,
         tilt_total=total.round_to(bits),
         rule=rule,
@@ -159,12 +155,6 @@ def mixture_density(mix: SuperflatMixture, z):
 def density_derivative(mix: SuperflatMixture, z, n: int):
     """The n-th derivative of the mixture density at z."""
     return density_derivatives(mix, z, n)[n]
-
-
-@lru_cache(maxsize=16)
-def _inv_root_2pi(bits: int) -> tuple:
-    """The raw value of 1/sqrt(2*pi) at ``bits``."""
-    return (1 / sqrt(2 * pi_value(bits))).raw
 
 
 def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
@@ -188,9 +178,9 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
     bits = max(mix.bits, z.bits)
     zw = _pair(z.round_to(bits))
     guard = bits + 64
-    inv_root = _inv_root_2pi(bits)
+    inv_root = _inv_sqrt_2pi(bits)
     totals = [(fzero, fzero)] * (n_max + 1)
-    for x, v in zip(mix.locations, mix.weights):
+    for (x, _), v in zip(mix.rule.atoms, mix.weights):
         u = mpc_sub(zw, (x.raw, fzero), bits, _RND)
         minus_sq = mpc_neg(mpc_mul(u, u, bits, _RND))
         half = (mpf_shift(minus_sq[0], -1), mpf_shift(minus_sq[1], -1))  # exact
@@ -329,7 +319,7 @@ def flatness_certificate(
         )
     return FlatnessCertificate(
         a=float(mix.a),
-        k=mix.k,
+        k=mix.rule.k,
         bits=b,
         eps2=eps2,
         eps2_witness=witness,
@@ -347,9 +337,6 @@ def flatness_certificate(
 def superflat_to_csv(mix: SuperflatMixture, out: TextIO) -> None:
     """Write the mixture atoms with construction metadata comments."""
     out.write(f"# a={float(mix.a):.17g}\n")
-    out.write(f"# k={mix.k}\n")
+    out.write(f"# k={mix.rule.k}\n")
     out.write(f"# tilt_total={mix.tilt_total.serialize()}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["location", "weight"])
-    for x, v in zip(mix.locations, mix.weights):
-        writer.writerow([x.serialize(), v.serialize()])
+    write_tag_rows(out, "location,weight", zip(mix.rule.nodes, mix.weights))

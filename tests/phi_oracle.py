@@ -25,7 +25,8 @@ from mpmath.libmp import (
 )
 
 from gausdisk.errors import ConfigError, ConvergenceError
-from gausdisk.measures import _LN2, _MAX_CDF_ARG, _RND, _inv_sqrt_2pi, _mag
+from gausdisk.measures import _LN2, _MAX_CDF_ARG, _RND, _mag
+from gausdisk.precision import _inv_sqrt_2pi
 
 _HALF = mpf_shift(fone, -1)
 

@@ -757,8 +757,10 @@ class TestExitCodes:
             (("figure", "--b", "{}"), "figure: --b must be finite"),
             (("superflat", "--a", "{}"), "superflat: --a must be finite"),
             (("figure", "--config", "{conf}"), "figure: --b must be finite"),
+            (("figure", "--grid", "4,{}"), "figure: --grid values must be finite"),
+            (("figure", "--grid", "4:{}:1"), "figure: --grid values must be finite"),
         ],
-        ids=["trunc", "rule", "supdisk", "figure", "superflat", "config"],
+        ids=["trunc", "rule", "supdisk", "figure", "superflat", "config", "grid", "grid-range"],
     )
     def test_non_finite_number_is_named(self, capsys, tmp_path, argv, message, value):
         conf = tmp_path / "conf.txt"

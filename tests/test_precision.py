@@ -1,9 +1,12 @@
 """Arbitrary-precision scalar layer: arithmetic, rounding, serialization."""
 
+import csv
+import io
 import random
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath.libmp import from_rational, round_nearest
 
@@ -12,13 +15,16 @@ from gausdisk.precision import (
     MIN_BITS,
     PComplex,
     PReal,
+    _inv_sqrt_2pi,
     cos_sin,
     double_factorial,
     exp,
     log,
     pi_value,
+    read_tag_rows,
     sqrt,
     working_bits,
+    write_tag_rows,
 )
 
 
@@ -172,6 +178,15 @@ class TestFunctions:
         # 31st digit 5 rounds the printed tail ...3279... up to ...328
         assert pi_value(128).str_digits(30) == "3.14159265358979323846264338328"
 
+    @pytest.mark.parametrize("bits", [64, 128, 219, 594, 1413])
+    def test_inv_sqrt_2pi_within_one_unit_in_the_last_place(self, bits):
+        # Rounded twice (8 guard bits, then ``bits``), so at a few
+        # precisions, 219 among them, it is not the nearest value.
+        with mpmath.workprec(bits + 64):
+            want = mpmath.mpf(1) / mpmath.sqrt(2 * mpmath.pi)
+            got = mpmath.mpf(_inv_sqrt_2pi(bits))
+            assert abs(got - want) < want * mpmath.ldexp(1, 1 - bits)
+
     def test_cos_sin_pythagoras(self):
         rng = random.Random(55221)
         for _ in range(50):
@@ -223,6 +238,25 @@ class TestWorkingBits:
         for a, radius in ((1, 1e9), (3.7, 1e30), (1e200, 1), (1, 1e200)):
             with pytest.raises(ConfigError, match="262144"):
                 working_bits(a, radius)
+
+
+class TestTagRows:
+    @pytest.mark.parametrize("header", ["node,weight", "location,mass", "location,weight"])
+    def test_round_trip(self, header):
+        rows = [(PReal(-1.5, 64), PReal("0.25", 128)), (PReal(0, 200), pi_value(333))]
+        buf = io.StringIO()
+        write_tag_rows(buf, header, rows)
+        text = buf.getvalue()
+        # The bytes a csv.writer gives the same table.
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows([x.serialize(), y.serialize()] for x, y in rows)
+        assert text == want.getvalue()
+        back = read_tag_rows(io.StringIO(text), header)
+        assert [(x.raw, x.bits, y.raw, y.bits) for x, y in back] == [
+            (x.raw, x.bits, y.raw, y.bits) for x, y in rows
+        ]
 
 
 class TestSerialization:

@@ -12,7 +12,7 @@ from gausdisk.disks import sup_abs_on_circle
 from gausdisk.errors import CertificateViolation, ConfigError
 from gausdisk.hermite import hermite_pair
 from gausdisk.measures import DiscreteMeasure
-from gausdisk.precision import PComplex, PReal, exp, pi_value, sqrt
+from gausdisk.precision import PComplex, PReal, _inv_sqrt_2pi, exp, pi_value, sqrt
 from gausdisk.superflat import (
     build_superflat,
     density_derivative,
@@ -28,9 +28,9 @@ def reference_density_derivative(mix, z, n):
     per atom, all in PReal/PComplex arithmetic."""
     bits = max(mix.bits, z.bits)
     zw = z.round_to(bits)
-    inv_root = 1 / sqrt(2 * pi_value(bits))
+    inv_root = PReal._wrap(_inv_sqrt_2pi(bits), bits)
     total = None
-    for x, v in zip(mix.locations, mix.weights):
+    for x, v in zip(mix.rule.nodes, mix.weights):
         u = zw - x
         term = v * (exp(-(u * u) / 2) * inv_root)
         if n > 0:
@@ -75,8 +75,8 @@ class TestBuild:
 
     def test_a4_structure(self):
         mix = build_superflat(4, 256)
-        assert mix.k == 2
-        assert [float(x) for x in mix.locations] == [-1.0, 1.0]
+        assert mix.rule.k == 2
+        assert [float(x) for x in mix.rule.nodes] == [-1.0, 1.0]
         # equal source weights stay equal after tilting
         assert mix.weights[0] == mix.weights[1]
         assert abs(mix.weights[0] - PReal("0.5", 256)) <= PReal(2, 256) ** -250
@@ -120,7 +120,7 @@ class TestDensity:
         with mpmath.workdps(40):
             for zf in (-1.3, 0.2, 2.0):
                 ref = mpmath.mpf(0)
-                for x, v in zip(mix.locations, mix.weights):
+                for x, v in zip(mix.rule.nodes, mix.weights):
                     ref += mpmath.mpf(float(v)) * mpmath.npdf(
                         mpmath.mpf(zf) - mpmath.mpf(float(x))
                     )
@@ -183,6 +183,18 @@ class TestAllOrdersKernel:
                 wrapped = density_derivative(mix, z, n)
                 assert wrapped.raw == want.raw and wrapped.bits == want.bits
             assert mixture_density(mix, z).raw == values[0].raw
+
+    @pytest.mark.parametrize("a, bits", [(4, 128), (7, None)])
+    def test_matches_reference_where_a_direct_constant_differs(self, a, bits):
+        # 1/sqrt(2*pi) taken directly at these precisions (128 bits, and
+        # a = 7's default of 594) differs in the last bit from the guarded
+        # constant that the kernel and the reference share.
+        mix = build_superflat(a, bits)
+        assert (1 / sqrt(2 * pi_value(mix.bits))).raw != _inv_sqrt_2pi(mix.bits)
+        for z in (PReal("0.7", 64), PComplex(-1.2, 0.3, bits=64), PComplex(0, 2, bits=64)):
+            for n, value in enumerate(density_derivatives(mix, z, 4)):
+                want = reference_density_derivative(mix, z, n)
+                assert value.raw == want.raw and value.bits == want.bits, (a, z, n)
 
     def test_python_scalars_take_the_mixture_precision(self):
         mix = build_superflat(4, 160)
@@ -346,7 +358,7 @@ class TestCsv:
         assert text.startswith("# a=5\n# k=4\n# tilt_total=")
         assert "location,weight" in text
         body = [ln for ln in text.splitlines() if not ln.startswith("#")]
-        assert len(body) == 1 + mix.k
+        assert len(body) == 1 + mix.rule.k
         for line in body[1:]:
             loc_tag, weight_tag = line.split(",")
             PReal.parse(loc_tag)

@@ -32,7 +32,8 @@ its precision:
   off at the height where the two transform pieces are both provably
   negligible, and the report carries that off-segment ceiling.
 
-Both convexity checks return a ConvexityReport.
+Each check returns only when it holds and raises its MathInvariantError
+subclass otherwise; both convexity checks return a ConvexityReport.
 """
 
 from __future__ import annotations
@@ -93,29 +94,19 @@ class LineSupReport:
 @dataclass(frozen=True)
 class GrowthProfile:
     reports: tuple[CircleSupReport, ...]
-    support_half_width: PReal | None
     envelope_checked: tuple[bool, ...]
 
 
 @dataclass(frozen=True)
 class ConvexityReport:
-    """Outcome of a three-circles or three-lines log-convexity test; the
-    r's are radii or line offsets."""
+    """A three-circles or three-lines log-convexity test that held: its
+    weight lam, the margin rhs - lhs of the inequality in logs, status
+    "ok" or "degenerate", and whether it took the 4x rescan."""
 
-    r1: PReal
-    r2: PReal
-    r3: PReal
-    sup1: PReal
-    sup2: PReal
-    sup3: PReal
     lam: PReal
-    lhs_log: PReal
-    rhs_log: PReal
     margin: PReal
-    slack: float
     status: str
     retried: bool
-    passed: bool
 
 
 def _circle_radius(radius, bits: int) -> PReal:
@@ -358,41 +349,21 @@ def growth_profile(
         else:
             checked.append(False)
         reports.append(rep)
-    return GrowthProfile(
-        reports=tuple(reports),
-        support_half_width=a,
-        envelope_checked=tuple(checked),
-    )
+    return GrowthProfile(reports=tuple(reports), envelope_checked=tuple(checked))
 
 
-def _convexity_report(
-    rs: tuple[PReal, PReal, PReal],
-    sups: tuple[PReal, PReal, PReal],
-    lam: PReal,
-    retried: bool,
-) -> ConvexityReport:
-    bits = rs[0].bits
+def _log_convexity(
+    sups: tuple[PReal, PReal, PReal], lam: PReal, bits: int
+) -> tuple[PReal, str, bool]:
+    """(margin, status, holds) for log sup2 <= (1-lam) log sup1 + lam log sup3
+    within the slack; a zero sup makes the test "degenerate", which holds."""
     if any(s.is_zero() for s in sups):
-        zero = PReal(0, bits)
-        return ConvexityReport(
-            r1=rs[0], r2=rs[1], r3=rs[2],
-            sup1=sups[0], sup2=sups[1], sup3=sups[2],
-            lam=lam, lhs_log=zero, rhs_log=zero, margin=zero,
-            slack=_CONVEXITY_SLACK, status="degenerate", retried=retried, passed=True,
-        )
+        return PReal(0, bits), "degenerate", True
     logs = [log(s) for s in sups]
-    lhs = logs[1]
-    rhs = (1 - lam) * logs[0] + lam * logs[2]
     span = abs(logs[2] - logs[0])
     allowance = PReal(_CONVEXITY_SLACK, bits) * (span if span > 1 else PReal(1, bits))
-    margin = rhs - lhs
-    passed = bool(margin >= -allowance)
-    return ConvexityReport(
-        r1=rs[0], r2=rs[1], r3=rs[2],
-        sup1=sups[0], sup2=sups[1], sup3=sups[2],
-        lam=lam, lhs_log=lhs, rhs_log=rhs, margin=margin,
-        slack=_CONVEXITY_SLACK, status="ok", retried=retried, passed=passed,
-    )
+    margin = (1 - lam) * logs[0] + lam * logs[2] - logs[1]
+    return margin, "ok", bool(margin >= -allowance)
 
 
 def _convexity_check(
@@ -407,14 +378,14 @@ def _convexity_check(
     inequality still fails.  ``sups_at(n)`` returns (sups, exact)."""
     for attempt, n in enumerate((n_samples, 4 * n_samples)):
         sups, exact = sups_at(n)
-        report = _convexity_report(rs, sups, lam, retried=attempt > 0)
-        if report.passed:
-            return report
+        margin, status, holds = _log_convexity(sups, lam, rs[0].bits)
+        if holds:
+            return ConvexityReport(lam=lam, margin=margin, status=status, retried=attempt > 0)
         if exact:
             break
     raise ConvexityViolation(
         f"{what} ({float(rs[0]):g}, {float(rs[1]):g}, {float(rs[2]):g}): "
-        f"margin {float(report.margin):.3e} with slack {_CONVEXITY_SLACK:g}"
+        f"margin {float(margin):.3e} with slack {_CONVEXITY_SLACK:g}"
     )
 
 

@@ -25,9 +25,9 @@ is the l-indexed sum
 and the audit checks err <= S.  Replacing l by k in the denominators
 gives a geometric series, which converges only when
 q = max(e*a/(2k), e/sqrt(2k)) * b < 1, and collapses to 3*q**(a**2/4)
-only when q < 1/2; both regimes are detected and reported rather than
-assumed.  The fitted ceiling with c1 is checked separately whenever a
-fitted constant is supplied.
+only when q < 1/2; outside its regime ``k_sum`` or ``closed_bound`` is
+None rather than assumed.  The fitted ceiling with c1 is checked
+separately whenever a fitted constant is supplied.
 
 Artifacts (CSV, SVG, JSON manifest) are plain deterministic text: the
 same table writes byte-identical files.
@@ -100,18 +100,18 @@ class TailBoundModel:
 
 @dataclass(frozen=True)
 class TailChainReport:
-    a: float
-    b: float
+    """An audit of the tail chain at one (a, b): ``checks`` maps each link
+    to its verdict, None where the link does not apply.  The audit holds
+    when no link reads False."""
+
     k: int
     bits: int
-    err_quad: PReal | None
     ell_sum: PReal
     q_geometric: float
     k_sum: PReal | None
     closed_bound: PReal | None
     fit_bound: PReal | None
     checks: dict
-    regime: dict
     passed: bool
 
 
@@ -163,6 +163,14 @@ def run_figure(
         quad = build_rule(k, bits)
         err_trunc = sup_on_circle(trunc, b, bits=bits, n_samples=n_samples).sup_value
         err_quad = sup_on_circle(quad, b, bits=bits, n_samples=n_samples).sup_value
+        # -B has a positive Taylor coefficient for both families, so
+        # |B(b)| > 0 for every b > 0 and a zero sup is rounding.
+        for name, err in (("truncation", err_trunc), ("rule", err_quad)):
+            if err.is_zero():
+                raise ConfigError(
+                    f"the {name} error at a={a:g}, b={float(b):g} rounds to zero "
+                    f"at {bits} bits"
+                )
         rows.append(
             RateRow(a=a, k=k, bits=bits, err_trunc=err_trunc, err_quad=err_quad)
         )
@@ -321,11 +329,6 @@ def validate_tail_bound(
         if (err is None or fit_bound is None)
         else bool(err <= fit_bound),
     }
-    regime = {
-        "k_sum_converges": qf < 1.0,
-        "closed_form_valid": qf < 0.5,
-        "fit_supplied": c1_fit is not None,
-    }
     if checks["err_le_ell_sum"] is False:
         raise ChainViolation(
             f"measured error {float(err):.6e} exceeds its tail majorant "
@@ -333,18 +336,14 @@ def validate_tail_bound(
         )
     passed = all(v is not False for v in checks.values())
     return TailChainReport(
-        a=af,
-        b=bf,
         k=k,
         bits=bits,
-        err_quad=err,
         ell_sum=ell_sum,
         q_geometric=qf,
         k_sum=k_sum,
         closed_bound=closed_bound,
         fit_bound=fit_bound,
         checks=checks,
-        regime=regime,
         passed=passed,
     )
 

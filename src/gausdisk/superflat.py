@@ -34,7 +34,9 @@ quarter-arc scan, which no scan's refinement beat at the policy
 precision; it is a value at a point, so a lower bound, and n! * eps2 is
 not a certified ceiling.  The upper end, e**2 |E(2)| from one real-axis
 evaluation rounded up, is certified and reported beside it.  The direct
-sups are scan values, so they are lower bounds too.
+sups are scan values, so they are lower bounds too.  The certificate
+returns only when the identity samples and every direct sup pass, and
+raises CertificateViolation otherwise.
 
 All derivatives come from one kernel, :func:`density_derivatives`, which
 evaluates f, f', ..., f^(n) at a point with one exp and one Hermite
@@ -210,19 +212,17 @@ def _tilted_transform_error(mix: SuperflatMixture):
 
 @dataclass(frozen=True)
 class FlatnessCertificate:
-    a: float
-    k: int
+    """A flatness certificate that held; each ratio is a direct sup over
+    its Cauchy bound, at most 1 + ``_CERTIFICATE_SLACK``."""
+
     bits: int
     eps2: PReal
     eps2_witness: PComplex
     eps2_ceiling: PReal
-    n_samples: int
     derivative_bounds: tuple[PReal, ...]
     direct_sups: tuple[PReal, ...]
     ratios: tuple[float, ...]
     identity_checks: int
-    slack: float
-    passed: bool
 
 
 def flatness_certificate(
@@ -239,7 +239,8 @@ def flatness_certificate(
     mixture identity, so the two sides are computed by genuinely
     different code paths) and requires direct <= bound * (1 + 1e-3).
     The mixture identity itself is spot-checked on the sampling circle
-    first.
+    first.  Returns only when both hold; raises CertificateViolation
+    otherwise.
     """
     if not isinstance(mix, SuperflatMixture):
         raise ConfigError("expected a SuperflatMixture")
@@ -318,19 +319,14 @@ def flatness_certificate(
             f"ratios {[f'{r:.4f}' for r in ratios]}"
         )
     return FlatnessCertificate(
-        a=float(mix.a),
-        k=mix.rule.k,
         bits=b,
         eps2=eps2,
         eps2_witness=witness,
         eps2_ceiling=ceiling,
-        n_samples=n_samples,
         derivative_bounds=tuple(bounds),
         direct_sups=tuple(direct),
         ratios=tuple(ratios),
         identity_checks=identity_checks,
-        slack=_CERTIFICATE_SLACK,
-        passed=True,
     )
 
 

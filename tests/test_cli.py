@@ -408,6 +408,16 @@ class TestFigure:
         assert code == 2 and out == "" and "need at least 2 rows" in err
         assert [p.name for p in paths.values() if p.exists()] == []
 
+    def test_error_rounding_to_zero_names_the_row(self, capsys):
+        # |B(b)| > 0 for every b > 0, so a zero sup is rounding, not a value.
+        code, out, err = run_cli(
+            capsys, "figure", "--grid", "4,5,6,7", "--b", "1e-30", "--samples", "16"
+        )
+        assert code == 2 and out == ""
+        assert err.endswith(
+            "error: the truncation error at a=4, b=1e-30 rounds to zero at 184 bits\n"
+        )
+
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "figure", "--grid", "5:4:1", "--samples", "16")
         assert code == 2

@@ -313,7 +313,7 @@ class TestThreeCircles:
         bits = working_bits(4, 20)
         m = build_rule(k_for_support(4), bits)
         report = three_circles_check(m, 1, 12, 20, n_samples=64)
-        assert report.passed and report.status == "ok"
+        assert report.status == "ok"
         assert float(report.margin) > 0
         assert not report.retried
 
@@ -326,7 +326,6 @@ class TestThreeCircles:
                 return exp(z * z / 2)
 
         report = three_circles_check(GaussianError(), 1, math.sqrt(10), 10, n_samples=48)
-        assert report.passed
         # exactly log-midpoint radii: lam = 1/2
         assert float(report.lam) == pytest.approx(0.5, abs=1e-12)
         # log M(r) = r^2/2 gives margin (1/2 + 100/2)/2 - 10/2 = 20.25
@@ -334,7 +333,7 @@ class TestThreeCircles:
 
     def test_degenerate_when_error_vanishes(self):
         report = three_circles_check(StandardGaussian(192), 1, 2, 4, n_samples=32)
-        assert report.status == "degenerate" and report.passed
+        assert report.status == "degenerate"
 
     def test_plain_function_needs_bits(self):
         # only a Measure is accepted; a plain function is rejected
@@ -347,11 +346,30 @@ class TestThreeCircles:
             three_circles_check(m, 2, 1, 3)
 
 
+class KinkedLines(Measure):
+    # the line sup at offset 3 is 100 during the first ``kinked_scans`` line
+    # scans and 1 after them; it is 1 at every other offset
+    bits = 128
+
+    def __init__(self, kinked_scans):
+        self.scans = 0
+        self.kinked_scans = kinked_scans
+
+    def support_radius(self):
+        return PReal(1, self.bits)
+
+    def laplace_error(self, z):
+        if z.imag.is_zero():  # every line scan starts at Im z = 0
+            self.scans += 1
+        kinked = float(z.real) == 3 and self.scans <= self.kinked_scans
+        return PReal(100 if kinked else 1, self.bits)
+
+
 class TestThreeLines:
     def test_two_point_rule_convex(self):
         m = build_rule(2, 320)
         report = three_lines_check(m, 0, 3, 6, n_samples=64)
-        assert report.passed and report.status == "ok"
+        assert report.status == "ok"
         assert 4.0 < float(report.margin) < 5.5
         assert float(report.lam) == pytest.approx(0.5)
 
@@ -363,24 +381,15 @@ class TestThreeLines:
             three_lines_check(m, -1, 0, 1)
 
     def test_failure_is_retried_at_four_times_density(self):
-        class KinkedLines(Measure):
-            # the line sup is 100 at offset 3 and 1 elsewhere
-            bits = 128
-
-            def __init__(self):
-                self.scans = 0
-
-            def support_radius(self):
-                return PReal(1, self.bits)
-
-            def laplace_error(self, z):
-                if z.imag.is_zero():  # every line scan starts at Im z = 0
-                    self.scans += 1
-                return PReal(100 if float(z.real) == 3 else 1, self.bits)
-
-        m = KinkedLines()
+        m = KinkedLines(kinked_scans=6)
         with pytest.raises(ConvexityViolation, match="three-lines inequality failed at offsets"):
             three_lines_check(m, 0, 3, 6, n_samples=16)
+        assert m.scans == 6
+
+    def test_failure_that_the_rescan_clears_reports_the_retry(self):
+        m = KinkedLines(kinked_scans=3)  # the first pass only
+        report = three_lines_check(m, 0, 3, 6, n_samples=16)
+        assert report.retried and report.status == "ok"
         assert m.scans == 6
 
 

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 
 from gausdisk import measures
-from gausdisk.errors import ConfigError
+from gausdisk.errors import ChainViolation, ConfigError
 from gausdisk.hermite import build_rule, k_for_support
 from gausdisk.measures import (
     CharBoundReport,
@@ -355,7 +355,6 @@ class TestCharBoundCheck:
     def test_unit_support_chain(self):
         report = char_bound_check(1, t_max=5.0, t_step=0.125)
         assert isinstance(report, CharBoundReport)
-        assert report.passed
         assert float(report.max_deviation) <= float(report.bound_tail)
         assert float(report.bound_tail) <= float(report.bound_density)
         assert float(report.bound_density) <= float(report.bound_plain)
@@ -363,13 +362,34 @@ class TestCharBoundCheck:
     def test_series_route_engages_and_cross_checks(self):
         report = char_bound_check(4, t_max=12.0, t_step=0.25)
         assert report.cross_checks > 0
-        assert report.passed
 
     def test_deviation_bounded_by_four_tails(self):
         for af in (1, 2, 3):
             report = char_bound_check(af, t_max=6.0, t_step=0.2)
             four_q = 4 * gauss_upper_tail(PReal(af, report.bits))
             assert report.max_deviation <= four_q
+
+    def test_failed_chain_link_raises(self, monkeypatch):
+        # Shrink only the chain's own Q(a); the closed form passes its
+        # working precision and keeps the true tail, so the cross-checks hold.
+        tail = measures.gauss_upper_tail
+
+        def shrunk(a, bits=None):
+            return tail(a, bits) if bits is not None else tail(a) / 100
+
+        monkeypatch.setattr(measures, "gauss_upper_tail", shrunk)
+        with pytest.raises(ChainViolation, match="deviation chain failed at a=1"):
+            char_bound_check(1, t_max=5.0, t_step=0.125)
+
+    def test_series_and_closed_form_disagreeing_raises(self, monkeypatch):
+        closed = measures.truncation_error_closed_form
+        monkeypatch.setattr(
+            measures,
+            "truncation_error_closed_form",
+            lambda m, z: closed(m, z) + PReal(2, m.bits) ** -40,
+        )
+        with pytest.raises(ChainViolation, match="closed-form char evaluations disagree"):
+            char_bound_check(1, t_max=5.0, t_step=0.125)
 
     def test_rejects_out_of_range_width(self):
         with pytest.raises(ConfigError):

@@ -237,12 +237,11 @@ class TestCertificate:
     def test_a4_certificate(self):
         mix = build_superflat(4)
         cert = flatness_certificate(mix, n_samples=128)
-        assert cert.passed
         assert float(cert.eps2) == pytest.approx(4.07493232, abs=1e-7)
         assert cert.identity_checks == 16
         assert len(cert.derivative_bounds) == 8
         assert len(cert.direct_sups) == 4
-        assert all(r <= 1 + cert.slack for r in cert.ratios)
+        assert all(r <= 1 + superflat._CERTIFICATE_SLACK for r in cert.ratios)
 
     def test_a6_certificate_flatter(self):
         cert4 = flatness_certificate(build_superflat(4), n_samples=96)
@@ -287,13 +286,26 @@ class TestCertificate:
         monkeypatch.setattr(superflat, "density_derivatives", counted_kernel)
         monkeypatch.setattr(superflat, "sup_abs_on_circle", recorded_scan)
         cert = flatness_certificate(build_superflat(4), n_samples=256)
-        assert cert.passed and len(scans) == 4  # eps2 takes no scan
+        assert len(scans) == 4  # eps2 takes no scan
         # Every scanned function is still called once per visited point.
         for report, calls in scans:
             assert calls == report.n_samples + 2 + report.refine_iterations
         one_scan = max(calls for _, calls in scans)
         assert len(kernel_calls) <= one_scan + 16
         assert kernel_calls.count(0) == 16  # the identity samples
+
+    def test_direct_sup_past_its_bound_raises(self, monkeypatch):
+        # Orders >= 1 scaled by 10: f itself, and so the identity check, is
+        # unchanged, while every a = 4 ratio lands above 1.
+        kernel = superflat.density_derivatives
+
+        def inflated(mix, z, n_max):
+            f, *derivs = kernel(mix, z, n_max)
+            return (f, *(10 * d for d in derivs))
+
+        monkeypatch.setattr(superflat, "density_derivatives", inflated)
+        with pytest.raises(CertificateViolation, match="exceeded its Cauchy bound"):
+            flatness_certificate(build_superflat(4), n_samples=64)
 
     @pytest.mark.parametrize("a", [4, 4.5, 5, 6, 7, 8])
     def test_eps2_is_the_boundary_scan_sup(self, a):

@@ -10,7 +10,7 @@ placed right after the subcommand, so argparse checks it like a typed
 option and the options typed after it win.
 
 Each input rule is checked once: argparse checks types and choices,
-``main`` that float options are finite and --samples is at least 8
+``main`` that float options are finite and --samples is from 8 to 10,000
 (``_parse_grid_text`` applies the same finite rule inside --grid), and
 the library the ranges (ConfigError).  Subcommands check only what the
 library cannot say as well: --k >= 1, a positive spec half-width, one of
@@ -51,6 +51,8 @@ from .precision import MAX_BITS, MIN_BITS, PComplex, PReal, working_bits
 from .superflat import build_superflat, flatness_certificate, superflat_to_csv
 
 _ENV_PRECISION = "GAUSDISK_PRECISION"
+# The most values a --grid range may hold, and the most --samples may ask for.
+_MAX_GRID_POINTS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +109,7 @@ def _out_stream(path):
 _MEASURE_HELP = "gauss | trunc:A | rule:K | rulefor:A | csv:PATH"
 
 
-def _measure_and_bits(args, radius_hint: float):
+def _measure(args, radius_hint: float):
     """Parse --measure and build it at the resolved working precision.
 
     Auto precision uses the support half-width implied by the spec
@@ -119,8 +121,7 @@ def _measure_and_bits(args, radius_hint: float):
     rest = rest.strip()
     radius = max(1.0, float(radius_hint))
     if kind == "gauss" and not sep:
-        bits = _resolve_bits(args) or working_bits(1.0, radius)
-        return StandardGaussian(bits), bits
+        return StandardGaussian(_resolve_bits(args) or working_bits(1.0, radius))
     if kind in ("trunc", "rulefor") and sep:
         try:
             a = float(rest)
@@ -133,9 +134,8 @@ def _measure_and_bits(args, radius_hint: float):
         if a <= 0:
             raise ConfigError(f"measure spec {spec!r}: half-width must be positive")
         if kind == "trunc":
-            bits = _resolve_bits(args) or working_bits(a, radius)
-            return TruncatedGaussian(a, bits), bits
-        return _rule_and_bits(args, radius, a=a)
+            return TruncatedGaussian(a, _resolve_bits(args) or working_bits(a, radius))
+        return _rule(args, radius, a=a)
     if kind == "rule" and sep:
         try:
             k = int(rest)
@@ -145,7 +145,7 @@ def _measure_and_bits(args, radius_hint: float):
             ) from None
         if k < 1:
             raise ConfigError(f"measure spec {spec!r}: node count must be >= 1")
-        return _rule_and_bits(args, radius, k=k)
+        return _rule(args, radius, k=k)
     if kind == "csv" and sep:
         if not rest:
             raise ConfigError(f"measure spec {spec!r}: missing file path")
@@ -153,13 +153,13 @@ def _measure_and_bits(args, radius_hint: float):
             loaded = DiscreteMeasure.from_csv(handle)
         bits = _resolve_bits(args)
         if bits is None or bits == loaded.bits:
-            return loaded, loaded.bits
+            return loaded
         atoms = [(x.round_to(bits), w.round_to(bits)) for x, w in loaded.atoms]
-        return DiscreteMeasure(atoms, bits), bits
+        return DiscreteMeasure(atoms, bits)
     raise ConfigError(f"unknown measure spec {spec!r}; use {_MEASURE_HELP}")
 
 
-def _rule_and_bits(args, radius: float, k: int | None = None, a: float | None = None):
+def _rule(args, radius: float, k: int | None = None, a: float | None = None):
     """The k-node rule, or the smallest one whose nodes fit inside [-a, a],
     at the resolved precision; auto precision sizes for the rule's support
     and the evaluation radius."""
@@ -167,8 +167,7 @@ def _rule_and_bits(args, radius: float, k: int | None = None, a: float | None = 
         k, support = k_for_support(a), a
     else:
         support = math.sqrt(4 * k + 2)
-    bits = _resolve_bits(args) or working_bits(support, radius)
-    return build_rule(k, bits), bits
+    return build_rule(k, _resolve_bits(args) or working_bits(support, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +226,7 @@ def _cmd_rule(args) -> int:
         raise ConfigError("rule: give exactly one of --k or --a")
     if args.k is not None and args.k < 1:
         raise ConfigError("rule: --k must be >= 1")
-    rule, _ = _rule_and_bits(args, 1.0, k=args.k, a=args.a)
+    rule = _rule(args, 1.0, k=args.k, a=args.a)
     with _out_stream(args.out) as out:
         rule_to_csv(rule, out)
     return 0
@@ -261,7 +260,7 @@ def _cmd_transform(args) -> int:
 
     radius, farthest = max((size(*point[1:]), point[3]) for point in points)
     try:
-        measure, bits = _measure_and_bits(args, radius)
+        measure = _measure(args, radius)
     except NonFiniteError:
         if math.isfinite(radius):
             raise
@@ -272,8 +271,8 @@ def _cmd_transform(args) -> int:
     full = args.full_precision
     with _out_stream(args.out) as out:
         for tag, re_text, im_text, _ in points:
-            re_val = PReal(re_text, bits)
-            im_val = PReal(im_text, bits)
+            re_val = PReal(re_text, measure.bits)
+            im_val = PReal(im_text, measure.bits)
             # A frequency T (im_val is zero) is the point iT.
             point = PComplex(re_val, im_val) if tag == "z" else PComplex(im_val, re_val)
             if args.what == "char":
@@ -291,13 +290,13 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_supdisk(args) -> int:
-    measure, bits = _measure_and_bits(args, args.r)
+    measure = _measure(args, args.r)
     full = args.full_precision
     with _out_stream(args.out) as out:
         if args.line:
             report = sup_on_line(measure, args.r, n_samples=args.samples)
             print(f"line_offset {_fmt_real(report.offset, full)}", file=out)
-            print(f"bits {bits}", file=out)
+            print(f"bits {measure.bits}", file=out)
             print(f"samples {report.n_samples}", file=out)
             print(f"sup_lower_bound {_fmt_real(report.sup_value, full)}", file=out)
             print(f"witness {_fmt_complex(report.witness, full)}", file=out)
@@ -305,18 +304,15 @@ def _cmd_supdisk(args) -> int:
             print(f"tail_ceiling {_fmt_real(report.tail_ceiling, full)}", file=out)
             print(f"certified {report.certified}", file=out)
         else:
-            report = sup_on_circle(measure, args.r, bits=bits, n_samples=args.samples)
+            report = sup_on_circle(measure, args.r, n_samples=args.samples)
             print(f"circle_radius {_fmt_real(report.radius, full)}", file=out)
-            print(f"bits {bits}", file=out)
+            print(f"bits {measure.bits}", file=out)
             print(f"samples {report.n_samples}", file=out)
             print(f"arc {report.arc}", file=out)
             print(f"method {report.method}", file=out)
             print(f"sup_lower_bound {_fmt_real(report.sup_value, full)}", file=out)
             print(f"witness {_fmt_complex(report.witness, full)}", file=out)
     return 0
-
-
-_MAX_GRID_POINTS = 10_000
 
 
 def _parse_grid_text(text: str):
@@ -641,8 +637,11 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{args.command}: --{name} must be finite")
-        if getattr(args, "samples", 8) < 8:
+        samples = getattr(args, "samples", 8)
+        if samples < 8:
             raise ConfigError(f"{args.command}: --samples must be at least 8")
+        if samples > _MAX_GRID_POINTS:
+            raise ConfigError(f"{args.command}: --samples must be at most {_MAX_GRID_POINTS}")
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2

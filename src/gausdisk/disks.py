@@ -367,22 +367,18 @@ def _log_convexity(
 
 
 def _convexity_check(
-    sups_at: Callable[[int], tuple[tuple, bool]],
+    sups_at: Callable[[int], tuple],
     rs: tuple[PReal, PReal, PReal],
     lam: PReal,
     n_samples: int,
     what: str,
 ) -> ConvexityReport:
-    """Test at ``n_samples`` and, on failure, once more at 4x unless
-    ``sups_at`` says its sups are exact; raise ConvexityViolation if the
-    inequality still fails.  ``sups_at(n)`` returns (sups, exact)."""
+    """Test the sups ``sups_at(n_samples)`` and, on failure, always once
+    more at 4x; raise ConvexityViolation if the inequality still fails."""
     for attempt, n in enumerate((n_samples, 4 * n_samples)):
-        sups, exact = sups_at(n)
-        margin, status, holds = _log_convexity(sups, lam, rs[0].bits)
+        margin, status, holds = _log_convexity(sups_at(n), lam, rs[0].bits)
         if holds:
             return ConvexityReport(lam=lam, margin=margin, status=status, retried=attempt > 0)
-        if exact:
-            break
     raise ConvexityViolation(
         f"{what} ({float(rs[0]):g}, {float(rs[1]):g}, {float(rs[2]):g}): "
         f"margin {float(margin):.3e} with slack {_CONVEXITY_SLACK:g}"
@@ -403,9 +399,9 @@ def three_circles_check(
         lam = (log r2 - log r1) / (log r3 - log r1),
 
     within a slack of 1e-6 (scaled by the log-range when that exceeds
-    1).  On failure the scan is repeated once at 4x the sample density
-    before raising ConvexityViolation; when all three sups are exact
-    real-axis values the retry could not change them and is skipped.
+    1).  On failure the sups are always taken once more at 4x the sample
+    density before raising ConvexityViolation, even when all three are
+    exact real-axis values that the retry cannot change.
     """
     if not isinstance(measure, Measure):
         raise ConfigError("three_circles_check expects a Measure")
@@ -416,9 +412,7 @@ def three_circles_check(
     lam = (log(rs[1]) - log(rs[0])) / (log(rs[2]) - log(rs[0]))
 
     def sups_at(n):
-        scans = [sup_on_circle(measure, r, n_samples=n) for r in rs]
-        exact = all(rep.method == "real-axis" for rep in scans)
-        return tuple(rep.sup_value for rep in scans), exact
+        return tuple(sup_on_circle(measure, r, n_samples=n).sup_value for r in rs)
 
     return _convexity_check(
         sups_at, rs, lam, n_samples, "three-circles inequality failed at radii"
@@ -452,8 +446,7 @@ def three_lines_check(
     lam = (rs[1] - rs[0]) / (rs[2] - rs[0])
 
     def sups_at(n):
-        sups = tuple(sup_on_line(measure, r, n_samples=n).sup_value for r in rs)
-        return sups, False
+        return tuple(sup_on_line(measure, r, n_samples=n).sup_value for r in rs)
 
     return _convexity_check(
         sups_at, rs, lam, n_samples, "three-lines inequality failed at offsets"

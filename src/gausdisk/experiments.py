@@ -92,7 +92,6 @@ class RateFit:
 @dataclass(frozen=True)
 class TailBoundModel:
     c1: PReal
-    b: float
     rows_used: int
     binding_a: float | None
     floored: bool
@@ -161,8 +160,8 @@ def run_figure(
             progress(f"a={a:g}: k={k}, bits={bits}")
         trunc = TruncatedGaussian(a, bits)
         quad = build_rule(k, bits)
-        err_trunc = sup_on_circle(trunc, b, bits=bits, n_samples=n_samples).sup_value
-        err_quad = sup_on_circle(quad, b, bits=bits, n_samples=n_samples).sup_value
+        err_trunc = sup_on_circle(trunc, b, n_samples=n_samples).sup_value
+        err_quad = sup_on_circle(quad, b, n_samples=n_samples).sup_value
         # -B has a positive Taylor coefficient for both families, so
         # |B(b)| > 0 for every b > 0 and a zero sup is rounding.
         for name, err in (("truncation", err_trunc), ("rule", err_quad)):
@@ -177,25 +176,32 @@ def run_figure(
     return RateTable(b=b, n_samples=n_samples, rows=tuple(rows))
 
 
-def _least_squares(points: list[tuple[float, float]]) -> tuple[float, float]:
+def _fit_rate(
+    table: RateTable, err: str, x_of, x_label: str, a_min: float | None = None
+) -> RateFit:
+    """The least-squares line of ln ``err`` (a row field) on x_of(a) over
+    the rows with a >= a_min, or over all rows when a_min is None."""
+    points = [
+        (x_of(row.a), float(log(getattr(row, err))))
+        for row in table.rows
+        if a_min is None or row.a >= a_min
+    ]
     n = len(points)
+    if n < 4:
+        where = "" if a_min is None else f" with a >= {a_min:g}"
+        raise InsufficientDataError(f"need at least 4 rows{where} to fit a rate")
     mean_x = sum(x for x, _ in points) / n
     mean_y = sum(y for _, y in points) / n
     var = sum((x - mean_x) ** 2 for x, _ in points)
     if var == 0.0:
         raise InsufficientDataError("degenerate fit: all x values coincide")
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in points)
-    slope = cov / var
-    return slope, mean_y - slope * mean_x
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in points) / var
+    return RateFit(slope=slope, intercept=mean_y - slope * mean_x, n_rows=n, x_label=x_label)
 
 
 def fit_truncation_rate(table: RateTable) -> RateFit:
     """ln err_trunc regressed on a**2 over all rows."""
-    points = [(row.a**2, float(log(row.err_trunc))) for row in table.rows]
-    if len(points) < 4:
-        raise InsufficientDataError("need at least 4 rows to fit a rate")
-    slope, intercept = _least_squares(points)
-    return RateFit(slope=slope, intercept=intercept, n_rows=len(points), x_label="a^2")
+    return _fit_rate(table, "err_trunc", lambda a: a**2, "a^2")
 
 
 def fit_quadrature_rate(table: RateTable) -> RateFit:
@@ -203,17 +209,7 @@ def fit_quadrature_rate(table: RateTable) -> RateFit:
 
     Small-a rows are excluded because the k staircase dominates there.
     """
-    points = [
-        (row.a**2 * math.log(row.a), float(log(row.err_quad)))
-        for row in table.rows
-        if row.a >= 6.0
-    ]
-    if len(points) < 4:
-        raise InsufficientDataError("need at least 4 rows with a >= 6 to fit a rate")
-    slope, intercept = _least_squares(points)
-    return RateFit(
-        slope=slope, intercept=intercept, n_rows=len(points), x_label="a^2 ln a"
-    )
+    return _fit_rate(table, "err_quad", lambda a: a**2 * math.log(a), "a^2 ln a", 6.0)
 
 
 def fit_c1(table: RateTable) -> TailBoundModel:
@@ -242,7 +238,6 @@ def fit_c1(table: RateTable) -> TailBoundModel:
         best = best * (1 + PReal(2, bits) ** -(bits - 32))
     return TailBoundModel(
         c1=best,
-        b=table.b,
         rows_used=len(table.rows),
         binding_a=binding,
         floored=binding is None,

@@ -72,7 +72,6 @@ from mpmath.libmp import (
     mpf_add,
     mpf_cmp,
     mpf_div,
-    mpf_exp,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
@@ -104,6 +103,8 @@ _RND = round_nearest
 _LN2 = math.log(2.0)
 
 _MAX_CDF_ARG = 64.0
+# The most grid steps char_bound_check sweeps.
+_MAX_CHAR_STEPS = 10_000
 
 
 def _mag(raw) -> int:
@@ -456,8 +457,8 @@ def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | P
     denom = PReal(1, wp) - 2 * q_a
     zw = PComplex(z, bits=wp)
     a_w = PComplex(a, PReal(0, wp), bits=wp)
-    q_plus = 1 - normal_cdf(a_w + zw, wp)
-    q_minus = 1 - normal_cdf(a_w - zw, wp)
+    q_plus = 1 - normal_cdf(a_w + zw)
+    q_minus = 1 - normal_cdf(a_w - zw)
     gauss = PComplex._wrap(_gauss_raw(zw.raw, wp), wp)
     value = -(gauss * (q_plus + q_minus - 2 * q_a)) / denom
     return _like(z, value.raw, out_bits)
@@ -493,7 +494,9 @@ def char_bound_check(
     the precision the largest t needs; on every eighth of the grid it is
     cross-checked against ``truncation_error_closed_form`` at z = it.
     Returns only when the chain and every cross-check hold; raises
-    ChainViolation otherwise.
+    ChainViolation otherwise.  A grid of more than 10,000 steps, or one
+    reaching past a + t = 64, the truncated Gaussian's transform domain,
+    raises ConfigError before any work starts.
     """
     af = float(_real(a))
     if not (1.0 <= af <= 8.0):
@@ -501,10 +504,20 @@ def char_bound_check(
     t_max, t_step = float(_real(t_max)), float(_real(t_step))
     if t_max <= 0 or t_step <= 0:
         raise ConfigError("t_max and t_step must be positive")
+    steps = t_max / t_step
+    if steps > _MAX_CHAR_STEPS:
+        raise ConfigError(
+            f"char_bound_check grid has {steps:.6g} steps, more than {_MAX_CHAR_STEPS}"
+        )
+    n_steps = int(round(steps))
+    t_top = max(t_max, n_steps * t_step)
+    if af + t_top > _MAX_CDF_ARG:
+        raise ConfigError(
+            f"char_bound_check needs a + t <= 64 on its grid, got a={af:g}, t up to {t_top:g}"
+        )
     bits = max(192, int(af * af / (2 * _LN2)) + 96)
 
     trunc = TruncatedGaussian(af, bits)
-    n_steps = int(round(t_max / t_step))
     step_raw = PReal(t_step, bits).raw
     wp_top = bits + int(af * t_max / _LN2) + 64
     coeffs = _moment_coeffs(trunc.a.raw, _series_cutoff(af * t_max, bits + 32), wp_top)
@@ -520,8 +533,7 @@ def char_bound_check(
         wp = bits + int(at / _LN2) + 64
         n = min(len(coeffs) - 1, _series_cutoff(at, bits + 32))
         psi = _horner(coeffs, n, mpf_neg(mpf_mul(t_raw, t_raw, wp, _RND)), wp)
-        half_sq = mpf_shift(mpf_mul(t_raw, t_raw, wp_top, _RND), -1)
-        gauss = mpf_exp(mpf_neg(half_sq), wp_top, _RND)
+        gauss = _gauss_raw((fzero, t_raw), wp_top)[0]  # exp((it)**2/2)
         diff = mpf_sub(psi, gauss, wp_top, _RND)
         if j % check_every == 0:
             it = PComplex(zero, PReal._wrap(t_raw, bits))
@@ -538,8 +550,7 @@ def char_bound_check(
 
     q = gauss_upper_tail(PReal(af, bits))
     bound_tail = 4 * q
-    half_a_sq = mpf_shift(mpf_mul(trunc.a.raw, trunc.a.raw, bits, _RND), -1)
-    gauss_a = PReal._wrap(mpf_exp(mpf_neg(half_a_sq), bits, _RND), bits)
+    gauss_a = PReal._wrap(_gauss_raw((fzero, trunc.a.raw), bits)[0], bits)
     bound_density = 4 * gauss_a * PReal._wrap(_inv_sqrt_2pi(bits), bits) / trunc.a
     bound_plain = 2 * gauss_a
     max_dev = PReal._wrap(mpf_pos(best, bits, _RND), bits)

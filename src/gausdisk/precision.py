@@ -28,9 +28,11 @@ out: ``_real`` and ``_scalar`` lift Python numbers to PReal and PComplex,
 imaginary part, and ``_like`` rounds a raw pair back to a given value's
 kind.
 
-Serialization uses an exact decimal tag ``<sign><digits>e<exp10>@<bits>``.
+A PReal serializes to an exact decimal tag ``<sign><digits>e<exp10>@<bits>``.
 The digit string is the full decimal expansion of the binary value (every
 finite binary float has one), so parsing recovers the value bit for bit.
+Tags are written and read for PReal values only; a complex value is
+printed as its two parts.
 ``write_tag_rows`` and ``read_tag_rows`` write and read the two-column CSV
 tables of tags in which rules, measures and mixtures are stored.
 """
@@ -508,23 +510,6 @@ class PComplex(_Scalar):
 
     def __complex__(self) -> complex:
         return complex(to_float(self._raw[0], rnd=_RND), to_float(self._raw[1], rnd=_RND))
-
-    def serialize(self) -> str:
-        """Two real tags separated by one space, real part first."""
-        return f"{self.real.serialize()} {self.imag.serialize()}"
-
-    @classmethod
-    def parse(cls, text: str) -> "PComplex":
-        parts = text.split()
-        if len(parts) != 2:
-            raise ConfigError(f"malformed complex tag pair {text!r}")
-        re_part = PReal.parse(parts[0])
-        im_part = PReal.parse(parts[1])
-        if re_part.bits != im_part.bits:
-            raise ConfigError(
-                f"complex tag parts disagree on precision: {text!r}"
-            )
-        return cls._wrap((re_part._raw, im_part._raw), re_part.bits)
 
     def __str__(self) -> str:
         return f"({self.real} {'+' if self._raw[1][0] == 0 else '-'} {abs(self.imag)}j)"

@@ -111,10 +111,14 @@ class SuperflatMixture:
     ``weights`` in node order."""
 
     a: PReal
-    bits: int
     weights: tuple[PReal, ...]
     tilt_total: PReal
     rule: QuadratureRule
+
+    @property
+    def bits(self) -> int:
+        """The mixture's precision, which is its rule's."""
+        return self.rule.bits
 
 
 def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
@@ -142,7 +146,6 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
     weights = tuple((t / total).round_to(bits) for t in tilted)
     return SuperflatMixture(
         a=a.round_to(bits),
-        bits=bits,
         weights=weights,
         tilt_total=total.round_to(bits),
         rule=rule,
@@ -202,14 +205,6 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
     return tuple(_like(z, mpc_neg(t) if n % 2 else t, bits) for n, t in enumerate(totals))
 
 
-def _tilted_transform_error(mix: SuperflatMixture):
-    """g(z) - 1 with g the tilted transform L(z)exp(-z**2/2)."""
-    def f(z: PComplex):
-        return mix.rule.laplace(z) * exp(-(z * z) / 2) - 1
-
-    return f
-
-
 @dataclass(frozen=True)
 class FlatnessCertificate:
     """A flatness certificate that held; each ratio is a direct sup over
@@ -222,7 +217,6 @@ class FlatnessCertificate:
     derivative_bounds: tuple[PReal, ...]
     direct_sups: tuple[PReal, ...]
     ratios: tuple[float, ...]
-    identity_checks: int
 
 
 def flatness_certificate(
@@ -245,14 +239,16 @@ def flatness_certificate(
     if not isinstance(mix, SuperflatMixture):
         raise ConfigError("expected a SuperflatMixture")
     b = mix.bits
-    g_minus_1 = _tilted_transform_error(mix)
+
+    def g_minus_1(z: PComplex):
+        """g(z) - 1 with g the tilted transform L(z)exp(-z**2/2)."""
+        return mix.rule.laplace(z) * exp(-(z * z) / 2) - 1
 
     # The identity sqrt(2*pi) * B * f(z) = L(z) exp(-z**2/2) ties the
     # transform side to the mixture-side derivative scans.
     root_2pi = sqrt(2 * pi_value(b))
     scale = root_2pi * mix.tilt_total.round_to(b)
     two = PReal(2, b)
-    identity_checks = 0
     for j in range(16):
         theta = pi_value(b) * (2 * j + 1) / 32
         z = circle_point(two, theta, b)
@@ -263,7 +259,6 @@ def flatness_certificate(
             raise CertificateViolation(
                 f"mixture identity failed at sample {j}: gap {float(gap):.3e}"
             )
-        identity_checks += 1
 
     # g - 1 = E(z) exp(-z**2/2) with E the source rule's transform error.
     # On |z| = 2 the factor exp(-z**2/2) peaks at z = 2i, the last seed of
@@ -274,7 +269,7 @@ def flatness_certificate(
     # 2**-(b//2) that covers the rounding of E(2).
     witness = circle_point(two, 2 * pi_value(b) / 4, b)
     eps2 = abs(g_minus_1(witness))
-    axis = sup_on_circle(mix.rule, two, b)
+    axis = sup_on_circle(mix.rule, two)
     if axis.method != "real-axis":
         raise ConfigError("the flatness certificate needs a symmetric Gauss-Hermite source rule")
     margin = 1 + PReal(2, b) ** (-(b // 2))
@@ -326,7 +321,6 @@ def flatness_certificate(
         derivative_bounds=tuple(bounds),
         direct_sups=tuple(direct),
         ratios=tuple(ratios),
-        identity_checks=identity_checks,
     )
 
 

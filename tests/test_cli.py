@@ -602,6 +602,22 @@ class TestVerify:
         assert len(children) == 1 and children[0].returncode is not None
 
 
+class TestSamples:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("supdisk", "--measure", "rule:2", "--r", "1"),
+            ("figure", "--grid", "4:6:1"),
+            ("superflat", "--a", "4"),
+        ],
+        ids=["supdisk", "figure", "superflat"],
+    )
+    def test_samples_above_the_ceiling_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--samples", "10001")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--samples must be at most 10000" in err
+
+
 class TestPrecedence:
     def test_env_var_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUSDISK_PRECISION", "96")

@@ -218,28 +218,6 @@ class TestRealAxisPath:
         assert axis.sup_value <= scan.sup_value
         assert scan.sup_value <= axis.sup_value * (1 + two ** -(bits // 2)) + floor
 
-    def test_convexity_retry_skipped_for_exact_sups(self):
-        class Kinked(Measure):
-            # claims the real-axis property; log M(r) is concave at r = 2
-            def __init__(self):
-                self.bits = 128
-                self.calls = 0
-
-            def is_symmetric(self):
-                return True
-
-            def error_peaks_on_real_axis(self):
-                return True
-
-            def laplace_error(self, z):
-                self.calls += 1
-                return PReal(100 if float(z.real) == 2 else 1, self.bits)
-
-        m = Kinked()
-        with pytest.raises(ConvexityViolation):
-            three_circles_check(m, 1, 2, 4, n_samples=16)
-        assert m.calls == 3
-
 
 class TestLineScan:
     def test_two_point_rule_on_imaginary_axis(self):

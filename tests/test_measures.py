@@ -397,6 +397,25 @@ class TestCharBoundCheck:
         with pytest.raises(ConfigError):
             char_bound_check(9)
 
+    @staticmethod
+    def _no_sweep(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(measures, "_moment_coeffs", refuse)
+
+    @pytest.mark.parametrize("t_max", [70.0, 60.0])
+    def test_grid_past_the_transform_domain_rejected_up_front(self, monkeypatch, t_max):
+        # The truncated Gaussian's transform takes a + |z| <= 64.
+        self._no_sweep(monkeypatch)
+        with pytest.raises(ConfigError, match=r"a \+ t <= 64"):
+            char_bound_check(8, t_max=t_max, t_step=1.0)
+
+    def test_grid_of_more_than_ten_thousand_steps_rejected_up_front(self, monkeypatch):
+        self._no_sweep(monkeypatch)
+        with pytest.raises(ConfigError, match="more than 10000"):
+            char_bound_check(1, t_max=1.0001, t_step=1e-4)
+
 
 class TestValidation:
     def test_laplace_rejects_junk(self):

@@ -283,9 +283,6 @@ class TestSerialization:
         assert len(tag) > 4300
         back = PReal.parse(tag)
         assert back.raw == v.raw and back.bits == bits
-        z = PComplex(v, -v * 7)
-        back_z = PComplex.parse(z.serialize())
-        assert back_z.raw == z.raw and back_z.bits == bits
 
     def test_roundtrip_zero(self):
         z = PReal(0, 77)
@@ -311,8 +308,6 @@ class TestSerialization:
         start = time.perf_counter()
         with pytest.raises(ConfigError):
             PReal.parse(tag)
-        with pytest.raises(ConfigError):
-            PComplex.parse(f"{tag} 0e0@64")
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
@@ -412,11 +407,6 @@ class TestPComplex:
         r = sqrt(z)
         assert abs(r * r - z) < PReal(2, 128) ** -120
         assert float(r.real) > 0
-
-    def test_serialize_roundtrip(self):
-        z = PComplex(0.1, -0.7, bits=160)
-        back = PComplex.parse(z.serialize())
-        assert back == z and back.bits == z.bits
 
     def test_division(self):
         z = PComplex(1, 2, bits=128)

@@ -1,8 +1,9 @@
 """The README's examples run as written.
 
-Its ``>>>`` block runs as a doctest, and every ``$ gausdisk ...`` block is
-compared with the command's output line by line, where a ``...`` line
-stands for any number of output lines.
+Its ``>>>`` block runs as a doctest, every other ``python`` block runs as a
+script in a fresh namespace, and every ``$ gausdisk ...`` block is compared
+with the command's output line by line, where a ``...`` line stands for any
+number of output lines.
 """
 
 import doctest
@@ -15,13 +16,14 @@ import pytest
 from gausdisk.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-BLOCKS = re.findall(r"^```[a-z]*\n(.*?)^```$", README, re.S | re.M)
-SESSIONS = [block for block in BLOCKS if block.startswith(">>> ")]
-COMMANDS = [block for block in BLOCKS if block.startswith("$ gausdisk ")]
+BLOCKS = re.findall(r"^```([a-z]*)\n(.*?)^```$", README, re.S | re.M)
+SESSIONS = [block for _, block in BLOCKS if block.startswith(">>> ")]
+SCRIPTS = [block for lang, block in BLOCKS if lang == "python" and not block.startswith(">>> ")]
+COMMANDS = [block for _, block in BLOCKS if block.startswith("$ gausdisk ")]
 
 
 def test_readme_has_the_examples():
-    assert SESSIONS and len(COMMANDS) >= 4
+    assert SESSIONS and SCRIPTS and len(COMMANDS) >= 4
 
 
 @pytest.mark.parametrize("block", SESSIONS)
@@ -30,6 +32,11 @@ def test_doctest_block(block):
     runner = doctest.DocTestRunner(optionflags=doctest.ELLIPSIS)
     runner.run(test)
     assert runner.summarize(verbose=False).failed == 0
+
+
+@pytest.mark.parametrize("block", SCRIPTS)
+def test_script_block(block):
+    exec(compile(block, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("block", COMMANDS, ids=lambda b: b.splitlines()[0][2:])

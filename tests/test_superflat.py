@@ -10,7 +10,7 @@ import pytest
 from gausdisk import superflat
 from gausdisk.disks import sup_abs_on_circle
 from gausdisk.errors import CertificateViolation, ConfigError
-from gausdisk.hermite import hermite_pair
+from gausdisk.hermite import build_rule, hermite_pair
 from gausdisk.measures import DiscreteMeasure
 from gausdisk.precision import PComplex, PReal, _inv_sqrt_2pi, exp, pi_value, sqrt
 from gausdisk.superflat import (
@@ -106,6 +106,12 @@ class TestBuild:
 
         mix = build_superflat(5)
         assert mix.bits == working_bits(5.0, 2.0)
+
+    def test_precision_is_the_rules(self):
+        mix = build_superflat(4, 256)
+        assert mix.bits == mix.rule.bits == 256
+        moved = dataclasses.replace(mix, rule=build_rule(mix.rule.k, 320))
+        assert moved.bits == 320
 
 
 class TestDensity:
@@ -238,7 +244,6 @@ class TestCertificate:
         mix = build_superflat(4)
         cert = flatness_certificate(mix, n_samples=128)
         assert float(cert.eps2) == pytest.approx(4.07493232, abs=1e-7)
-        assert cert.identity_checks == 16
         assert len(cert.derivative_bounds) == 8
         assert len(cert.direct_sups) == 4
         assert all(r <= 1 + superflat._CERTIFICATE_SLACK for r in cert.ratios)

@@ -22,8 +22,12 @@ is the l-indexed sum
 
     S = sum_{l>=k} [ (e*a/(2l))**(2l) + (e/sqrt(2l))**(2l) ] * b**(2l),
 
-and the audit checks err <= S.  Replacing l by k in the denominators
-gives a geometric series, which converges only when
+and the audit checks err <= S against a certified ceiling of S.  The
+series is summed at a fixed 128 bits, whatever the audit's precision,
+with every operation rounded up, and its tail is bounded by a geometric
+series rather than dropped; the ceiling is then rounded up to the
+audit's precision.  Replacing l by k in the denominators gives a
+geometric series, which converges only when
 q = max(e*a/(2k), e/sqrt(2k)) * b < 1, and collapses to 3*q**(a**2/4)
 only when q < 1/2; outside its regime ``k_sum`` or ``closed_bound`` is
 None rather than assumed.  The fitted ceiling with c1 is checked
@@ -38,6 +42,21 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_e,
+    mpf_le,
+    mpf_mul,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_shift,
+    round_up,
+)
 
 from .disks import _RESOLUTION_EXP, sup_on_circle
 from .errors import ChainViolation, ConfigError, InsufficientDataError
@@ -142,18 +161,21 @@ def run_figure(
     grid = sorted(set(float(_real(a)) for a in a_values))
     if not grid:
         raise ConfigError("empty grid of support half-widths")
-    if _real(b) <= 0:
+    bf = float(_real(b))
+    if bf <= 0:
         raise ConfigError("disk radius b must be positive")
     if bits_override is not None:
         _check_bits(bits_override)
     # Every row is checked before the first is measured.  The truncated
-    # Gaussian takes a <= 64, where the rule reaches its largest size, 512.
+    # Gaussian takes a <= 64, where the rule reaches its largest size, 512,
+    # and its transform takes a + b <= 64, which the largest a decides.
     plan = []
     for a in grid:
         if not 1.0 <= a <= 64.0:
             raise ConfigError(f"support half-width a={a:g} is outside [1, 64]")
         bits = working_bits(a, b) if bits_override is None else bits_override
         plan.append((a, k_for_support(a), bits))
+    _check_row(grid[-1], bf)
     rows = []
     for a, k, bits in plan:
         if progress is not None:
@@ -163,12 +185,21 @@ def run_figure(
         err_trunc = sup_on_circle(trunc, b, n_samples=n_samples).sup_value
         err_quad = sup_on_circle(quad, b, n_samples=n_samples).sup_value
         # -B has a positive Taylor coefficient for both families, so
-        # |B(b)| > 0 for every b > 0 and a zero sup is rounding.
+        # |B(b)| > 0 for every b > 0 and a zero sup is rounding.  So is a
+        # sup at or below the subtraction's rounding floor
+        # 2**(16 - bits) * exp(b**2/2), compared as binary exponents:
+        # |err| < 2**(exp + bc) for a raw value (sign, man, exp, bc).
+        floor_exp = 16 - bits + bf * bf / (2 * math.log(2.0))
         for name, err in (("truncation", err_trunc), ("rule", err_quad)):
             if err.is_zero():
                 raise ConfigError(
-                    f"the {name} error at a={a:g}, b={float(b):g} rounds to zero "
+                    f"the {name} error at a={a:g}, b={bf:g} rounds to zero "
                     f"at {bits} bits"
+                )
+            if err.raw[2] + err.raw[3] <= floor_exp:
+                raise ConfigError(
+                    f"the {name} error at a={a:g}, b={bf:g} is rounding noise "
+                    f"at {bits} bits: it lies below 2**(16 - bits) * exp(b**2/2)"
                 )
         rows.append(
             RateRow(a=a, k=k, bits=bits, err_trunc=err_trunc, err_quad=err_quad)
@@ -244,12 +275,69 @@ def fit_c1(table: RateTable) -> TailBoundModel:
     )
 
 
+def _check_row(a: float, b: float) -> None:
+    """The (a, b) rows ``run_figure`` accepts: 1 <= a <= 64, b > 0 and
+    a + b <= 64, where the truncated Gaussian's transform is defined."""
+    if not 1.0 <= a <= 64.0:
+        raise ConfigError(f"support half-width a={a:g} is outside [1, 64]")
+    if b <= 0:
+        raise ConfigError("disk radius b must be positive")
+    if a + b > 64.0:
+        raise ConfigError(f"disk radius b={b:g} puts a + b past 64 at a={a:g}")
+
+
 def tail_bound_value(c1, a, b, bits: int = 256) -> PReal:
-    """3 * (c1*b/a)**(a**2/4) at the stated precision."""
+    """3 * (c1*b/a)**(a**2/4) at the stated precision, for c1 > 0 and a
+    row (a, b) that ``run_figure`` accepts."""
     _check_bits(bits)
     c1, a, b = (_real(x, bits) for x in (c1, a, b))
+    if c1 <= 0:
+        raise ConfigError("tail constant c1 must be positive")
+    _check_row(float(a), float(b))
     ratio = c1.round_to(bits) * b / a
     return 3 * exp(log(ratio) * (a * a) / 4)
+
+
+# The precision of the l-indexed sum, whatever the audit's ``bits``.
+_ELL_SUM_BITS = 128
+
+
+def _ell_sum_ceiling(a: float, b: float, k: int):
+    """A raw upper bound for S = sum_{l>=k} (A/l)**(2l) + (C/l)**l, where
+    A = e*a*b/2 and C = (e*b)**2/2, at most S * (1 + 2**-60).
+
+    Every operation rounds up at 128 bits, starting from an upper bound
+    for e.  From term l on, u_{j+1}/u_j <= (A/(j+1))**2 and
+    v_{j+1}/v_j <= C/(j+1), so once rho = max((A/(l+1))**2, C/(l+1)) is
+    at most 1/2 the rest of the series is at most term l itself.  The
+    sum stops at the first such l whose term is also at most 2**-64 of
+    the partial sum, and adds that term once more for the rest."""
+    wp, up = _ELL_SUM_BITS, round_up
+    eb = mpf_mul(mpf_e(wp, up), from_float(b), wp, up)
+    big_a = mpf_shift(mpf_mul(eb, from_float(a), wp, up), -1)
+    two_a_sq = mpf_shift(mpf_mul(big_a, big_a, wp, up), 1)
+    two_c = mpf_mul(eb, eb, wp, up)
+    big_c = mpf_shift(two_c, -1)
+    total = fzero
+    ell = k
+    while True:
+        n = from_int(ell)
+        term = mpf_add(
+            mpf_pow_int(mpf_div(big_a, n, wp, up), 2 * ell, wp, up),
+            mpf_pow_int(mpf_div(big_c, n, wp, up), ell, wp, up),
+            wp,
+            up,
+        )
+        total = mpf_add(total, term, wp, up)
+        ell += 1
+        if (
+            mpf_le(two_c, from_int(ell))
+            and mpf_le(two_a_sq, from_int(ell * ell))
+            and mpf_le(mpf_shift(term, 64), total)
+        ):
+            return mpf_add(total, term, wp, up)
+        if ell > k + 100000:
+            raise ChainViolation("l-indexed tail sum failed to converge")
 
 
 def validate_tail_bound(
@@ -259,36 +347,25 @@ def validate_tail_bound(
     err_quad=None,
     bits: int = 320,
 ) -> TailChainReport:
-    """Audit the tail inequality chain at one (a, b); see the module
-    docstring for the regime structure.  Raises ChainViolation only if
-    the always-valid link err <= l-indexed sum fails."""
+    """Audit the tail inequality chain at one (a, b) that ``run_figure``
+    accepts; see the module docstring for the regime structure.
+
+    ``ell_sum`` is a certified ceiling of the l-indexed sum S, at most
+    S * (1 + 2**-60): summed at 128 bits with upward rounding and a
+    geometric bound on its tail, independent of ``bits``, then rounded
+    up to ``bits``.  Raises ChainViolation only if the always-valid link
+    err <= l-indexed sum fails."""
     _check_bits(bits)
     af = float(_real(a))
     bf = float(_real(b))
-    if bf <= 0:
-        raise ConfigError("disk radius b must be positive")
+    _check_row(af, bf)
     k = k_for_support(PReal(af, bits))
     wp = bits + 64
     e_val = exp(PReal(1, wp))
     a_p = PReal(af, wp)
     b_p = PReal(bf, wp)
 
-    # The l-indexed majorant; terms eventually decay superexponentially.
-    total = PReal(0, wp)
-    tiny = PReal(2, wp) ** (-(bits + 32))
-    ell = k
-    while True:
-        t1 = (e_val * a_p * b_p / (2 * ell)) ** (2 * ell)
-        t2 = (e_val * b_p / sqrt(PReal(2 * ell, wp))) ** (2 * ell)
-        term = t1 + t2
-        total = total + term
-        scale = total if total > 1 else PReal(1, wp)
-        if ell > k + 4 and term < tiny * scale:
-            break
-        ell += 1
-        if ell > k + 100000:
-            raise ChainViolation("l-indexed tail sum failed to converge")
-    ell_sum = total.round_to(bits)
+    ell_sum = PReal._wrap(mpf_pos(_ell_sum_ceiling(af, bf, k), bits, round_up), bits)
 
     q1 = e_val * a_p * b_p / (2 * k)
     q2 = e_val * b_p / sqrt(PReal(2 * k, wp))

@@ -174,15 +174,14 @@ def _phi_series(z, bits: int):
     )
 
 
-def normal_cdf(z, bits: int | None = None):
+def normal_cdf(z):
     """Standard normal CDF, extended to complex arguments with |z| <= 64.
 
     Returns a PReal for real input and a PComplex otherwise, at the
-    argument's precision unless ``bits`` overrides it.
+    argument's precision.
     """
-    z = _scalar(z, bits)
-    b = z.bits if bits is None else _check_bits(bits)
-    return _like(z, _phi_series(_pair(z), b), b)
+    z = _scalar(z)
+    return _like(z, _phi_series(_pair(z), z.bits), z.bits)
 
 
 def gauss_upper_tail(a, bits: int | None = None) -> PReal:

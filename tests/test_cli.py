@@ -389,6 +389,15 @@ class TestFigure:
         assert code == 2 and out == ""
         assert err == "error: support half-width a=65 is outside [1, 64]\n"
 
+    def test_grid_past_the_transform_domain_rejected_before_any_row(self, capsys, monkeypatch):
+        def no_rule(k, bits):
+            raise AssertionError(f"a k={k} rule was built")
+
+        monkeypatch.setattr(experiments, "build_rule", no_rule)
+        code, out, err = run_cli(capsys, "figure", "--grid", "4,60", "--b", "5")
+        assert code == 2 and out == ""
+        assert err == "error: disk radius b=5 puts a + b past 64 at a=60\n"
+
     def test_unrenderable_artifact_leaves_no_file(self, capsys, tmp_path):
         # One row is too few to draw, and the SVG is rendered before its file opens.
         svg_path = tmp_path / "fig.svg"
@@ -417,6 +426,22 @@ class TestFigure:
         assert err.endswith(
             "error: the truncation error at a=4, b=1e-30 rounds to zero at 184 bits\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv,family,row",
+        [
+            (("--grid", "12,16,20", "--b", "1", "--precision", "256"), "truncation", "a=20, b=1"),
+            (("--grid", "4,5,6,7", "--b", "1e-20", "--samples", "16"), "rule", "a=4, b=1e-20"),
+        ],
+        ids=["low-precision", "tiny-radius"],
+    )
+    def test_error_at_the_rounding_floor_names_the_row(self, capsys, argv, family, row):
+        # Below 2**(16 - bits) * exp(b**2/2) the subtraction L(b) - exp(b**2/2)
+        # has no correct digit left: at a=20 the errors read 1.55e-78 at 256
+        # bits against true values of 1.4e-80 and 4.2e-94.
+        code, out, err = run_cli(capsys, "figure", *argv)
+        assert code == 2 and out == ""
+        assert f"error: the {family} error at {row} is rounding noise" in err
 
     def test_bad_grid(self, capsys):
         code, _, err = run_cli(capsys, "figure", "--grid", "5:4:1", "--samples", "16")

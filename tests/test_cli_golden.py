@@ -27,6 +27,7 @@ CASES = {
     "transform_rule4_char": ("transform", "--measure", "rule:4", "--what", "char", "--t", "3"),
     "supdisk_rulefor4_circle": ("supdisk", "--measure", "rulefor:4", "--r", "1", "--samples", "128"),
     "supdisk_rule3_line": ("supdisk", "--measure", "rule:3", "--r", "2", "--line", "--samples", "64"),
+    "figure_rate": ("figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64"),
 }
 FIGURE = ("figure", "--grid", "4:6:1", "--samples", "64")
 FIGURE_ARTIFACTS = {"--csv": "figure.csv", "--svg": "figure.svg", "--manifest": "figure.json"}

@@ -1,10 +1,13 @@
 """Error-rate experiment driver, fits, tail chain audit, artifacts."""
 
+import functools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from gausdisk import experiments
 from gausdisk.errors import ChainViolation, ConfigError, InsufficientDataError
 from gausdisk.experiments import (
     RateRow,
@@ -21,7 +24,8 @@ from gausdisk.experiments import (
     tail_bound_value,
     validate_tail_bound,
 )
-from gausdisk.precision import PReal, working_bits
+from gausdisk.hermite import k_for_support
+from gausdisk.precision import PReal, exp, sqrt, working_bits
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +181,111 @@ class TestTailChain:
     def test_rejects_bad_radius(self):
         with pytest.raises(ConfigError):
             validate_tail_bound(6, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def parent_ell_sum(af: float, bf: float, bits: int) -> PReal:
+    """The l-indexed majorant as the audit once summed it: round to nearest
+    at bits + 64 until a term falls below 2**-(bits + 32) of the partial
+    sum, or of 1.  The oracle of ``_ell_sum_ceiling``; returned unrounded."""
+    k = k_for_support(PReal(af, bits))
+    wp = bits + 64
+    e_val = exp(PReal(1, wp))
+    a_p = PReal(af, wp)
+    b_p = PReal(bf, wp)
+
+    # The l-indexed majorant; terms eventually decay superexponentially.
+    total = PReal(0, wp)
+    tiny = PReal(2, wp) ** (-(bits + 32))
+    ell = k
+    while True:
+        t1 = (e_val * a_p * b_p / (2 * ell)) ** (2 * ell)
+        t2 = (e_val * b_p / sqrt(PReal(2 * ell, wp))) ** (2 * ell)
+        term = t1 + t2
+        total = total + term
+        scale = total if total > 1 else PReal(1, wp)
+        if ell > k + 4 and term < tiny * scale:
+            break
+        ell += 1
+        if ell > k + 100000:
+            raise ChainViolation("l-indexed tail sum failed to converge")
+    return total
+
+
+def oracle_ell_sum(a: float, b: float) -> PReal:
+    """``parent_ell_sum`` at 512 bits, or deeper when S < 1, where its stop
+    rule is absolute: at 512 bits it drops every term below 2**-544, a
+    relative 8e-13 of S at a = 40, b = 1."""
+    first = parent_ell_sum(a, b, 512)
+    size = first.raw[2] + first.raw[3]
+    return first if size >= 0 else parent_ell_sum(a, b, 512 - size)
+
+
+def exact(x: PReal) -> Fraction:
+    sign, man, e, _ = x.raw
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** e
+
+
+# a = 2.5 is the smallest half-width that hosts a rule (k = 1), in place of
+# a = 1, which hosts none: sqrt(4k + 2) > 1 for every k.  At (4, 16) the
+# terms fall below 2**-64 of the sum while their ratio is still above 1/2,
+# so a sum that stopped on that rule alone would fall short of S.
+ORACLE_ROWS = [
+    (a, b)
+    for a in (2.5, 4, 6, 8.35, 11, 12, 20, 40)
+    for b in (0.25, 0.5, 1, 2, 8)
+    if a + b <= 64
+] + [(4, 16)]
+
+
+class TestEllSumCeiling:
+    @pytest.mark.parametrize("bits", [64, 320, 512])
+    @pytest.mark.parametrize("a,b", ORACLE_ROWS)
+    def test_ceiling_brackets_the_oracle(self, a, b, bits):
+        # At 64 bits, below the sum's own 128, the ceiling is narrowed upward.
+        got = exact(validate_tail_bound(a, b, bits=bits).ell_sum)
+        want = exact(oracle_ell_sum(float(a), float(b)))
+        assert want * (1 - Fraction(1, 2**100)) <= got <= want * (1 + Fraction(1, 2**58))
+
+    @pytest.mark.parametrize("bits", [64, 320, 512])
+    @pytest.mark.parametrize("a,b", ORACLE_ROWS)
+    def test_verdicts_match_the_parent_loop(self, monkeypatch, a, b, bits):
+        err = (parent_ell_sum(float(a), float(b), 512) / 1024).round_to(64)
+        args = (a, b, 2, err, bits)
+        new = validate_tail_bound(*args).checks
+        monkeypatch.setattr(
+            experiments,
+            "_ell_sum_ceiling",
+            lambda af, bf, k: parent_ell_sum(af, bf, bits).round_to(bits).raw,
+        )
+        old = validate_tail_bound(*args).checks
+        assert new == old
+
+
+class TestTailDomain:
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            ((1, 0.5, 1), "a=0.5"),
+            ((1, 65, 1), "a=65"),
+            ((1, 4, 0), "disk radius b"),
+            ((1, 60, 5), r"a \+ b"),
+            ((0, 4, 1), "c1"),
+        ],
+        ids=["a-below-1", "a-above-64", "b-not-positive", "a-plus-b", "c1-not-positive"],
+    )
+    def test_tail_bound_value_rejects(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            tail_bound_value(*args)
+
+    @pytest.mark.parametrize(
+        "args,match",
+        [((0.5, 1), "a=0.5"), ((65, 1), "a=65"), ((60, 5), r"a \+ b"), ((4, 1e3), r"a \+ b")],
+        ids=["a-below-1", "a-above-64", "a-plus-b", "wide-disk"],
+    )
+    def test_validate_tail_bound_rejects(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            validate_tail_bound(*args)
 
 
 class TestArtifacts:

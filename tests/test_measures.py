@@ -83,9 +83,6 @@ class TestNormalCdf:
         with pytest.raises(ConfigError):
             normal_cdf(PReal(100, 128))
 
-    def test_bits_argument_controls_output(self):
-        assert normal_cdf(PReal(1, 128), 256).bits == 256
-
 
 class TestUpperTail:
     def test_against_mpmath(self):

@@ -18,6 +18,10 @@ library cannot say as well: --k >= 1, a positive spec half-width, one of
 
 Exit codes: 0 success, 2 configuration or usage problems, 3 violated
 mathematical invariants, 4 file I/O failures.
+
+Parsing needs only the standard library: each subcommand imports the layers
+it runs when it runs, so --help, --version and rejected input load no
+mpmath, and ``figure`` loads neither ``checks`` nor ``superflat``.
 """
 
 from __future__ import annotations
@@ -29,26 +33,8 @@ import os
 import sys
 from contextlib import contextmanager, redirect_stdout
 
-from . import __version__, checks
-from .disks import sup_on_circle, sup_on_line
+from . import __version__
 from .errors import ConfigError, MathInvariantError, NonFiniteError
-from .experiments import (
-    default_grid,
-    emit_figure,
-    fit_c1,
-    fit_quadrature_rate,
-    fit_truncation_rate,
-    run_figure,
-    validate_tail_bound,
-)
-from .hermite import build_rule, k_for_support, rule_to_csv
-from .measures import (
-    DiscreteMeasure,
-    StandardGaussian,
-    TruncatedGaussian,
-)
-from .precision import MAX_BITS, MIN_BITS, PComplex, PReal, working_bits
-from .superflat import build_superflat, flatness_certificate, superflat_to_csv
 
 _ENV_PRECISION = "GAUSDISK_PRECISION"
 # The most values a --grid range may hold, and the most --samples may ask for.
@@ -60,6 +46,8 @@ _MAX_GRID_POINTS = 10_000
 
 
 def _bits_from_text(text: str, source: str) -> int:
+    from .precision import MAX_BITS, MIN_BITS
+
     try:
         bits = int(text)
     except ValueError:
@@ -83,11 +71,13 @@ def _resolve_bits(args) -> int | None:
     return None
 
 
-def _fmt_real(value: PReal, full: bool) -> str:
+def _fmt_real(value, full: bool) -> str:
+    """A PReal as 40 significant digits, or as its exact tag when ``full``."""
     return value.serialize() if full else value.str_digits(40)
 
 
-def _fmt_complex(value: PComplex, full: bool) -> str:
+def _fmt_complex(value, full: bool) -> str:
+    """A PComplex as its two parts, each printed as ``_fmt_real`` prints it."""
     return f"{_fmt_real(value.real, full)} {_fmt_real(value.imag, full)}"
 
 
@@ -115,6 +105,9 @@ def _measure(args, radius_hint: float):
     Auto precision uses the support half-width implied by the spec
     together with the largest evaluation radius the command will touch.
     """
+    from .measures import DiscreteMeasure, StandardGaussian, TruncatedGaussian
+    from .precision import working_bits
+
     spec = args.measure
     kind, sep, rest = spec.partition(":")
     kind = kind.strip().lower()
@@ -163,6 +156,9 @@ def _rule(args, radius: float, k: int | None = None, a: float | None = None):
     """The k-node rule, or the smallest one whose nodes fit inside [-a, a],
     at the resolved precision; auto precision sizes for the rule's support
     and the evaluation radius."""
+    from .hermite import build_rule, k_for_support
+    from .precision import working_bits
+
     if k is None:
         k, support = k_for_support(a), a
     else:
@@ -222,6 +218,8 @@ def _config_tokens(path: str, commands: dict, command: str) -> list[str]:
 
 
 def _cmd_rule(args) -> int:
+    from .hermite import rule_to_csv
+
     if (args.k is None) == (args.a is None):
         raise ConfigError("rule: give exactly one of --k or --a")
     if args.k is not None and args.k < 1:
@@ -242,6 +240,8 @@ def _parse_complex_token(token: str) -> tuple[str, str]:
 
 
 def _cmd_transform(args) -> int:
+    from .precision import MIN_BITS, PComplex, PReal
+
     points = []  # (tag, real text, imaginary text, token as given)
     for token in args.z or []:
         points.append(("z", *_parse_complex_token(token), token))
@@ -290,11 +290,14 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_supdisk(args) -> int:
+    from .disks import check_above_noise_floor, sup_on_circle, sup_on_line
+
     measure = _measure(args, args.r)
     full = args.full_precision
     with _out_stream(args.out) as out:
         if args.line:
             report = sup_on_line(measure, args.r, n_samples=args.samples)
+            check_above_noise_floor(report, f"supdisk: the line sup at r={args.r:g}", "r")
             print(f"line_offset {_fmt_real(report.offset, full)}", file=out)
             print(f"bits {measure.bits}", file=out)
             print(f"samples {report.n_samples}", file=out)
@@ -305,6 +308,7 @@ def _cmd_supdisk(args) -> int:
             print(f"certified {report.certified}", file=out)
         else:
             report = sup_on_circle(measure, args.r, n_samples=args.samples)
+            check_above_noise_floor(report, f"supdisk: the circle sup at r={args.r:g}", "r")
             print(f"circle_radius {_fmt_real(report.radius, full)}", file=out)
             print(f"bits {measure.bits}", file=out)
             print(f"samples {report.n_samples}", file=out)
@@ -349,6 +353,16 @@ def _parse_grid_text(text: str):
 
 
 def _cmd_figure(args) -> int:
+    from .experiments import (
+        default_grid,
+        emit_figure,
+        fit_c1,
+        fit_quadrature_rate,
+        fit_truncation_rate,
+        run_figure,
+        validate_tail_bound,
+    )
+
     grid = _parse_grid_text(args.grid) if args.grid else default_grid()
     table = run_figure(
         grid,
@@ -372,7 +386,7 @@ def _cmd_figure(args) -> int:
                 file=out,
             )
         fits = {}
-        # Built per call, so a fit rebound in this module (test, tracer) is used.
+        # Imported per call, so a fit rebound in experiments (test, tracer) is used.
         for label, fit, describe in (
             ("fit_trunc", fit_truncation_rate, rate),
             ("fit_quad", fit_quadrature_rate, rate),
@@ -411,6 +425,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_superflat(args) -> int:
+    from .superflat import build_superflat, flatness_certificate, superflat_to_csv
+
     mixture = build_superflat(args.a, _resolve_bits(args))
     full = args.full_precision
     with _out_stream(args.out) as out:
@@ -448,8 +464,10 @@ def _cmd_superflat(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import run_all
+
     with _out_stream(args.out) as out, redirect_stdout(out):
-        ok = checks.run_all(quick=args.quick)
+        ok = run_all(quick=args.quick)
     return 0 if ok else 3
 
 

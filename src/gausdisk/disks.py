@@ -38,6 +38,7 @@ subclass otherwise; both convexity checks return a ConvexityReport.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -55,6 +56,7 @@ __all__ = [
     "sup_abs_on_circle",
     "sup_on_circle",
     "sup_on_line",
+    "check_above_noise_floor",
     "growth_profile",
     "three_circles_check",
     "three_lines_check",
@@ -310,6 +312,34 @@ def sup_on_line(measure: Measure, offset, n_samples: int = 1024) -> LineSupRepor
         tail_ceiling=ceiling,
         certified=bool(ceiling <= sup_value),
     )
+
+
+def check_above_noise_floor(report, subject: str, var: str) -> None:
+    """Raise ConfigError when a circle or line sup is rounding noise.
+
+    On |z| = r and on Re z = r, |exp(z**2/2)| <= exp(r**2/2), so at b bits
+    a sup at or below 2**(16 - b) * exp(r**2/2) has no correct digit of
+    L(z) - exp(z**2/2) left.  A real-axis sup is |B(r)| of a paper family,
+    positive by theorem, so its zero is rounding too; a scanned zero may
+    be exact (the Gaussian's own error) and passes.  The message starts
+    with ``subject`` and calls r ``var``.
+    """
+    value = report.sup_value
+    if isinstance(report, CircleSupReport):
+        r, positive = float(report.radius), report.method == "real-axis"
+    else:
+        r, positive = float(report.offset), False
+    if value.is_zero():
+        if positive:
+            raise ConfigError(f"{subject} rounds to zero at {value.bits} bits")
+        return
+    # Compared as binary exponents: |value| < 2**(exp + bc) for a raw
+    # value (sign, man, exp, bc).
+    if value.raw[2] + value.raw[3] <= 16 - value.bits + r * r / (2 * math.log(2.0)):
+        raise ConfigError(
+            f"{subject} is rounding noise at {value.bits} bits: "
+            f"it lies below 2**(16 - bits) * exp({var}**2/2)"
+        )
 
 
 def growth_profile(

@@ -58,7 +58,7 @@ from mpmath.libmp import (
     round_up,
 )
 
-from .disks import _RESOLUTION_EXP, sup_on_circle
+from .disks import _RESOLUTION_EXP, check_above_noise_floor, sup_on_circle
 from .errors import ChainViolation, ConfigError, InsufficientDataError
 from .hermite import build_rule, k_for_support
 from .measures import TruncatedGaussian
@@ -182,25 +182,11 @@ def run_figure(
             progress(f"a={a:g}: k={k}, bits={bits}")
         trunc = TruncatedGaussian(a, bits)
         quad = build_rule(k, bits)
-        err_trunc = sup_on_circle(trunc, b, n_samples=n_samples).sup_value
-        err_quad = sup_on_circle(quad, b, n_samples=n_samples).sup_value
-        # -B has a positive Taylor coefficient for both families, so
-        # |B(b)| > 0 for every b > 0 and a zero sup is rounding.  So is a
-        # sup at or below the subtraction's rounding floor
-        # 2**(16 - bits) * exp(b**2/2), compared as binary exponents:
-        # |err| < 2**(exp + bc) for a raw value (sign, man, exp, bc).
-        floor_exp = 16 - bits + bf * bf / (2 * math.log(2.0))
-        for name, err in (("truncation", err_trunc), ("rule", err_quad)):
-            if err.is_zero():
-                raise ConfigError(
-                    f"the {name} error at a={a:g}, b={bf:g} rounds to zero "
-                    f"at {bits} bits"
-                )
-            if err.raw[2] + err.raw[3] <= floor_exp:
-                raise ConfigError(
-                    f"the {name} error at a={a:g}, b={bf:g} is rounding noise "
-                    f"at {bits} bits: it lies below 2**(16 - bits) * exp(b**2/2)"
-                )
+        sup_trunc = sup_on_circle(trunc, b, n_samples=n_samples)
+        sup_quad = sup_on_circle(quad, b, n_samples=n_samples)
+        for name, sup in (("truncation", sup_trunc), ("rule", sup_quad)):
+            check_above_noise_floor(sup, f"the {name} error at a={a:g}, b={bf:g}", "b")
+        err_trunc, err_quad = sup_trunc.sup_value, sup_quad.sup_value
         rows.append(
             RateRow(a=a, k=k, bits=bits, err_trunc=err_trunc, err_quad=err_quad)
         )

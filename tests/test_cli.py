@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from gausdisk import checks, cli, experiments, hermite
+from gausdisk import checks, experiments, hermite
 from gausdisk.cli import main
 from gausdisk.errors import MathInvariantError
 from gausdisk.hermite import build_rule
@@ -319,6 +319,24 @@ class TestSupdisk:
         code, _, err = run_cli(capsys, "supdisk", "--r", "0")
         assert code == 2
 
+    def test_sup_at_the_rounding_floor_is_rejected(self, capsys):
+        # At 96 bits |B(0.25)| of the 12-node rule reads 4.34e-30, under the
+        # floor 2**(16 - 96) * exp(0.25**2/2) = 8.5e-25; at 256 bits it is 2.78e-30.
+        code, out, err = run_cli(
+            capsys, "supdisk", "--measure", "rule:12", "--r", "0.25", "--precision", "96"
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: supdisk: the circle sup at r=0.25 is rounding noise at 96 bits: "
+            "it lies below 2**(16 - bits) * exp(r**2/2)\n"
+        )
+
+    def test_exact_zero_scan_is_printed(self, capsys):
+        # The Gaussian's own error is exactly zero, and a scanned zero passes.
+        code, out, _ = run_cli(capsys, "supdisk", "--measure", "gauss", "--r", "2")
+        assert code == 0
+        assert "method scan\n" in out and "sup_lower_bound 0.0\n" in out
+
 
 class TestFigure:
     def test_small_grid_with_artifacts(self, capsys, tmp_path):
@@ -453,7 +471,7 @@ class TestFigure:
         def broken(table):
             raise TypeError("broken fit")
 
-        monkeypatch.setattr(cli, fit, broken)
+        monkeypatch.setattr(experiments, fit, broken)
         with pytest.raises(TypeError, match="broken fit"):
             main(["figure", "--grid", "4:6:1", "--samples", "16"])
 

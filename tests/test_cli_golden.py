@@ -1,7 +1,8 @@
 """CLI output is byte-identical to the golden files in tests/data/cli.
 
 Each case is one command line; its stdout (and, for ``figure``, the CSV,
-SVG and manifest it writes) must match the stored bytes exactly.  The
+SVG and manifest it writes) must match the stored bytes exactly.  So must
+every ``--help`` text, printed at 80 columns.  The
 goldens were captured before the option table was rebuilt on argparse, so
 they pin the output across changes to the CLI plumbing.
 """
@@ -29,6 +30,14 @@ CASES = {
     "supdisk_rule3_line": ("supdisk", "--measure", "rule:3", "--r", "2", "--line", "--samples", "64"),
     "figure_rate": ("figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64"),
 }
+# The help texts at 80 columns: "help" for the program, "help_CMD" for a subcommand.
+HELP = {
+    "help": (),
+    **{
+        f"help_{command}": (command,)
+        for command in ("rule", "transform", "supdisk", "figure", "superflat", "verify")
+    },
+}
 FIGURE = ("figure", "--grid", "4:6:1", "--samples", "64")
 FIGURE_ARTIFACTS = {"--csv": "figure.csv", "--svg": "figure.svg", "--manifest": "figure.json"}
 
@@ -41,6 +50,15 @@ def golden_bytes(name: str) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(capsys, name):
     code = main(list(CASES[name]))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("utf-8") == golden_bytes(f"{name}.txt")
+
+
+@pytest.mark.parametrize("name", sorted(HELP))
+def test_help_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main([*HELP[name], "--help"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == golden_bytes(f"{name}.txt")

@@ -1,5 +1,6 @@
 """Boundary scans, convexity checks and growth envelopes."""
 
+import dataclasses
 import io
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gausdisk.disks import (
     ConvexityReport,
+    check_above_noise_floor,
     circle_point,
     growth_profile,
     sup_abs_on_circle,
@@ -250,6 +252,40 @@ class TestLineScan:
         m = build_rule(2, 128)
         with pytest.raises(ConfigError):
             sup_on_line(m, -1)
+
+
+class TestNoiseFloor:
+    """check_above_noise_floor: 2**(16 - bits) * exp(r**2/2) on circles and lines."""
+
+    def test_real_axis_sup_at_the_floor_fails_and_above_it_passes(self):
+        low = sup_on_circle(build_rule(12, 96), 0.25)
+        assert low.method == "real-axis" and float(low.sup_value) < 8.5e-25
+        with pytest.raises(ConfigError, match=r"^S is rounding noise at 96 bits: .*exp\(b\*\*2/2\)$"):
+            check_above_noise_floor(low, "S", "b")
+        check_above_noise_floor(sup_on_circle(build_rule(12, 256), 0.25), "S", "b")
+
+    def test_zero_fails_on_the_real_axis_only(self):
+        exact = sup_on_circle(build_rule(4, 128), 1)
+        zero = dataclasses.replace(exact, sup_value=PReal(0, 128))
+        with pytest.raises(ConfigError, match="^S rounds to zero at 128 bits$"):
+            check_above_noise_floor(zero, "S", "r")
+        check_above_noise_floor(dataclasses.replace(zero, method="scan"), "S", "r")
+        check_above_noise_floor(sup_on_circle(StandardGaussian(128), 2, n_samples=16), "S", "r")
+
+    def test_scanned_sup_fails_only_at_or_below_the_floor(self):
+        scanned = forced_scan(build_rule(4, 128), 1, 16)
+        floor = PReal(2, 128) ** (16 - 128) * exp(PReal("0.5", 128))
+        check_above_noise_floor(dataclasses.replace(scanned, sup_value=floor * 4), "S", "r")
+        with pytest.raises(ConfigError, match="rounding noise"):
+            check_above_noise_floor(dataclasses.replace(scanned, sup_value=floor / 4), "S", "r")
+
+    def test_a_line_takes_its_offset_as_r(self):
+        line = sup_on_line(build_rule(2, 128), 3, n_samples=16)
+        floor = PReal(2, 128) ** (16 - 128) * exp(PReal("4.5", 128))
+        check_above_noise_floor(dataclasses.replace(line, sup_value=floor * 4), "S", "r")
+        with pytest.raises(ConfigError, match="rounding noise"):
+            check_above_noise_floor(dataclasses.replace(line, sup_value=floor / 4), "S", "r")
+        check_above_noise_floor(dataclasses.replace(line, sup_value=PReal(0, 128)), "S", "r")
 
 
 class TestGrowthProfile:

@@ -12,9 +12,10 @@ SOURCES = sorted([*(ROOT / "src" / "gausdisk").glob("*.py"), *(ROOT / "tests").g
 def unused_imports(source: str) -> list:
     """Names bound by an import in ``source`` and referenced nowhere in it.
 
-    A name listed in the module's ``__all__`` counts as used (it is
-    re-exported), and ``from __future__`` imports are skipped.  Scopes are
-    not told apart: a reference anywhere in the module uses the name.
+    A name written as a string in the module's ``__all__`` list counts as
+    used (it is re-exported), and ``from __future__`` imports are skipped.
+    Scopes are not told apart: a reference anywhere in the module uses the
+    name.
     """
     tree = ast.parse(source)
     imported = {}
@@ -30,7 +31,11 @@ def unused_imports(source: str) -> list:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
+            used.update(
+                elt.value
+                for elt in getattr(node.value, "elts", ())
+                if isinstance(elt, ast.Constant)
+            )
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -46,6 +51,9 @@ def test_detector_flags_an_unused_name_and_spares_exports():
         "__all__ = ['pi']\nprint(os.path.sep)\n"
     )
     assert unused_imports(source) == ["sys (line 3)", "turn (line 4)"]
+    # A computed entry of __all__ exports no imported name.
+    computed = source.replace("['pi']", "['pi', *sorted(globals())]")
+    assert unused_imports(computed) == ["sys (line 3)", "turn (line 4)"]
 
 
 def package_imports() -> dict:

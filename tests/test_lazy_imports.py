@@ -1,0 +1,138 @@
+"""The package and the CLI load only what a command runs.
+
+``import gausdisk`` loads none of its modules, and no command loads a
+layer it does not use: help and usage need no mpmath, ``figure`` neither
+the checks nor the superflat layer.  Each of those tests runs a fresh
+interpreter, since this one has long loaded everything.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+
+import pytest
+
+import gausdisk
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(gausdisk.__file__)))
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "cli")
+
+# The package's exports by home module, as the eager import block bound them.
+EXPORTS = {
+    "precision": (
+        "MIN_BITS", "MAX_BITS", "PReal", "PComplex", "exp", "log", "sqrt", "pi_value",
+        "cos_sin", "double_factorial", "working_bits",
+    ),
+    "errors": (
+        "GausdiskError", "ConfigError", "InsufficientDataError", "MathInvariantError",
+        "NonFiniteError", "ConvergenceError", "SupportViolation", "ConvexityViolation",
+        "EnvelopeViolation", "ChainViolation", "CertificateViolation",
+    ),
+    "hermite": (
+        "QuadratureRule", "hermite_pair", "build_rule", "moment", "k_for_support",
+        "rule_to_csv",
+    ),
+    "measures": (
+        "Measure", "DiscreteMeasure", "TruncatedGaussian", "StandardGaussian",
+        "CharBoundReport", "normal_cdf", "gauss_upper_tail", "truncation_error_closed_form",
+        "char_bound_check",
+    ),
+    "disks": (
+        "CircleSupReport", "LineSupReport", "GrowthProfile", "ConvexityReport",
+        "sup_abs_on_circle", "sup_on_circle", "sup_on_line", "growth_profile",
+        "three_circles_check", "three_lines_check",
+    ),
+    "superflat": (
+        "SuperflatMixture", "FlatnessCertificate", "build_superflat", "mixture_density",
+        "density_derivative", "density_derivatives", "flatness_certificate",
+        "superflat_to_csv",
+    ),
+    "experiments": (
+        "RateRow", "RateTable", "RateFit", "TailBoundModel", "TailChainReport",
+        "default_grid", "run_figure", "fit_truncation_rate", "fit_quadrature_rate",
+        "fit_c1", "tail_bound_value", "validate_tail_bound", "figure_csv_text",
+        "figure_svg_text", "manifest_text", "emit_figure",
+    ),
+}
+COMMANDS = ("rule", "transform", "supdisk", "figure", "superflat", "verify")
+
+
+def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports gausdisk from this tree."""
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {SRC!r}); {code}", *argv],
+        capture_output=True,
+        timeout=120,
+    )
+
+
+def run_cli_blocking(modules, *argv: str) -> subprocess.CompletedProcess:
+    """``main(argv)`` in a fresh interpreter where importing ``modules`` fails."""
+    block = "".join(f"sys.modules[{name!r}] = None; " for name in modules)
+    return run_python(
+        f"{block}from gausdisk.cli import main; sys.exit(main(sys.argv[1:]))", *argv
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--help",), ("--version",), *((command, "--help") for command in COMMANDS)],
+    ids=lambda argv: " ".join(argv),
+)
+def test_help_and_version_load_no_mpmath(argv):
+    result = run_cli_blocking(["mpmath"], *argv)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.startswith(b"usage: gausdisk" if "--help" in argv else b"gausdisk ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("figure", "--grid", "4", "--b", "inf"), ("verify", "--quick", "--no-such-option")],
+    ids=["finite-check", "usage-error"],
+)
+def test_rejected_input_loads_no_mpmath(argv):
+    result = run_cli_blocking(["mpmath"], *argv)
+    assert result.returncode == 2, result.stderr.decode()
+    assert b"ImportError" not in result.stderr and b"Traceback" not in result.stderr
+
+
+def test_figure_loads_neither_checks_nor_superflat():
+    argv = ("figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64")
+    result = run_cli_blocking(["gausdisk.checks", "gausdisk.superflat"], *argv)
+    assert result.returncode == 0, result.stderr.decode()
+    with open(os.path.join(GOLDEN, "figure_rate.txt"), "rb") as handle:
+        assert result.stdout == handle.read()
+
+
+def test_import_gausdisk_loads_no_module_of_its_own():
+    result = run_python(
+        "import gausdisk; "
+        "print(sorted(m for m in sys.modules if m == 'mpmath' or m.startswith('gausdisk.')))"
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == b"[]\n"
+
+
+def test_every_export_is_its_home_modules_object():
+    exported = {name for names in EXPORTS.values() for name in names}
+    assert set(gausdisk.__all__) == {"__version__", *exported}
+    assert len(gausdisk.__all__) == 72
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"gausdisk.{module}")
+        for name in names:
+            assert getattr(gausdisk, name) is getattr(home, name), name
+    assert set(EXPORTS["disks"]) <= set(dir(gausdisk))
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from gausdisk import *", namespace)
+    assert set(gausdisk.__all__) <= set(namespace)
+    assert namespace["PReal"] is importlib.import_module("gausdisk.precision").PReal
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gausdisk.no_such_name
+    assert not hasattr(gausdisk, "circle_point")  # a disks name the package does not export

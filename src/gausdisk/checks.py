@@ -139,7 +139,7 @@ def check_envelope(quick: bool) -> None:
 
 def check_superflat(quick: bool) -> None:
     mix = build_superflat(4)
-    flatness_certificate(mix, n_samples=128 if quick else 256)
+    flatness_certificate(mix)
     half = exp(PReal(1, mix.bits) / 2)
     gap = abs(mix.tilt_total - half)
     _require(

@@ -432,7 +432,7 @@ def _cmd_superflat(args) -> int:
     with _out_stream(args.out) as out:
         superflat_to_csv(mixture, out)
         if args.certify:
-            certificate = flatness_certificate(mixture, n_samples=args.samples)
+            certificate = flatness_certificate(mixture)
             # The certificate raises CertificateViolation unless it holds.
             print("# certificate_passed True", file=out)
             print(
@@ -621,9 +621,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "--certify",
         action="store_true",
         help="append the flatness certificate to the output",
-    )
-    p_superflat.add_argument(
-        "--samples", type=int, default=512, help="seed points per certificate scan"
     )
 
     p_verify = command(

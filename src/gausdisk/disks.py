@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .errors import ConfigError, ConvexityViolation, EnvelopeViolation
@@ -57,6 +56,7 @@ __all__ = [
     "sup_on_circle",
     "sup_on_line",
     "check_above_noise_floor",
+    "check_value_above_noise_floor",
     "growth_profile",
     "three_circles_check",
     "three_lines_check",
@@ -180,17 +180,12 @@ def _maximize_1d(
 _ARC_FRACTIONS = {"full": 1, "half": 2, "quarter": 4}
 
 
-@lru_cache(maxsize=2048)
 def circle_point(radius: PReal, theta: PReal, bits: int) -> PComplex:
     """radius * e^(i*theta) at ``bits``, the point a circle scan visits at
     angle theta.
 
     Both inputs are rounded to ``bits`` first, so the point depends only
-    on the key's values.  Scans of one circle at one sample count visit
-    the same seed angles, so the points are kept: the flatness
-    certificate's four order scans visit about 340 points each at 256
-    seeds, and 2048 points hold every seed of a 1024-seed scan together
-    with its refinement.
+    on their values.
     """
     r = radius.round_to(bits)
     c, s = cos_sin(theta.round_to(bits))
@@ -315,24 +310,31 @@ def sup_on_line(measure: Measure, offset, n_samples: int = 1024) -> LineSupRepor
 
 
 def check_above_noise_floor(report, subject: str, var: str) -> None:
-    """Raise ConfigError when a circle or line sup is rounding noise.
+    """Raise ConfigError when a circle or line sup is rounding noise, as
+    :func:`check_value_above_noise_floor` says.
 
-    On |z| = r and on Re z = r, |exp(z**2/2)| <= exp(r**2/2), so at b bits
-    a sup at or below 2**(16 - b) * exp(r**2/2) has no correct digit of
-    L(z) - exp(z**2/2) left.  A real-axis sup is |B(r)| of a paper family,
-    positive by theorem, so its zero is rounding too; a scanned zero may
-    be exact (the Gaussian's own error) and passes.  The message starts
-    with ``subject`` and calls r ``var``.
+    A real-axis sup is |B(r)| of a paper family, positive by theorem, so
+    its zero is rounding too; a scanned zero may be exact (the Gaussian's
+    own error) and passes.
     """
-    value = report.sup_value
     if isinstance(report, CircleSupReport):
         r, positive = float(report.radius), report.method == "real-axis"
     else:
         r, positive = float(report.offset), False
+    if positive or not report.sup_value.is_zero():
+        check_value_above_noise_floor(report.sup_value, r, subject, var)
+
+
+def check_value_above_noise_floor(value: PReal, r: float, subject: str, var: str) -> None:
+    """Raise ConfigError when ``value`` is zero or rounding noise.
+
+    On |z| = r and on Re z = r, |exp(z**2/2)| <= exp(r**2/2), so at b bits
+    a value at or below 2**(16 - b) * exp(r**2/2) has no correct digit of
+    L(z) - exp(z**2/2) left, nor of L(z)exp(-z**2/2) - 1 at z = ir.  The
+    message starts with ``subject`` and calls r ``var``.
+    """
     if value.is_zero():
-        if positive:
-            raise ConfigError(f"{subject} rounds to zero at {value.bits} bits")
-        return
+        raise ConfigError(f"{subject} rounds to zero at {value.bits} bits")
     # Compared as binary exponents: |value| < 2**(exp + bc) for a raw
     # value (sign, man, exp, bc).
     if value.raw[2] + value.raw[3] <= 16 - value.bits + r * r / (2 * math.log(2.0)):

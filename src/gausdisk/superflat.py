@@ -23,31 +23,32 @@ With g(z) = L(z) exp(-z**2/2) and eps2 = sup_{|z|=2} |g(z) - 1|, the
 Cauchy integral over the radius-2 circle bounds every derivative on the
 closed unit disk by  sup_{|z|<=1} |g^(n)(z)| <= n! * eps2  (radius gap
 2 - 1 = 1), since constants drop out of derivatives.  The certificate
-then measures a few low-order derivative sups directly and checks them
-against their bounds.
+then takes a few low-order derivatives directly and checks them against
+their bounds.
 
 Writing g - 1 = E(z) exp(-z**2/2), with E(z) = L(z) - exp(z**2/2) the
-source rule's transform error, brackets eps2 without a scan: |E(z)| <= |E(|z|)| for the rules
-built here, so eps2 lies in [e**2 |E(2i)|, e**2 |E(2)|].  The
-certificate takes eps2 as the one value |g(2i) - 1|, the last seed of a
-quarter-arc scan, which no scan's refinement beat at the policy
-precision; it is a value at a point, so a lower bound, and n! * eps2 is
-not a certified ceiling.  The upper end, e**2 |E(2)| from one real-axis
-evaluation rounded up, is certified and reported beside it.  The direct
-sups are scan values, so they are lower bounds too.  The certificate
-returns only when the identity samples and every direct sup pass, and
-raises CertificateViolation otherwise.
+source rule's transform error, brackets eps2 without a scan: |E(z)| <=
+|E(|z|)| for the rules built here, so eps2 lies in [e**2 |E(2i)|,
+e**2 |E(2)|].  The certificate takes eps2 as the one value |g(2i) - 1|,
+the last seed of a quarter-arc scan, which no scan's refinement beat at
+the policy precision; it is a value at a point, so a lower bound, and
+n! * eps2 is not a certified ceiling.  The upper end, e**2 |E(2)| from
+one real-axis evaluation rounded up, is certified and reported beside
+it.  An eps2 at or below its rounding floor 2**(16 - bits) * e**2 is
+refused with ConfigError.  The direct sups are likewise the values
+|g^(n)(i)| at the last seed of a quarter-arc scan of |z| = 1, which no
+order scan's refinement beat either, so they are lower bounds too.  The
+certificate returns only when the identity samples and every direct sup
+pass, and raises CertificateViolation otherwise.
 
 All derivatives come from one kernel, :func:`density_derivatives`, which
 evaluates f, f', ..., f^(n) at a point with one exp and one Hermite
-recurrence per atom.  The direct scans of orders 1..4 visit the same
-circle points, so they share one all-orders evaluation per point; the
-16 identity samples are computed on their own.
+recurrence per atom: one call gives orders 1..4 at z = i, and each of
+the 16 identity samples takes one more.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -66,7 +67,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .disks import circle_point, sup_abs_on_circle, sup_on_circle
+from .disks import check_value_above_noise_floor, circle_point
 from .errors import CertificateViolation, ConfigError
 from .hermite import QuadratureRule, build_rule, k_for_support
 from .precision import (
@@ -98,7 +99,7 @@ __all__ = [
 
 _RND = round_nearest
 
-# Orders bounded and orders scanned by the certificate, and the relative
+# Orders bounded and orders taken directly by the certificate, and the relative
 # amount by which a direct sup may exceed its bound.
 _MAX_BOUND_ORDER = 8
 _MAX_DIRECT_ORDER = 4
@@ -219,25 +220,25 @@ class FlatnessCertificate:
     ratios: tuple[float, ...]
 
 
-def flatness_certificate(
-    mix: SuperflatMixture,
-    n_samples: int = 1024,
-) -> FlatnessCertificate:
+def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     """Certify the mixture's flatness on the unit disk, at the mixture's
     precision.
 
     Takes eps2 = |g(2i) - 1| with g(z) = L(z)exp(-z**2/2), brackets the
     boundary sup by eps2 <= sup_{|z|=2} |g - 1| <= eps2_ceiling, derives
     the Cauchy bounds n! * eps2 for derivative orders 1..8, and for
-    orders 1..4 also scans sup_{|z|=1} |g^(n)| directly (through the
-    mixture identity, so the two sides are computed by genuinely
-    different code paths) and requires direct <= bound * (1 + 1e-3).
-    The mixture identity itself is spot-checked on the sampling circle
-    first.  Returns only when both hold; raises CertificateViolation
-    otherwise.
+    orders 1..4 also takes |g^(n)(i)| directly (through the mixture
+    identity, so the two sides are computed by genuinely different code
+    paths) and requires direct <= bound * (1 + 1e-3).  The mixture
+    identity itself is spot-checked on the radius-2 circle first.
+    Returns only when both hold; raises CertificateViolation otherwise,
+    and ConfigError for a source rule that is not Gauss-Hermite or an
+    eps2 at or below its rounding floor.
     """
     if not isinstance(mix, SuperflatMixture):
         raise ConfigError("expected a SuperflatMixture")
+    if not mix.rule.error_peaks_on_real_axis():
+        raise ConfigError("the flatness certificate needs a symmetric Gauss-Hermite source rule")
     b = mix.bits
 
     def g_minus_1(z: PComplex):
@@ -245,7 +246,7 @@ def flatness_certificate(
         return mix.rule.laplace(z) * exp(-(z * z) / 2) - 1
 
     # The identity sqrt(2*pi) * B * f(z) = L(z) exp(-z**2/2) ties the
-    # transform side to the mixture-side derivative scans.
+    # transform side to the mixture-side derivatives.
     root_2pi = sqrt(2 * pi_value(b))
     scale = root_2pi * mix.tilt_total.round_to(b)
     two = PReal(2, b)
@@ -266,14 +267,15 @@ def flatness_certificate(
     # the policy precision, so eps2 is |g - 1| there: a value at a point,
     # a lower bound for the sup.  |E(z)| <= |E(2)| and
     # |exp(-z**2/2)| <= e**2 give the ceiling, rounded up by a relative
-    # 2**-(b//2) that covers the rounding of E(2).
-    witness = circle_point(two, 2 * pi_value(b) / 4, b)
+    # 2**-(b//2) that covers the rounding of E(2).  E(2) is taken at
+    # 2 + 0i, the point sup_on_circle's real-axis path evaluates.
+    quarter_turn = 2 * pi_value(b) / 4
+    witness = circle_point(two, quarter_turn, b)
     eps2 = abs(g_minus_1(witness))
-    axis = sup_on_circle(mix.rule, two)
-    if axis.method != "real-axis":
-        raise ConfigError("the flatness certificate needs a symmetric Gauss-Hermite source rule")
+    check_value_above_noise_floor(eps2, 2.0, "the boundary deviation eps2 on |z| = r = 2", "r")
     margin = 1 + PReal(2, b) ** (-(b // 2))
-    ceiling = exp(two) * axis.sup_value * margin
+    edge = abs(mix.rule.laplace_error(PComplex(two, PReal(0, b), bits=b)))
+    ceiling = exp(two) * edge * margin
 
     bounds = []
     fact = 1
@@ -281,34 +283,16 @@ def flatness_certificate(
         fact *= n
         bounds.append(fact * eps2)
 
-    # The order scans visit the same circle points, so each point gets one
-    # all-orders evaluation, kept as |g^(n)| = |scale * f^(n)| for orders
-    # 1..max.
-    scaled_abs: dict = {}
-
-    def all_orders(z: PComplex) -> tuple:
-        key = z.raw
-        hit = scaled_abs.get(key)
-        if hit is None:
-            derivs = density_derivatives(mix, z, _MAX_DIRECT_ORDER)
-            hit = scaled_abs[key] = tuple(abs(scale * d) for d in derivs[1:])
-        return hit
-
-    direct = []
-    ratios = []
-    ok = True
-    for n in range(1, _MAX_DIRECT_ORDER + 1):
-        rep = sup_abs_on_circle(
-            lambda z, order=n: all_orders(z)[order - 1],
-            PReal(1, b), b, n_samples=n_samples, arc="quarter",
-        )
-        direct.append(rep.sup_value)
-        bound = bounds[n - 1]
-        ratio = float(rep.sup_value / bound) if not bound.is_zero() else math.inf
-        ratios.append(ratio)
-        if not rep.sup_value <= bound * (1 + PReal(_CERTIFICATE_SLACK, b)):
-            ok = False
-    if not ok:
+    # Each direct sup is |g^(n)(i)| = |scale * f^(n)(i)|: z = i is the last
+    # seed of a quarter-arc scan of |z| = 1, and no order scan's refinement
+    # beat it at the policy precision.  A value at a point again, so a
+    # lower bound for the sup on the unit disk.
+    unit_i = circle_point(PReal(1, b), quarter_turn, b)
+    derivs = density_derivatives(mix, unit_i, _MAX_DIRECT_ORDER)
+    direct = [abs(scale * d) for d in derivs[1:]]
+    ratios = [float(d / bound) for d, bound in zip(direct, bounds)]  # eps2 > 0 by the floor
+    slack = 1 + PReal(_CERTIFICATE_SLACK, b)
+    if not all(d <= bound * slack for d, bound in zip(direct, bounds)):
         raise CertificateViolation(
             f"a direct derivative sup exceeded its Cauchy bound: "
             f"ratios {[f'{r:.4f}' for r in ratios]}"

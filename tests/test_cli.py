@@ -492,9 +492,7 @@ class TestFigure:
 
 class TestSuperflat:
     def test_csv_with_certificate(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "superflat", "--a", "4", "--certify", "--samples", "64"
-        )
+        code, out, _ = run_cli(capsys, "superflat", "--a", "4", "--certify")
         assert code == 0
         assert "# a=4" in out
         assert "# certificate_passed True" in out
@@ -507,16 +505,32 @@ class TestSuperflat:
 
     @pytest.mark.parametrize("a", ["4", "6"])
     def test_certificate_output_is_golden(self, capsys, a):
-        # Captured from the release whose order scans each evaluated the
-        # density on their own; the boundary_deviation_ceiling line came
-        # later and is the only line added since.
+        # Captured with --samples 64 from the release whose order scans each
+        # evaluated the density on their own; the boundary_deviation_ceiling
+        # line came later and is the only line added since.  The certificate
+        # now evaluates at z = 2i and z = i alone and takes no --samples.
         with open(os.path.join(DATA, f"superflat_a{a}_certify_s64.txt"), encoding="utf-8") as fh:
             golden = fh.read()
-        code, out, err = run_cli(
-            capsys, "superflat", "--a", a, "--certify", "--samples", "64"
-        )
+        code, out, err = run_cli(capsys, "superflat", "--a", a, "--certify")
         assert code == 0 and err == ""
         assert out == golden
+
+    def test_samples_is_not_an_option(self, capsys):
+        code, out, err = run_cli(capsys, "superflat", "--a", "4", "--certify", "--samples", "64")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --samples 64" in err
+
+    @pytest.mark.parametrize("bits", ["64", "128"])
+    def test_eps2_rounding_noise_exits_2_and_writes_nothing(self, capsys, tmp_path, bits):
+        # At a = 16, eps2 = 1.0548e-34 lies under 2**(16 - bits) * e**2; 128
+        # bits used to print 1.054771e-34 with certificate_passed True.
+        path = tmp_path / "superflat.txt"
+        code, out, err = run_cli(
+            capsys, "superflat", "--a", "16", "--certify", "--precision", bits, "--out", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: the boundary deviation eps2") and "rounding noise" in err
+        assert not path.exists()
 
 
 class TestVerify:
@@ -651,9 +665,8 @@ class TestSamples:
         [
             ("supdisk", "--measure", "rule:2", "--r", "1"),
             ("figure", "--grid", "4:6:1"),
-            ("superflat", "--a", "4"),
         ],
-        ids=["supdisk", "figure", "superflat"],
+        ids=["supdisk", "figure"],
     )
     def test_samples_above_the_ceiling_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--samples", "10001")

@@ -7,7 +7,7 @@ import math
 import mpmath
 import pytest
 
-from gausdisk import superflat
+from gausdisk import disks, superflat
 from gausdisk.disks import sup_abs_on_circle
 from gausdisk.errors import CertificateViolation, ConfigError
 from gausdisk.hermite import build_rule, hermite_pair
@@ -242,62 +242,51 @@ class TestTransformIdentity:
 class TestCertificate:
     def test_a4_certificate(self):
         mix = build_superflat(4)
-        cert = flatness_certificate(mix, n_samples=128)
+        cert = flatness_certificate(mix)
         assert float(cert.eps2) == pytest.approx(4.07493232, abs=1e-7)
         assert len(cert.derivative_bounds) == 8
         assert len(cert.direct_sups) == 4
         assert all(r <= 1 + superflat._CERTIFICATE_SLACK for r in cert.ratios)
 
     def test_a6_certificate_flatter(self):
-        cert4 = flatness_certificate(build_superflat(4), n_samples=96)
-        cert6 = flatness_certificate(build_superflat(6), n_samples=96)
+        cert4 = flatness_certificate(build_superflat(4))
+        cert6 = flatness_certificate(build_superflat(6))
         assert float(cert6.eps2) == pytest.approx(9.832382e-2, rel=1e-5)
         assert float(cert6.eps2) < float(cert4.eps2)
 
-    @pytest.mark.parametrize("a", [4, 6])
+    @pytest.mark.parametrize("a", [4, 4.5, 5, 6, 7, 8])
     def test_shared_scans_equal_independent_scans(self, a):
+        # At the policy precision every order scan's sup is its
+        # theta = pi/2 seed z = i, the one point the certificate evaluates.
         mix = build_superflat(a)
-        cert = flatness_certificate(mix, n_samples=64)
-        eps, direct = reference_certificate_scans(mix, 64)
-        assert cert.eps2.raw == eps.sup_value.raw
-        assert cert.eps2_witness.raw == eps.witness.raw
-        assert [d.raw for d in cert.direct_sups] == [r.sup_value.raw for r in direct]
-        want_ratios = [
-            float(r.sup_value / bound) for r, bound in zip(direct, cert.derivative_bounds)
-        ]
-        assert list(cert.ratios) == want_ratios
+        cert = flatness_certificate(mix)
+        for n in (16, 64, 256):
+            eps, direct = reference_certificate_scans(mix, n)
+            assert cert.eps2.raw == eps.sup_value.raw, (a, n)
+            assert [d.raw for d in cert.direct_sups] == [r.sup_value.raw for r in direct], (a, n)
+            want_ratios = [
+                float(r.sup_value / bound) for r, bound in zip(direct, cert.derivative_bounds)
+            ]
+            assert list(cert.ratios) == want_ratios, (a, n)
 
-    def test_order_scans_share_one_evaluation_per_point(self, monkeypatch):
+    def test_certificate_runs_no_scan(self, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the certificate ran a circle scan")
+
         kernel_calls = []
-        scans = []
         kernel = superflat.density_derivatives
-        scan = superflat.sup_abs_on_circle
 
         def counted_kernel(mix, z, n_max):
             kernel_calls.append(n_max)
             return kernel(mix, z, n_max)
 
-        def recorded_scan(f, *args, **kwargs):
-            calls = [0]
-
-            def counted_f(z):
-                calls[0] += 1
-                return f(z)
-
-            report = scan(counted_f, *args, **kwargs)
-            scans.append((report, calls[0]))
-            return report
-
+        for module in (disks, superflat):
+            for name in ("sup_abs_on_circle", "sup_on_circle"):
+                monkeypatch.setattr(module, name, no_scan, raising=False)
         monkeypatch.setattr(superflat, "density_derivatives", counted_kernel)
-        monkeypatch.setattr(superflat, "sup_abs_on_circle", recorded_scan)
-        cert = flatness_certificate(build_superflat(4), n_samples=256)
-        assert len(scans) == 4  # eps2 takes no scan
-        # Every scanned function is still called once per visited point.
-        for report, calls in scans:
-            assert calls == report.n_samples + 2 + report.refine_iterations
-        one_scan = max(calls for _, calls in scans)
-        assert len(kernel_calls) <= one_scan + 16
-        assert kernel_calls.count(0) == 16  # the identity samples
+        flatness_certificate(build_superflat(4))
+        # The 16 identity samples, then orders 1..4 at z = i in one call.
+        assert kernel_calls == [0] * 16 + [superflat._MAX_DIRECT_ORDER]
 
     def test_direct_sup_past_its_bound_raises(self, monkeypatch):
         # Orders >= 1 scaled by 10: f itself, and so the identity check, is
@@ -310,7 +299,7 @@ class TestCertificate:
 
         monkeypatch.setattr(superflat, "density_derivatives", inflated)
         with pytest.raises(CertificateViolation, match="exceeded its Cauchy bound"):
-            flatness_certificate(build_superflat(4), n_samples=64)
+            flatness_certificate(build_superflat(4))
 
     @pytest.mark.parametrize("a", [4, 4.5, 5, 6, 7, 8])
     def test_eps2_is_the_boundary_scan_sup(self, a):
@@ -319,8 +308,8 @@ class TestCertificate:
         # 64-128 bits can let the scan's refinement beat the seed by
         # rounding noise; those are not the policy.
         mix = build_superflat(a)
+        cert = flatness_certificate(mix)
         for n in (16, 64, 256):
-            cert = flatness_certificate(mix, n_samples=n)
             scan = reference_boundary_scan(mix, n)
             assert cert.eps2.raw == scan.sup_value.raw, (a, n)
             assert cert.eps2_witness.raw == scan.witness.raw, (a, n)
@@ -328,7 +317,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("a", [4, 6, 8])
     def test_ceiling_margin_covers_a_finer_evaluation(self, a):
-        cert = flatness_certificate(build_superflat(a), n_samples=16)
+        cert = flatness_certificate(build_superflat(a))
         b = cert.bits
         fine = build_superflat(a, b + 256)
         two = PReal(2, b + 256)
@@ -342,7 +331,7 @@ class TestCertificate:
         assert 6.5 < float(cert.eps2_ceiling / cert.eps2) < 6.8
 
     def test_bounds_grow_factorially(self):
-        cert = flatness_certificate(build_superflat(4), n_samples=64)
+        cert = flatness_certificate(build_superflat(4))
         eps = float(cert.eps2)
         for n, bound in enumerate(cert.derivative_bounds, start=1):
             assert float(bound) == pytest.approx(math.factorial(n) * eps, rel=1e-12)
@@ -351,17 +340,30 @@ class TestCertificate:
         mix = build_superflat(4, 256)
         bad = dataclasses.replace(mix, tilt_total=mix.tilt_total * 2)
         with pytest.raises(CertificateViolation):
-            flatness_certificate(bad, n_samples=32)
+            flatness_certificate(bad)
 
     def test_rejects_non_mixture(self):
         with pytest.raises(ConfigError):
             flatness_certificate("mixture")
 
-    def test_ceiling_needs_a_gauss_hermite_source(self):
+    def test_ceiling_needs_a_gauss_hermite_source(self, monkeypatch):
         mix = build_superflat(4, 256)
         unmarked = DiscreteMeasure(mix.rule.atoms, mix.bits)
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the certificate did work before refusing its source")
+
+        # Refused before any identity sample or transform evaluation.
+        monkeypatch.setattr(superflat, "density_derivatives", no_work)
+        monkeypatch.setattr(DiscreteMeasure, "laplace", no_work)
         with pytest.raises(ConfigError, match="Gauss-Hermite"):
-            flatness_certificate(dataclasses.replace(mix, rule=unmarked), n_samples=16)
+            flatness_certificate(dataclasses.replace(mix, rule=unmarked))
+
+    def test_eps2_above_its_rounding_floor_passes(self):
+        # At a = 16, eps2 = 1.0548e-34 clears 2**(16 - 160) * e**2; at 64
+        # and 128 bits it does not (tests/test_cli.py).
+        cert = flatness_certificate(build_superflat(16, 160))
+        assert float(cert.eps2) == pytest.approx(1.0548e-34, rel=1e-4)
 
 
 class TestCsv:

@@ -55,6 +55,7 @@ from mpmath.libmp import (
     mpf_pos,
     mpf_pow_int,
     mpf_shift,
+    round_down,
     round_up,
 )
 
@@ -339,8 +340,9 @@ def validate_tail_bound(
     ``ell_sum`` is a certified ceiling of the l-indexed sum S, at most
     S * (1 + 2**-60): summed at 128 bits with upward rounding and a
     geometric bound on its tail, independent of ``bits``, then rounded
-    up to ``bits``.  Raises ChainViolation only if the always-valid link
-    err <= l-indexed sum fails."""
+    up to ``bits``.  The link ``ell_le_k_sum`` compares the two sums past
+    the l = k term they share.  Raises ChainViolation only if the
+    always-valid link err <= l-indexed sum fails."""
     _check_bits(bits)
     af = float(_real(a))
     bf = float(_real(b))
@@ -359,11 +361,19 @@ def validate_tail_bound(
     qf = float(q)
 
     k_sum = None
+    ell_le_k_sum = None
     if qf < 1.0:
         one = PReal(1, wp)
         k_sum = (
             q1 ** (2 * k) / (one - q1 * q1) + q2 ** (2 * k) / (one - q2 * q2)
         ).round_to(bits)
+        beyond = q1 ** (2 * k + 2) / (one - q1 * q1) + q2 ** (2 * k + 2) / (one - q2 * q2)
+        # S and the geometric sum share their l = k term exactly, which can
+        # swamp the ceiling's 2**-60 slack; past it each geometric term is
+        # at least ((k+1)/k)**(k+1) > 2 times S's, so the parts beyond it
+        # compare with room for every rounding.
+        beyond_floor = mpf_pos(beyond.raw, bits, round_down)
+        ell_le_k_sum = mpf_le(_ell_sum_ceiling(af, bf, k + 1), beyond_floor)
 
     closed_bound = None
     if qf < 0.5:
@@ -379,7 +389,7 @@ def validate_tail_bound(
 
     checks = {
         "err_le_ell_sum": None if err is None else bool(err <= ell_sum),
-        "ell_le_k_sum": None if k_sum is None else bool(ell_sum <= k_sum),
+        "ell_le_k_sum": ell_le_k_sum,
         "k_le_closed": None
         if (k_sum is None or closed_bound is None)
         else bool(k_sum <= closed_bound),

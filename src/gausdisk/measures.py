@@ -29,6 +29,14 @@ downward from one short tail sum.  Since ell_m <= a**(2m)/(2m)!, the
 terms add up to at most exp(a*|z|), and a lift of a*|z|/ln 2 bits covers
 the cancellation off the real axis.
 
+Both halves run on Python integers at a fixed scale 2**-wp, as
+``_phi_series`` does: ``_moment_coeffs`` builds the t_j, R_m and ell_m
+with one floor division a step, and ``_horner`` sums the series in
+u = z**2 / 2**e, 2**e >= |z|**2, so |u| <= 1 and no error grows from one
+step to the next.  Their docstrings derive the guard bits and the error
+bound.  Im u = 0 (a real or an imaginary z) runs a real loop, one product
+a step, and leaves the imaginary part an exact zero.
+
 The normal CDF has one kernel, ``_phi_series``, for real and complex
 arguments: the everywhere-convergent odd Taylor series
 
@@ -45,10 +53,10 @@ through upper tails and is the independent oracle for the moment series.
 Gaussian over a dense real grid and certifies the deviation chain
 max_t |psi(t) - exp(-t**2/2)|  <=  4*Q(a)  <=  (4/(sqrt(2*pi)*a))*exp(-a**2/2)
 <=  2*exp(-a**2/2), where Q is the Gaussian upper tail.  It builds the
-moment coefficients once, evaluates psi by Horner's rule at every grid
-point, and cross-checks it against the closed form on a subsample.  It
-returns only when the chain and the cross-check hold, and raises
-ChainViolation otherwise.
+moment coefficients once, evaluates psi by the same integer Horner loop
+at every grid point, and cross-checks it against the closed form on a
+subsample.  It returns only when the chain and the cross-check hold, and
+raises ChainViolation otherwise.
 """
 
 from __future__ import annotations
@@ -59,7 +67,6 @@ from typing import Iterable, TextIO
 
 from mpmath.libmp import (
     fone,
-    from_int,
     from_man_exp,
     fzero,
     mpc_add,
@@ -71,8 +78,6 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_cmp,
-    mpf_div,
-    mpf_mul,
     mpf_mul_int,
     mpf_neg,
     mpf_pos,
@@ -330,44 +335,127 @@ def _series_cutoff(at: float, bits_needed: float) -> int:
     return m
 
 
-def _moment_coeffs(a_raw, n: int, wp: int) -> list:
-    """ell_0..ell_n of the truncated Gaussian's series L(z) = sum ell_m z**(2m),
-    each to about 2**-wp relative (see the module docstring)."""
-    a_sq = mpf_mul(a_raw, a_raw, wp, _RND)
-    a_sq_f = to_float(a_sq, rnd=_RND)
+def _shift(man: int, k: int) -> int:
+    """floor(man * 2**k)."""
+    return man << k if k >= 0 else man >> -k
 
-    def after(t, j):  # t_(j+1) from t_j = a**(2j-1)/(2j-1)!!
-        return mpf_div(mpf_mul(t, a_sq, wp, _RND), from_int(2 * j + 1), wp, _RND)
 
-    terms = [mpf_pos(a_raw, wp, _RND)]  # t_1..t_n
+def _signed(raw) -> tuple[int, int]:
+    """(m, x) with raw = m * 2**x exactly, m a signed integer."""
+    return (-raw[1] if raw[0] else raw[1]), raw[2]
+
+
+def _prescale(w_abs: float) -> int:
+    """The least e >= 0 with 2**e > |w|(1 + 2**-40), given |w| as a double
+    within a relative 2**-50 of the true one: the true |w| lies strictly
+    below 2**e, and 2**e < 2.01*|w| when e > 0."""
+    return max(0, math.frexp(w_abs * (1.0 + 2.0**-40))[1])
+
+
+def _horner_guard(n: int, af: float) -> int:
+    """Guard bits of ``_horner`` for n + 1 terms at half-width a; see there."""
+    return 36 + 2 * (n + math.ceil(af * af) + 1).bit_length()
+
+
+def _moment_coeffs(a_raw, n: int, e: int, wp: int) -> list:
+    """C_0..C_n with C_m = ell_m * 2**(e*m) at the fixed scale 2**-wp:
+    C_0 = 2**wp exactly and each other C_m below its true value by less
+    than 1 + 2**-30 units, for a >= 1 and e >= 0.
+
+    With rho_m = R_m/R_0 <= 1 and p_m = 2**((e-1)*m)/m!, the coefficient is
+    ell_m * 2**(e*m) = rho_m * p_m.  p_m is largest at m = min(n, 2**(e-1));
+    call its log2 ceiling ``big``.  Every step below is one floor division,
+    so each quantity comes out below its true value:
+
+    * t_1 = a, t_(j+1) = t_j * a**2/(2j+1) at the scale 2**-s, a**2 exact.
+      The unit lost at step i reaches step j scaled by t_j/t_i, and t_i is
+      at least min(1, t_j) for i <= j (the terms rise from t_1 = a >= 1 to
+      their peak, then fall), so T_j is short by under j*(1 + t_j) units.
+    * The loop runs past n until a**2/(2j+1) <= 1/2 and T_j = 0; each later
+      term at most halves, so the dropped tail is at most t_j, inside that
+      error.  It stops at some J < n + s + 2**13: the ratio drops to 1/2
+      by j = 4097, and after that T_j, below R_0 * 2**s < 2**(s + 2955),
+      halves at every step.  So each R_m is short by under 2*J**2*R_0
+      units, and with s = wp + big + 2*bitlen(span) + 33, span =
+      n + wp + big + 2**14 > J, rho_m * p_m loses under 2**-32 units of
+      2**-wp, the normaliser R_0 included.
+    * K_m = 2**v * p_m / R_0 runs K_m = K_(m-1) * 2**e / (2m) from
+      K_0 = 2**(v+s) // R_0.  The unit lost at step i grows by K_m/K_i,
+      so K_m is short by under (m+1)/min(K_0, K_m) relative; with
+      v = wp + big + log2(R_0) + bitlen(n+1) + 33 that is under 2**-32
+      units of C_m either way.
+    * C_m = R_m * K_m >> (s + v - wp) floors once more: under one unit.
+    """
+    _, man, exp, _ = a_raw
+    num, den = (man * man << 2 * exp, 1) if exp >= 0 else (man * man, 1 << -2 * exp)
+    top = min(n, 1 << (e - 1)) if e else 0
+    big = math.ceil(((e - 1) * top * _LN2 - math.lgamma(top + 1)) / _LN2) + 1 if top else 0
+    s = wp + big + 2 * (n + wp + big + (1 << 14)).bit_length() + 33
+
+    t = _shift(man, exp + s)
+    terms = [t]  # T_1..T_n
     for j in range(1, n):
-        terms.append(after(terms[-1], j))
-    # R_n = t_(n+1) + t_(n+2) + ...; once a**2/(2j+1) <= 1/2, all that
-    # follows t_j is at most t_j.
-    j = n + 1
-    t = r = after(terms[-1], n)
-    while 2 * j + 1 < 2 * a_sq_f or _mag(t) >= _mag(r) - wp - 1:
-        t = after(t, j)
-        r = mpf_add(r, t, wp, _RND)
+        t = t * num // (den * (2 * j + 1))
+        terms.append(t)
+    j = n
+    tail = 0  # R_n
+    while True:
+        t = t * num // (den * (2 * j + 1))
         j += 1
-    tails = [r]  # R_n down to R_0
-    for m in range(n, 0, -1):
-        tails.append(mpf_add(tails[-1], terms[m - 1], wp, _RND))
+        if not t and 2 * num <= den * (2 * j + 1):
+            break
+        tail += t
+    tails = [tail]  # R_n down to R_0
+    for t in reversed(terms):
+        tails.append(tails[-1] + t)
     tails.reverse()
-    coeffs = [fone]
-    scale = mpf_div(fone, tails[0], wp, _RND)
+
+    r0 = tails[0]
+    v = wp + big + (r0.bit_length() - s) + (n + 1).bit_length() + 33
+    k = (1 << (v + s)) // r0
+    cut = s + v - wp
+    coeffs = [1 << wp]
     for m in range(1, n + 1):
-        scale = mpf_div(scale, from_int(2 * m), wp, _RND)
-        coeffs.append(mpf_mul(tails[m], scale, wp, _RND))
+        k = (k << e) // (2 * m)
+        coeffs.append((tails[m] * k) >> cut)
     return coeffs
 
 
-def _horner(coeffs: list, n: int, w, wp: int):
-    """sum_{m <= n} coeffs[m] * w**m for a raw real w."""
+def _horner(coeffs: list, n: int, ur: int, ui: int, wp: int, f: int) -> tuple[int, int]:
+    """sum_{m <= n} c_m * u**m on Python integers, for |u| < 1 and
+    coefficients C_m = c_m at the fixed scale 2**-wp: Re u and the real
+    part at 2**-wp, Im u and the imaginary part at the finer 2**-(wp + f),
+    where |Im u| < 2**-f.  With ui = 0 the loop is real: one product a step
+    and an exact zero imaginary part.
+
+    Every step floors its product once, under one unit, and an error made
+    at step m reaches the sum multiplied by u**m, |u**m| <= 1; in the
+    imaginary part a real unit lost at step m enters through Im u**m,
+    under m * 2**-f.  For the series of ``_moment_coeffs`` with u =
+    z**2 / 2**e (``_prescale``), n terms and a*|z| = at, adding the
+    coefficients' units and the flooring of u itself (under two units,
+    moving the sum by at most |du| * max|P'|, and the imaginary part by
+    |du| * max|P''| as well; both derivatives are bounded through
+    ell_m <= a**(2m)/(2m)!), the sum is off by under
+    16 * N**2 * e**at units of each part's scale, N = n + ceil(a**2) + 1.
+    So at wp = bits + ceil(at / ln 2) + G with G = ``_horner_guard(n, a)``
+    = 36 + 2 * bitlen(N), each part errs by under 2**-(bits + 32) of its
+    scale: absolute in the real part, and relative to 2**-f in the
+    imaginary part, which keeps Im L(z) ~ Im(z**2) * L'(Re z**2) accurate
+    near the real axis.
+    """
     acc = coeffs[n]
+    if not ui:
+        for m in range(n - 1, -1, -1):
+            acc = coeffs[m] + ((acc * ur) >> wp)
+        return acc, 0
+    acc_i = 0
     for m in range(n - 1, -1, -1):
-        acc = mpf_add(coeffs[m], mpf_mul(acc, w, wp, _RND), wp, _RND)
-    return acc
+        acc, acc_i = (
+            coeffs[m] + ((acc * ur - ((acc_i * ui) >> 2 * f)) >> wp),
+            (acc * ui + acc_i * ur) >> wp,
+        )
+    return acc, acc_i
 
 
 class TruncatedGaussian(Measure):
@@ -405,16 +493,19 @@ class TruncatedGaussian(Measure):
         if af + z_abs > _MAX_CDF_ARG:
             raise ConfigError("laplace argument too far out: a + |z| > 64")
         at = af * z_abs
-        wp = out_bits + math.ceil(at / _LN2) + 32
-        n = _series_cutoff(at, wp)
-        coeffs = _moment_coeffs(self.a.raw, n, wp)
-        zp = _pair(z)
-        w = mpc_mul(zp, zp, wp, _RND)
-        acc = (coeffs[n], fzero)
-        for m in range(n - 1, -1, -1):
-            acc = mpc_mul(acc, w, wp, _RND)
-            acc = (mpf_add(acc[0], coeffs[m], wp, _RND), acc[1])
-        return _like(z, acc, out_bits)
+        lift = math.ceil(at / _LN2)
+        n = _series_cutoff(at, out_bits + lift + 32)
+        e = _prescale(z_abs * z_abs)
+        wp = out_bits + lift + _horner_guard(n, af)
+        zr, zi = _pair(z)
+        (xr, er), (xi, ei) = _signed(zr), _signed(zi)
+        # u = z**2 / 2**e from the exact square; |Im u| < 2**-f.
+        ur = _shift(xr * xr, 2 * er + wp - e) - _shift(xi * xi, 2 * ei + wp - e)
+        f = max(0, e - 1 - _mag(zr) - _mag(zi)) if xr and xi else 0
+        ui = _shift(2 * xr * xi, er + ei + wp + f - e)
+        coeffs = _moment_coeffs(self.a.raw, n, e, wp)
+        re, im = _horner(coeffs, n, ur, ui, wp, f)
+        return _like(z, (from_man_exp(re, -wp), from_man_exp(im, -wp - f)), out_bits)
 
 
 class StandardGaussian(Measure):
@@ -519,7 +610,14 @@ def char_bound_check(
     trunc = TruncatedGaussian(af, bits)
     step_raw = PReal(t_step, bits).raw
     wp_top = bits + int(af * t_max / _LN2) + 64
-    coeffs = _moment_coeffs(trunc.a.raw, _series_cutoff(af * t_max, bits + 32), wp_top)
+    n_top = _series_cutoff(af * t_max, bits + 32)
+    # One coefficient set serves every t, so u = -t**2 / 2**e can be far
+    # below 1 in size; the e extra bits cover 2**e / max(t**2, 1) in the
+    # bound of _horner.
+    e = _prescale(t_top * t_top)
+    wp = wp_top + e + _horner_guard(n_top, af)
+    coeffs = _moment_coeffs(trunc.a.raw, n_top, e, wp)
+    step_man, step_exp = _signed(step_raw)
     zero = PReal(0, bits)
 
     best = fzero
@@ -528,12 +626,11 @@ def char_bound_check(
     for j in range(n_steps + 1):
         t_raw = mpf_mul_int(step_raw, j, wp_top, _RND)
         tf = j * t_step
-        at = af * tf
-        wp = bits + int(at / _LN2) + 64
-        n = min(len(coeffs) - 1, _series_cutoff(at, bits + 32))
-        psi = _horner(coeffs, n, mpf_neg(mpf_mul(t_raw, t_raw, wp, _RND)), wp)
+        n = min(n_top, _series_cutoff(af * tf, bits + 32))
+        t_man = step_man * j
+        psi, _ = _horner(coeffs, n, _shift(-t_man * t_man, 2 * step_exp + wp - e), 0, wp, 0)
         gauss = _gauss_raw((fzero, t_raw), wp_top)[0]  # exp((it)**2/2)
-        diff = mpf_sub(psi, gauss, wp_top, _RND)
+        diff = mpf_sub(from_man_exp(psi, -wp), gauss, wp_top, _RND)
         if j % check_every == 0:
             it = PComplex(zero, PReal._wrap(t_raw, bits))
             ref = truncation_error_closed_form(trunc, it).real.raw

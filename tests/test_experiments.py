@@ -173,6 +173,15 @@ class TestTailChain:
         with pytest.raises(ChainViolation):
             validate_tail_bound(6, 1, err_quad=PReal(10**6, 320))
 
+    @pytest.mark.parametrize("b", [1e-30, 1e-12, 1e-3])
+    def test_shared_first_term_no_longer_swamps_the_comparison(self, b):
+        # S and the geometric sum share their l = k term exactly; at tiny b
+        # that term is all of both, far past the ceiling's 2**-60 slack.
+        report = validate_tail_bound(4, b, bits=320)
+        assert report.k_sum is not None
+        assert report.checks["ell_le_k_sum"] is True
+        assert report.passed
+
     def test_small_disk_shrinks_majorant(self):
         wide = validate_tail_bound(8, 1.0)
         narrow = validate_tail_bound(8, 0.25)
@@ -184,11 +193,13 @@ class TestTailChain:
 
 
 @functools.lru_cache(maxsize=None)
-def parent_ell_sum(af: float, bf: float, bits: int) -> PReal:
+def parent_ell_sum(af: float, bf: float, bits: int, k: int | None = None) -> PReal:
     """The l-indexed majorant as the audit once summed it: round to nearest
     at bits + 64 until a term falls below 2**-(bits + 32) of the partial
-    sum, or of 1.  The oracle of ``_ell_sum_ceiling``; returned unrounded."""
-    k = k_for_support(PReal(af, bits))
+    sum, or of 1.  The oracle of ``_ell_sum_ceiling``; returned unrounded.
+    The sum starts at l = k, by default the rule size ``k_for_support(a)``."""
+    if k is None:
+        k = k_for_support(PReal(af, bits))
     wp = bits + 64
     e_val = exp(PReal(1, wp))
     a_p = PReal(af, wp)
@@ -256,7 +267,7 @@ class TestEllSumCeiling:
         monkeypatch.setattr(
             experiments,
             "_ell_sum_ceiling",
-            lambda af, bf, k: parent_ell_sum(af, bf, bits).round_to(bits).raw,
+            lambda af, bf, k: parent_ell_sum(af, bf, bits, k).round_to(bits).raw,
         )
         old = validate_tail_bound(*args).checks
         assert new == old

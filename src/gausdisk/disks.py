@@ -57,6 +57,7 @@ __all__ = [
     "sup_on_line",
     "check_above_noise_floor",
     "check_value_above_noise_floor",
+    "check_value_above_scaled_floor",
     "growth_profile",
     "three_circles_check",
     "three_lines_check",
@@ -333,14 +334,24 @@ def check_value_above_noise_floor(value: PReal, r: float, subject: str, var: str
     L(z) - exp(z**2/2) left, nor of L(z)exp(-z**2/2) - 1 at z = ir.  The
     message starts with ``subject`` and calls r ``var``.
     """
+    check_value_above_scaled_floor(value, r * r / (2 * math.log(2.0)), subject, f"exp({var}**2/2)")
+
+
+def check_value_above_scaled_floor(value: PReal, log2_scale: float, subject: str, scale: str) -> None:
+    """Raise ConfigError when ``value`` is zero or at or below
+    2**(16 - b) * S at b bits, with log2(S) = ``log2_scale``: a value
+    summed from terms whose sizes total at most S has no correct digit
+    left there.  The message starts with ``subject`` and writes S as
+    ``scale``.
+    """
     if value.is_zero():
         raise ConfigError(f"{subject} rounds to zero at {value.bits} bits")
     # Compared as binary exponents: |value| < 2**(exp + bc) for a raw
     # value (sign, man, exp, bc).
-    if value.raw[2] + value.raw[3] <= 16 - value.bits + r * r / (2 * math.log(2.0)):
+    if value.raw[2] + value.raw[3] <= 16 - value.bits + log2_scale:
         raise ConfigError(
             f"{subject} is rounding noise at {value.bits} bits: "
-            f"it lies below 2**(16 - bits) * exp({var}**2/2)"
+            f"it lies below 2**(16 - bits) * {scale}"
         )
 
 

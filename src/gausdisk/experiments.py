@@ -163,20 +163,17 @@ def run_figure(
     if not grid:
         raise ConfigError("empty grid of support half-widths")
     bf = float(_real(b))
-    if bf <= 0:
-        raise ConfigError("disk radius b must be positive")
+    # Every row is checked before the first is measured, those with a
+    # outside [1, 64] first: a half-width out of range is named before
+    # a + b > 64 at a smaller one.
+    for a in sorted(grid, key=lambda x: 1.0 <= x <= 64.0):
+        _check_row(a, bf)
     if bits_override is not None:
         _check_bits(bits_override)
-    # Every row is checked before the first is measured.  The truncated
-    # Gaussian takes a <= 64, where the rule reaches its largest size, 512,
-    # and its transform takes a + b <= 64, which the largest a decides.
     plan = []
     for a in grid:
-        if not 1.0 <= a <= 64.0:
-            raise ConfigError(f"support half-width a={a:g} is outside [1, 64]")
         bits = working_bits(a, b) if bits_override is None else bits_override
         plan.append((a, k_for_support(a), bits))
-    _check_row(grid[-1], bf)
     rows = []
     for a, k, bits in plan:
         if progress is not None:

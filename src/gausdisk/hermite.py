@@ -21,7 +21,9 @@ rule a probability measure to within the stated precision.
 A rule is a measure: ``build_rule`` returns a ``QuadratureRule``, the
 ``DiscreteMeasure`` whose atoms are the nodes and weights, so it is
 evaluated, scanned and tilted as it is.  ``rule_to_csv`` writes it, and
-``DiscreteMeasure.from_csv`` reads the file back as a plain measure.
+``DiscreteMeasure.from_csv`` reads the file back as a plain measure.  Each
+call builds a new rule, so what one caller sets on its instance reaches no
+other caller.
 """
 
 from __future__ import annotations
@@ -154,9 +156,6 @@ class QuadratureRule(DiscreteMeasure):
         return True
 
 
-_RULE_CACHE: dict[tuple[int, int], QuadratureRule] = {}
-
-
 # Stand-in for a ratio that lands within this of zero; j / _TINY stays
 # finite for every j < MAX_RULE_SIZE.
 _TINY = 1e-290
@@ -262,16 +261,13 @@ def _polished_positive_roots(k: int, bits: int) -> list:
 
 
 def build_rule(k: int, bits: int = 256) -> QuadratureRule:
-    """Build (and cache) the k-point rule at the stated precision."""
+    """Build the k-point rule at the stated precision, a new instance
+    with the same atoms on every call."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ConfigError(f"rule size must be an integer k >= 1, got {k!r}")
     if k > MAX_RULE_SIZE:
         raise ConfigError(f"rule size k={k} exceeds the maximum {MAX_RULE_SIZE}")
     _check_bits(bits)
-    key = (k, bits)
-    cached = _RULE_CACHE.get(key)
-    if cached is not None:
-        return cached
 
     work = bits + 128
     positives = _polished_positive_roots(k, bits)
@@ -314,9 +310,7 @@ def build_rule(k: int, bits: int = 256) -> QuadratureRule:
             f"largest node of the k={k} rule escaped sqrt({4 * k + 2})"
         )
 
-    rule = QuadratureRule(zip(node_vals, weight_vals), bits)
-    _RULE_CACHE[key] = rule
-    return rule
+    return QuadratureRule(zip(node_vals, weight_vals), bits)
 
 
 def moment(rule: QuadratureRule, i: int) -> PReal:

@@ -37,7 +37,11 @@ one real-axis evaluation rounded up, is certified and reported beside
 it.  An eps2 at or below its rounding floor 2**(16 - bits) * e**2 is
 refused with ConfigError.  The direct sups are likewise the values
 |g^(n)(i)| at the last seed of a quarter-arc scan of |z| = 1, which no
-order scan's refinement beat either, so they are lower bounds too.  The
+order scan's refinement beat either, so they are lower bounds too.  Each
+|g^(n)(i)| sums the terms w_m e**(1/2) He_n(i - x_m), with the w_m
+summing to one and |He_n(i - x_m)| <= |He_n(i*rho)| for rho**2 = A**2 + 1
+and A the largest node, so a direct sup at or below 2**(16 - bits) *
+e**(1/2) * |He_n(i*rho)| is refused with ConfigError as well.  The
 certificate returns only when the identity samples and every direct sup
 pass, and raises CertificateViolation otherwise.
 
@@ -49,6 +53,7 @@ the 16 identity samples takes one more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -67,7 +72,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .disks import check_value_above_noise_floor, circle_point
+from .disks import check_value_above_noise_floor, check_value_above_scaled_floor, circle_point
 from .errors import CertificateViolation, ConfigError
 from .hermite import QuadratureRule, build_rule, k_for_support
 from .precision import (
@@ -233,7 +238,7 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     identity itself is spot-checked on the radius-2 circle first.
     Returns only when both hold; raises CertificateViolation otherwise,
     and ConfigError for a source rule that is not Gauss-Hermite or an
-    eps2 at or below its rounding floor.
+    eps2 or a direct sup at or below its rounding floor.
     """
     if not isinstance(mix, SuperflatMixture):
         raise ConfigError("expected a SuperflatMixture")
@@ -290,6 +295,19 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     unit_i = circle_point(PReal(1, b), quarter_turn, b)
     derivs = density_derivatives(mix, unit_i, _MAX_DIRECT_ORDER)
     direct = [abs(scale * d) for d in derivs[1:]]
+    # |He_n(i*rho)| follows He_(n+1) = x*He_n - n*He_(n-1) at x = i*rho,
+    # which is the same recurrence with both signs positive.
+    top = float(mix.rule.nodes[-1])
+    rho = math.sqrt(top * top + 1)
+    he_prev, he = 0.0, 1.0
+    for n, d in enumerate(direct, start=1):
+        he_prev, he = he, rho * he + (n - 1) * he_prev
+        check_value_above_scaled_floor(
+            d,
+            (0.5 + math.log(he)) / math.log(2.0),
+            f"the order-{n} direct sup |g^({n})(i)|",
+            f"exp(1/2) * |He_{n}(i*{rho:.6g})|",
+        )
     ratios = [float(d / bound) for d, bound in zip(direct, bounds)]  # eps2 > 0 by the floor
     slack = 1 + PReal(_CERTIFICATE_SLACK, b)
     if not all(d <= bound * slack for d, bound in zip(direct, bounds)):

@@ -532,6 +532,17 @@ class TestSuperflat:
         assert err.startswith("error: the boundary deviation eps2") and "rounding noise" in err
         assert not path.exists()
 
+    def test_direct_sup_rounding_noise_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        # At a = 16 and 160 bits eps2 clears its floor, but the order-1
+        # direct sup 1.566e-48 is noise: 256 bits give 1.724e-52.
+        path = tmp_path / "superflat.txt"
+        code, out, err = run_cli(
+            capsys, "superflat", "--a", "16", "--certify", "--precision", "160", "--out", str(path)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: the order-1 direct sup |g^(1)(i)| is rounding noise at 160 bits")
+        assert not path.exists()
+
 
 class TestVerify:
     def test_quick_passes(self, capsys):

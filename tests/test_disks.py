@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from gausdisk.disks import (
     ConvexityReport,
     check_above_noise_floor,
+    check_value_above_scaled_floor,
     circle_point,
     growth_profile,
     sup_abs_on_circle,
@@ -285,6 +286,12 @@ class TestNoiseFloor:
         with pytest.raises(ConfigError, match="rounding noise"):
             check_above_noise_floor(dataclasses.replace(line, sup_value=floor / 4), "S", "r")
         check_above_noise_floor(dataclasses.replace(line, sup_value=PReal(0, 128)), "S", "r")
+
+    def test_a_scaled_floor_writes_its_scale(self):
+        floor = PReal(2, 128) ** (16 - 128) * 8
+        check_value_above_scaled_floor(floor * 4, 3.0, "S", "8")
+        with pytest.raises(ConfigError, match=r"^S is rounding noise at 128 bits: .* \* 8$"):
+            check_value_above_scaled_floor(floor / 4, 3.0, "S", "8")
 
 
 class TestGrowthProfile:

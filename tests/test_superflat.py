@@ -361,8 +361,12 @@ class TestCertificate:
 
     def test_eps2_above_its_rounding_floor_passes(self):
         # At a = 16, eps2 = 1.0548e-34 clears 2**(16 - 160) * e**2; at 64
-        # and 128 bits it does not (tests/test_cli.py).
-        cert = flatness_certificate(build_superflat(16, 160))
+        # and 128 bits it does not (tests/test_cli.py).  eps2 is checked
+        # first, so at 160 bits the refusal comes from the order-1 direct
+        # sup, which lies below 2**(16 - 160) * e**(1/2) * |He_1(i*rho)|.
+        with pytest.raises(ConfigError, match=r"order-1 direct sup .* rounding noise at 160 bits"):
+            flatness_certificate(build_superflat(16, 160))
+        cert = flatness_certificate(build_superflat(16, 256))
         assert float(cert.eps2) == pytest.approx(1.0548e-34, rel=1e-4)
 
 

@@ -14,11 +14,22 @@ Every other measure is scanned (method "scan").  Because every measure
 here lives on the real line, B(conj z) = conj B(z), so |B| on a circle
 is determined by the upper half; symmetric measures add B(-z) = B(z) and
 a quarter arc suffices.  Scans sample an arc uniformly (endpoints
-included) and then sharpen the best sample by golden-section search down
-to an angular resolution of 2**-64, keeping the largest value ever
+included) and then sharpen the best sample by Brent's parabolic search
+down to an angular resolution of 2**-64, keeping the largest value ever
 evaluated.  Either way the reported sup is a value of |B| at a point of
 the circle, so it is always a lower bound for the true one; scans agree
 with it to scan resolution in practice.
+
+The same symmetries make the scan ends mirror axes of |B|: conjugation
+reflects about theta = 0 and theta = pi, and, for a symmetric measure,
+B(-conj z) = conj B(z) reflects about theta = pi/2; on a vertical line,
+conjugation reflects about y = 0.  So a best sample at an end is
+bracketed across it, each point past the end is evaluated at its mirror
+image, and a peak there is sharpened in a few steps with no linear
+crawl; every evaluated point stays on the arc or segment.  At a line's
+top end, or at the far end of a quarter arc scanned for an asymmetric
+function, the mirrored profile is only continuous, and Brent's
+safeguards still converge.
 
 Three checks are layered on top, each taking a Measure and running at
 its precision:
@@ -125,56 +136,102 @@ def _maximize_1d(
     hi: PReal,
     seeds: int,
 ) -> tuple[PReal, PReal, int]:
-    """Sample [lo, hi] uniformly, then golden-section sharpen around the
-    best sample.  Returns (argmax, max, refine_iters).
+    """Sample [lo, hi] uniformly, then sharpen the best sample by Brent's
+    safeguarded parabolic search (R. P. Brent, *Algorithms for
+    Minimization without Derivatives*, 1973, ch. 5) on the bracket of its
+    two neighbours.  Returns (argmax, max, refine_iters).
 
-    Golden-section assumes local unimodality; the returned maximum is
-    the largest value seen anywhere, so a multimodal profile degrades
-    only the sharpening, never the lower-bound property.
+    The bracket's two golden-section points are evaluated first and
+    become Brent's w and v; then each iteration evaluates one point until
+    the bracket is 2**_RESOLUTION_EXP wide, or 4000 iterations: ``seeds +
+    2 + refine_iters`` evaluations in all.  Brent's best point x moves
+    only on a strict gain, so values that tie by rounding near a peak do
+    not walk the search away from it.  A best seed at an end is bracketed
+    by [end - step, end + step], and a point u past the end is evaluated
+    at its mirror image 2*end - u; see the module docstring for why the
+    ends are mirror axes.
+
+    Parabolic steps assume local unimodality; the returned maximum is
+    the largest value evaluated anywhere, always at a point of [lo, hi],
+    so a multimodal profile degrades only the sharpening, never the
+    lower-bound property.
     """
     if seeds < 3:
         raise ConfigError("need at least 3 scan samples")
     bits = lo.bits
-    span = hi - lo
-    best_x = lo
-    best_v = evaluate(lo)
-    step = span / (seeds - 1)
-    xs = [lo + step * j for j in range(1, seeds - 1)] + [hi]
-    best_idx = 0
-    for j, x in enumerate(xs, start=1):
-        v = evaluate(x)
+    step = (hi - lo) / (seeds - 1)
+    xs = [lo] + [lo + step * j for j in range(1, seeds - 1)] + [hi]
+    best_x, best_v, best_idx = lo, evaluate(lo), 0
+    for j in range(1, seeds):
+        v = evaluate(xs[j])
         if v > best_v:
-            best_v, best_x, best_idx = v, x, j
+            best_v, best_x, best_idx = v, xs[j], j
 
-    all_points = [lo] + xs
-    left = all_points[max(0, best_idx - 1)]
-    right = all_points[min(len(all_points) - 1, best_idx + 1)]
+    def probe(u: PReal) -> PReal:
+        nonlocal best_x, best_v
+        t = 2 * lo - u if u < lo else 2 * hi - u if u > hi else u
+        v = evaluate(t)
+        if v > best_v:
+            best_v, best_x = v, t
+        return v
 
-    inv_phi = (sqrt(PReal(5, bits)) - 1) / 2
+    x, fx = xs[best_idx], best_v
+    a = xs[best_idx - 1] if best_idx else 2 * lo - xs[1]
+    b = xs[best_idx + 1] if best_idx < seeds - 1 else 2 * hi - xs[-2]
     tol = PReal(2, bits) ** _RESOLUTION_EXP
-    a, b = left, right
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1 = evaluate(x1)
-    f2 = evaluate(x2)
+    # Brent's least step: two of them close a bracket around x within tol.
+    tol1 = tol / 4
+    inv_phi = (sqrt(PReal(5, bits)) - 1) / 2
+    w, fw, v, fv = x, fx, x, fx
+    # d and e, the last two steps, start at the bracket width, so the
+    # first iteration may already take a parabolic step.
+    d = e = b - a
+    pending = [b - inv_phi * (b - a), a + inv_phi * (b - a)]
     iters = 0
-    for v, x in ((f1, x1), (f2, x2)):
-        if v > best_v:
-            best_v, best_x = v, x
-    while (b - a) > tol and iters < 4000:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = evaluate(x2)
-            if f2 > best_v:
-                best_v, best_x = f2, x2
+    while pending or ((b - a) > tol and iters < 4000):
+        if pending:
+            u = pending.pop(0)
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = evaluate(x1)
-            if f1 > best_v:
-                best_v, best_x = f1, x1
-        iters += 1
+            iters += 1
+            mid = (a + b) / 2
+            parabolic = False
+            if abs(e) > tol1:
+                # The vertex x + p/q of the parabola through x, w and v.
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2 * (q - r)
+                if q > 0:
+                    p = -p
+                q = abs(q)
+                prev, e = e, d
+                # Accept it inside the bracket and under half the step
+                # before last, which forces the bracket to shrink.
+                if abs(p) < q * abs(prev) / 2 and q * (a - x) < p < q * (b - x):
+                    d = p / q
+                    if x + d - a < 2 * tol1 or b - x - d < 2 * tol1:
+                        d = tol1 if mid >= x else -tol1
+                    parabolic = True
+            if not parabolic:
+                e = (a - x) if x >= mid else (b - x)
+                d = (1 - inv_phi) * e
+            u = x + d if abs(d) >= tol1 else x + (tol1 if d >= 0 else -tol1)
+        fu = probe(u)
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
     return best_x, best_v, iters
 
 
@@ -346,9 +403,9 @@ def check_value_above_scaled_floor(value: PReal, log2_scale: float, subject: str
     """
     if value.is_zero():
         raise ConfigError(f"{subject} rounds to zero at {value.bits} bits")
-    # Compared as binary exponents: |value| < 2**(exp + bc) for a raw
-    # value (sign, man, exp, bc).
-    if value.raw[2] + value.raw[3] <= 16 - value.bits + log2_scale:
+    # log2|value| = exp + log2(man) for a raw value (sign, man, exp, bc).
+    _, man, exp, _ = value.raw
+    if exp + math.log2(man) <= 16 - value.bits + log2_scale:
         raise ConfigError(
             f"{subject} is rounding noise at {value.bits} bits: "
             f"it lies below 2**(16 - bits) * {scale}"

@@ -77,8 +77,7 @@ from mpmath.libmp import (
     mpc_sub,
     mpf_abs,
     mpf_add,
-    mpf_cmp,
-    mpf_mul_int,
+    mpf_exp,
     mpf_neg,
     mpf_pos,
     mpf_shift,
@@ -581,12 +580,26 @@ def char_bound_check(
 
     The characteristic function of a symmetric measure is even, so only
     t >= 0 is evaluated.  psi comes from the moment series, built once at
-    the precision the largest t needs; on every eighth of the grid it is
-    cross-checked against ``truncation_error_closed_form`` at z = it.
-    Returns only when the chain and every cross-check hold; raises
-    ChainViolation otherwise.  A grid of more than 10,000 steps, or one
-    reaching past a + t = 64, the truncated Gaussian's transform domain,
-    raises ConfigError before any work starts.
+    the precision the largest t needs, and is summed at each t_j = j*h,
+    h = t_step rounded to ``bits``, up to the least index m with
+    max(a*t, 1)**(2m)/(2m)! under 2**-(bits + 32), ``_series_cutoff``'s
+    bound; m only grows with t, so it is advanced along the grid.  The
+    Gaussian G_j = exp(-t_j**2/2) is stepped on integers at psi's scale
+    2**-wp,
+
+        G_(j+1) = G_j * P_j,   P_(j+1) = P_j * Q,
+
+    with P_0 = exp(-h**2/2) and Q = exp(-h**2) from exp at wp + 8 bits,
+    floored, each within 2 units.  Each product floors once, and P, Q <= 1,
+    so P_j is off by under 2 + 3j units and G_j by under 3j**2 <= 2**29
+    units on at most 10,000 steps; wp exceeds wp_top by the 40 or more
+    guard bits of ``_horner``, so G_j errs by under 2**-(wp_top + 11), far
+    below psi's own error.  On every eighth of the grid psi - G is cross-checked against
+    ``truncation_error_closed_form`` at z = it.  Returns only when the
+    chain and every cross-check hold; raises ChainViolation otherwise.  A
+    grid of more than 10,000 steps, or one reaching past a + t = 64, the
+    truncated Gaussian's transform domain, raises ConfigError before any
+    work starts.
     """
     af = float(_real(a))
     if not (1.0 <= af <= 8.0):
@@ -618,38 +631,45 @@ def char_bound_check(
     wp = wp_top + e + _horner_guard(n_top, af)
     coeffs = _moment_coeffs(trunc.a.raw, n_top, e, wp)
     step_man, step_exp = _signed(step_raw)
+    h_sq = from_man_exp(step_man * step_man, 2 * step_exp)
+    p_j = to_fixed(mpf_exp(mpf_neg(mpf_shift(h_sq, -1)), wp + 8, _RND), wp)
+    q_step = to_fixed(mpf_exp(mpf_neg(h_sq), wp + 8, _RND), wp)
+    g_j = 1 << wp
+    need = (bits + 32) * _LN2
+    n, reach = 1, 0.0
     zero = PReal(0, bits)
 
-    best = fzero
+    best = 0
     cross = 0
     check_every = max(1, n_steps // 8)
     for j in range(n_steps + 1):
-        t_raw = mpf_mul_int(step_raw, j, wp_top, _RND)
         tf = j * t_step
-        n = min(n_top, _series_cutoff(af * tf, bits + 32))
+        # reach: the largest max(a*t, 1) for which index n meets the bound.
+        while n < n_top and max(af * tf, 1.0) > reach:
+            n += 1
+            reach = math.exp((math.lgamma(2 * n + 1) - need) / (2 * n))
         t_man = step_man * j
         psi, _ = _horner(coeffs, n, _shift(-t_man * t_man, 2 * step_exp + wp - e), 0, wp, 0)
-        gauss = _gauss_raw((fzero, t_raw), wp_top)[0]  # exp((it)**2/2)
-        diff = mpf_sub(from_man_exp(psi, -wp), gauss, wp_top, _RND)
+        diff = psi - g_j
         if j % check_every == 0:
-            it = PComplex(zero, PReal._wrap(t_raw, bits))
+            it = PComplex(zero, PReal._wrap(from_man_exp(t_man, step_exp), bits))
             ref = truncation_error_closed_form(trunc, it).real.raw
-            gap = mpf_abs(mpf_sub(diff, ref, bits, _RND))
+            gap = mpf_abs(mpf_sub(from_man_exp(diff, -wp), ref, bits, _RND))
             if _mag(gap) > -(bits // 2):
                 raise ChainViolation(
                     f"series and closed-form char evaluations disagree at t={tf:g}"
                 )
             cross += 1
-        dev = mpf_abs(diff)
-        if mpf_cmp(dev, best) > 0:
-            best = dev
+        best = max(best, abs(diff))
+        g_j = (g_j * p_j) >> wp
+        p_j = (p_j * q_step) >> wp
 
     q = gauss_upper_tail(PReal(af, bits))
     bound_tail = 4 * q
     gauss_a = PReal._wrap(_gauss_raw((fzero, trunc.a.raw), bits)[0], bits)
     bound_density = 4 * gauss_a * PReal._wrap(_inv_sqrt_2pi(bits), bits) / trunc.a
     bound_plain = 2 * gauss_a
-    max_dev = PReal._wrap(mpf_pos(best, bits, _RND), bits)
+    max_dev = PReal._wrap(from_man_exp(best, -wp, bits, _RND), bits)
 
     links = (
         max_dev <= bound_tail,

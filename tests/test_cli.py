@@ -532,15 +532,20 @@ class TestSuperflat:
         assert err.startswith("error: the boundary deviation eps2") and "rounding noise" in err
         assert not path.exists()
 
-    def test_direct_sup_rounding_noise_exits_2_and_writes_nothing(self, capsys, tmp_path):
-        # At a = 16 and 160 bits eps2 clears its floor, but the order-1
-        # direct sup 1.566e-48 is noise: 256 bits give 1.724e-52.
+    @pytest.mark.parametrize("bits", ["160", "192"])
+    def test_direct_sup_rounding_noise_exits_2_and_writes_nothing(self, capsys, tmp_path, bits):
+        # At a = 16 eps2 clears its floor at 160 and 192 bits, but the
+        # order-1 direct sup does not: 160 bits give the noise 1.566e-48
+        # (256 bits give 1.724e-52), and 192 bits give 1.72386e-52, 0.016
+        # binary digits under its floor.
         path = tmp_path / "superflat.txt"
         code, out, err = run_cli(
-            capsys, "superflat", "--a", "16", "--certify", "--precision", "160", "--out", str(path)
+            capsys, "superflat", "--a", "16", "--certify", "--precision", bits, "--out", str(path)
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: the order-1 direct sup |g^(1)(i)| is rounding noise at 160 bits")
+        assert err.startswith(
+            f"error: the order-1 direct sup |g^(1)(i)| is rounding noise at {bits} bits"
+        )
         assert not path.exists()
 
 

@@ -36,6 +36,7 @@ from gausdisk.precision import (
     cos_sin,
     double_factorial,
     exp,
+    log,
     pi_value,
     working_bits,
 )
@@ -292,6 +293,15 @@ class TestNoiseFloor:
         check_value_above_scaled_floor(floor * 4, 3.0, "S", "8")
         with pytest.raises(ConfigError, match=r"^S is rounding noise at 128 bits: .* \* 8$"):
             check_value_above_scaled_floor(floor / 4, 3.0, "S", "8")
+
+    @pytest.mark.parametrize("bits", [128, 192, 3000])
+    def test_the_floor_is_compared_exactly(self, bits):
+        # log2 S = 0.7: 0.75 * floor has the floor's binary exponent, so an
+        # exponent comparison would pass it.
+        floor = PReal(2, bits) ** (16 - bits) * exp(PReal("0.7", bits) * log(PReal(2, bits)))
+        check_value_above_scaled_floor(floor * PReal("1.5", bits), 0.7, "S", "S")
+        with pytest.raises(ConfigError, match="^S is rounding noise"):
+            check_value_above_scaled_floor(floor * PReal("0.75", bits), 0.7, "S", "S")
 
 
 class TestGrowthProfile:

@@ -14,6 +14,7 @@ from mpmath.libmp import fzero
 
 import series_oracle
 from gausdisk import hermite, measures
+from gausdisk.errors import ChainViolation
 from gausdisk.hermite import build_rule
 from gausdisk.measures import TruncatedGaussian, char_bound_check
 from gausdisk.precision import PComplex, PReal
@@ -160,6 +161,28 @@ class TestCharSweep:
         assert got.cross_checks == want.cross_checks
         for name in ("max_deviation", "bound_tail", "bound_density", "bound_plain"):
             assert getattr(got, name).raw == getattr(want, name).raw, name
+
+    def test_stepped_gaussian_matches_the_per_point_sweep_on_seeded_grids(self):
+        """The sweep steps exp(-t**2/2) and the series cutoff along its grid;
+        the oracle evaluates both afresh at every point."""
+        rng = random.Random(20261019)
+        for _ in range(8):
+            a = rng.uniform(1.0, 8.0)
+            t_max = rng.uniform(0.5, min(20.0, 60.0 - a))
+            t_step = t_max / rng.randint(8, 300)
+            try:
+                got = char_bound_check(a, t_max, t_step)
+            except ChainViolation:
+                got = None
+            # The oracle returns its report unchecked; its verdict is the chain.
+            want = series_oracle.char_bound_check(a, t_max, t_step)
+            chain = (want.max_deviation, want.bound_tail, want.bound_density, want.bound_plain)
+            holds = all(lo <= hi for lo, hi in zip(chain, chain[1:]))
+            assert (got is not None) == holds, (a, t_max, t_step)
+            if got is not None:
+                gap = abs(got.max_deviation - want.max_deviation)
+                assert gap <= PReal(2, got.bits) ** -(got.bits + 16), (a, t_max, t_step)
+                assert got.cross_checks == want.cross_checks
 
 
 def _atoms(rule):

@@ -67,7 +67,6 @@ __all__ = [
     "sup_on_circle",
     "sup_on_line",
     "check_above_noise_floor",
-    "check_value_above_noise_floor",
     "check_value_above_scaled_floor",
     "growth_profile",
     "three_circles_check",
@@ -368,30 +367,24 @@ def sup_on_line(measure: Measure, offset, n_samples: int = 1024) -> LineSupRepor
 
 
 def check_above_noise_floor(report, subject: str, var: str) -> None:
-    """Raise ConfigError when a circle or line sup is rounding noise, as
-    :func:`check_value_above_noise_floor` says.
+    """Raise ConfigError when a circle or line sup is zero or rounding
+    noise.
 
-    A real-axis sup is |B(r)| of a paper family, positive by theorem, so
-    its zero is rounding too; a scanned zero may be exact (the Gaussian's
-    own error) and passes.
+    On |z| = r and on Re z = r, |exp(z**2/2)| <= exp(r**2/2), so at b bits
+    a value at or below 2**(16 - b) * exp(r**2/2) has no correct digit of
+    L(z) - exp(z**2/2) left.  The message starts with ``subject`` and
+    calls r ``var``.  A real-axis sup is |B(r)| of a paper family,
+    positive by theorem, so its zero is rounding too; a scanned zero may
+    be exact (the Gaussian's own error) and passes.
     """
     if isinstance(report, CircleSupReport):
         r, positive = float(report.radius), report.method == "real-axis"
     else:
         r, positive = float(report.offset), False
     if positive or not report.sup_value.is_zero():
-        check_value_above_noise_floor(report.sup_value, r, subject, var)
-
-
-def check_value_above_noise_floor(value: PReal, r: float, subject: str, var: str) -> None:
-    """Raise ConfigError when ``value`` is zero or rounding noise.
-
-    On |z| = r and on Re z = r, |exp(z**2/2)| <= exp(r**2/2), so at b bits
-    a value at or below 2**(16 - b) * exp(r**2/2) has no correct digit of
-    L(z) - exp(z**2/2) left, nor of L(z)exp(-z**2/2) - 1 at z = ir.  The
-    message starts with ``subject`` and calls r ``var``.
-    """
-    check_value_above_scaled_floor(value, r * r / (2 * math.log(2.0)), subject, f"exp({var}**2/2)")
+        check_value_above_scaled_floor(
+            report.sup_value, r * r / (2 * math.log(2.0)), subject, f"exp({var}**2/2)"
+        )
 
 
 def check_value_above_scaled_floor(value: PReal, log2_scale: float, subject: str, scale: str) -> None:

@@ -188,7 +188,7 @@ def run_figure(
         rows.append(
             RateRow(a=a, k=k, bits=bits, err_trunc=err_trunc, err_quad=err_quad)
         )
-    return RateTable(b=b, n_samples=n_samples, rows=tuple(rows))
+    return RateTable(b=bf, n_samples=n_samples, rows=tuple(rows))
 
 
 def _fit_rate(

@@ -2,8 +2,11 @@
 quadrature rules built from their roots.
 
 The polynomials follow He_0 = 1, He_1 = x, He_{m+1} = x*He_m - m*He_{m-1},
-which are orthogonal for the standard Gaussian weight.  A k-point rule
-places nodes at the roots of He_k with weights
+which are orthogonal for the standard Gaussian weight.  One kernel,
+``_he_rows``, evaluates He_0..He_n at a real or complex point for
+``hermite_pair`` and the superflat mixture's derivatives; the only other
+copy of the recurrence is ``build_rule``'s integer loop below.  A k-point
+rule places nodes at the roots of He_k with weights
 (k-1)! / (k * He_{k-1}(x_i)**2); it reproduces the Gaussian moments
 0, 1, 0, 3, ... up to degree 2k-1 and its nodes all lie inside
 [-sqrt(4k+2), sqrt(4k+2)].
@@ -36,6 +39,10 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     fzero,
+    mpc_mul,
+    mpc_mul_int,
+    mpc_pos,
+    mpc_sub,
     mpf_add,
     mpf_ceil,
     mpf_cmp,
@@ -60,7 +67,7 @@ from .errors import (
     SupportViolation,
 )
 from .measures import DiscreteMeasure, _sums_to_one
-from .precision import PReal, _check_bits, _like, _real, _scalar, write_tag_rows
+from .precision import PReal, _check_bits, _like, _pair, _real, _scalar, write_tag_rows
 
 __all__ = [
     "QuadratureRule",
@@ -84,20 +91,31 @@ def hermite_pair(n: int, x):
 
     ``x`` may be a PReal, a PComplex, or a Python int, float or complex
     (see :func:`gausdisk.precision._scalar`); the result has the same kind
-    and stated precision as ``x``.  The recurrence runs with 64 guard bits
-    before the final rounding.
+    and stated precision as ``x``.  The rows come from :func:`_he_rows`.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ConfigError(f"hermite_pair expects an integer n >= 0, got {n!r}")
     x = _scalar(x)
-    bits = x.bits
-    if n == 0:
-        return _like(x, (fone, fzero), bits), _like(x, (fzero, fzero), bits)
-    xw = x.round_to(bits + 64)
-    prev, cur = _like(x, (fone, fzero), bits + 64), xw
-    for m in range(1, n):
-        prev, cur = cur, xw * cur - m * prev
-    return cur.round_to(bits), prev.round_to(bits)
+    rows = [(fzero, fzero)] + _he_rows(_pair(x), n, x.bits)
+    return _like(x, rows[n + 1], x.bits), _like(x, rows[n], x.bits)
+
+
+def _he_rows(u, n_max: int, bits: int) -> list:
+    """[He_0(u), ..., He_(n_max)(u)] for a raw (re, im) pair u, each row
+    rounded to ``bits``.
+
+    The recurrence runs on libmp complex values with 64 guard bits: u is
+    rounded to bits + 64 and each step rounds its product, its integer
+    multiple and their difference there.  A zero imaginary part stays an
+    exact zero, and each operation then rounds as its real twin does.
+    """
+    guard = bits + 64
+    u = mpc_pos(u, guard, _RND)
+    rows = [(fzero, fzero), (fone, fzero)]  # He_(-1), He_0
+    for m in range(n_max):
+        u_he = mpc_mul(u, rows[-1], guard, _RND)
+        rows.append(mpc_sub(u_he, mpc_mul_int(rows[-2], m, guard, _RND), guard, _RND))
+    return [mpc_pos(row, bits, _RND) for row in rows[1:]]
 
 
 def _he_pair_raw(n: int, x, prec: int):

@@ -320,18 +320,28 @@ class DiscreteMeasure(Measure):
         return cls(read_tag_rows(src, "location,mass", "node,weight"))
 
 
-def _series_cutoff(at: float, bits_needed: float) -> int:
-    """An index m with max(a*t, 1)**(2m)/(2m)! below 2**(-bits_needed).
+def _term_below(at: float, m: int, bits_needed: float) -> bool:
+    """Whether max(a*t, 1)**(2m)/(2m)! < 2**(-bits_needed), on logs."""
+    return 2 * m * math.log(max(at, 1.0)) - math.lgamma(2 * m + 1) < -bits_needed * _LN2
 
-    Such an m is large enough that each later term of
+
+def _series_cutoff(at: float, bits_needed: float) -> int:
+    """The least index m >= 1 with max(a*t, 1)**(2m)/(2m)! below
+    2**(-bits_needed), tested by ``_term_below``: grown by a factor 1.25
+    from a*t/2, then bisected.
+
+    The terms rise and then fall, and none before the peak is below the
+    first, 1, so for bits_needed >= 0 the test fails below m and passes
+    from m on.  Such an m is large enough that each later term of
     sum_n (a*t)**(2n)/(2n)! is under half the one before, so the series
     cut after index m misses less than 2**(-bits_needed)."""
-    at = max(at, 1.0)
-    target = -bits_needed * _LN2
-    m = max(2, int(at / 2))
-    while 2 * m * math.log(at) - math.lgamma(2 * m + 1) > target:
-        m = int(m * 1.25) + 1
-    return m
+    lo, hi = 0, max(1, int(at / 2))
+    while not _term_below(at, hi, bits_needed):
+        lo, hi = hi, int(hi * 1.25) + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _term_below(at, mid, bits_needed) else (mid, hi)
+    return hi
 
 
 def _shift(man: int, k: int) -> int:
@@ -581,11 +591,11 @@ def char_bound_check(
     The characteristic function of a symmetric measure is even, so only
     t >= 0 is evaluated.  psi comes from the moment series, built once at
     the precision the largest t needs, and is summed at each t_j = j*h,
-    h = t_step rounded to ``bits``, up to the least index m with
-    max(a*t, 1)**(2m)/(2m)! under 2**-(bits + 32), ``_series_cutoff``'s
-    bound; m only grows with t, so it is advanced along the grid.  The
-    Gaussian G_j = exp(-t_j**2/2) is stepped on integers at psi's scale
-    2**-wp,
+    h = t_step rounded to ``bits``, up to ``_series_cutoff``'s least index
+    m with max(a*t, 1)**(2m)/(2m)! under 2**-(bits + 32); m only grows
+    with t, so it is advanced along the grid by the same ``_term_below``
+    test.  The Gaussian G_j = exp(-t_j**2/2) is stepped on integers at
+    psi's scale 2**-wp,
 
         G_(j+1) = G_j * P_j,   P_(j+1) = P_j * Q,
 
@@ -635,8 +645,7 @@ def char_bound_check(
     p_j = to_fixed(mpf_exp(mpf_neg(mpf_shift(h_sq, -1)), wp + 8, _RND), wp)
     q_step = to_fixed(mpf_exp(mpf_neg(h_sq), wp + 8, _RND), wp)
     g_j = 1 << wp
-    need = (bits + 32) * _LN2
-    n, reach = 1, 0.0
+    n = 1
     zero = PReal(0, bits)
 
     best = 0
@@ -644,10 +653,8 @@ def char_bound_check(
     check_every = max(1, n_steps // 8)
     for j in range(n_steps + 1):
         tf = j * t_step
-        # reach: the largest max(a*t, 1) for which index n meets the bound.
-        while n < n_top and max(af * tf, 1.0) > reach:
+        while n < n_top and not _term_below(af * tf, n, bits + 32):
             n += 1
-            reach = math.exp((math.lgamma(2 * n + 1) - need) / (2 * n))
         t_man = step_man * j
         psi, _ = _horner(coeffs, n, _shift(-t_man * t_man, 2 * step_exp + wp - e), 0, wp, 0)
         diff = psi - g_j

@@ -46,9 +46,10 @@ certificate returns only when the identity samples and every direct sup
 pass, and raises CertificateViolation otherwise.
 
 All derivatives come from one kernel, :func:`density_derivatives`, which
-evaluates f, f', ..., f^(n) at a point with one exp and one Hermite
-recurrence per atom: one call gives orders 1..4 at z = i, and each of
-the 16 identity samples takes one more.
+evaluates f, f', ..., f^(n) at a point with one exp and one call of the
+Hermite kernel ``hermite._he_rows`` per atom: one call gives orders 1..4
+at z = i, and each of the 16 identity samples takes one more.  The floor
+scale |He_n(i*rho)| comes from the same Hermite kernel.
 """
 
 from __future__ import annotations
@@ -58,23 +59,20 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from mpmath.libmp import (
-    fone,
     fzero,
     mpc_add,
-    mpc_exp,
     mpc_mul,
-    mpc_mul_int,
     mpc_mul_mpf,
     mpc_neg,
     mpc_sub,
-    mpf_pos,
-    mpf_shift,
+    mpf_neg,
     round_nearest,
 )
 
-from .disks import check_value_above_noise_floor, check_value_above_scaled_floor, circle_point
+from .disks import check_value_above_scaled_floor, circle_point
 from .errors import CertificateViolation, ConfigError
-from .hermite import QuadratureRule, build_rule, k_for_support
+from .hermite import QuadratureRule, _he_rows, build_rule, k_for_support
+from .measures import _gauss_raw
 from .precision import (
     PComplex,
     PReal,
@@ -172,14 +170,14 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
     """(f(z), f'(z), ..., f^(n_max)(z)) for the mixture density f, via
     d^n/du^n phi(u) = (-1)^n He_n(u) phi(u).
 
-    Each atom costs one exp and one Hermite recurrence, run at 64 guard
-    bits with every He_n rounded back to the working precision, exactly
-    as :func:`gausdisk.hermite.hermite_pair` computes it.  z enters
-    through ``precision._scalar`` and ``precision._pair``, so a real z is
-    carried with an exact zero imaginary part, and ``precision._like``
-    gives the results z's kind.  The real factors 1/sqrt(2*pi) and
-    v_m scale both parts with ``mpc_mul_mpf``, which rounds each part
-    once, as ``mpc_mul`` does with a zero imaginary part.
+    Each atom costs one exp and one call of the Hermite kernel
+    ``hermite._he_rows``, which rounds every He_n back to the working
+    precision.  z enters through ``precision._scalar`` and
+    ``precision._pair``, so a real z is carried with an exact zero
+    imaginary part, and ``precision._like`` gives the results z's kind.
+    The real factors 1/sqrt(2*pi) and v_m scale both parts with
+    ``mpc_mul_mpf``, which rounds each part once, as ``mpc_mul`` does with
+    a zero imaginary part.
     """
     if not isinstance(mix, SuperflatMixture):
         raise ConfigError("expected a SuperflatMixture")
@@ -188,26 +186,18 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
     z = _scalar(z, mix.bits)
     bits = max(mix.bits, z.bits)
     zw = _pair(z.round_to(bits))
-    guard = bits + 64
     inv_root = _inv_sqrt_2pi(bits)
     totals = [(fzero, fzero)] * (n_max + 1)
     for (x, _), v in zip(mix.rule.atoms, mix.weights):
         u = mpc_sub(zw, (x.raw, fzero), bits, _RND)
-        minus_sq = mpc_neg(mpc_mul(u, u, bits, _RND))
-        half = (mpf_shift(minus_sq[0], -1), mpf_shift(minus_sq[1], -1))  # exact
-        phi = mpc_mul_mpf(mpc_exp(half, bits, _RND), inv_root, bits, _RND)
+        # exp(-u**2/2) is exp(w**2/2) at w = i*u, and negating is exact.
+        phi = mpc_mul_mpf(_gauss_raw((mpf_neg(u[1]), u[0]), bits), inv_root, bits, _RND)
         phi = mpc_mul_mpf(phi, v.raw, bits, _RND)  # v * phi(u)
-        totals[0] = mpc_add(totals[0], phi, bits, _RND)
-        he_prev, he = (fzero, fzero), (fone, fzero)  # He_{-1}, He_0
-        for n in range(1, n_max + 1):
-            he_prev, he = he, mpc_sub(
-                mpc_mul(u, he, guard, _RND),
-                mpc_mul_int(he_prev, n - 1, guard, _RND),
-                guard,
-                _RND,
-            )
-            he_n = (mpf_pos(he[0], bits, _RND), mpf_pos(he[1], bits, _RND))
-            totals[n] = mpc_add(totals[n], mpc_mul(phi, he_n, bits, _RND), bits, _RND)
+        # phi * He_0 = phi exactly, as phi is already at bits.
+        totals = [
+            mpc_add(t, mpc_mul(phi, he, bits, _RND), bits, _RND)
+            for t, he in zip(totals, _he_rows(u, n_max, bits))
+        ]
     return tuple(_like(z, mpc_neg(t) if n % 2 else t, bits) for n, t in enumerate(totals))
 
 
@@ -277,16 +267,13 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     quarter_turn = 2 * pi_value(b) / 4
     witness = circle_point(two, quarter_turn, b)
     eps2 = abs(g_minus_1(witness))
-    check_value_above_noise_floor(eps2, 2.0, "the boundary deviation eps2 on |z| = r = 2", "r")
+    subject = "the boundary deviation eps2 on |z| = r = 2"
+    check_value_above_scaled_floor(eps2, 2.0 * 2.0 / (2 * math.log(2.0)), subject, "exp(r**2/2)")
     margin = 1 + PReal(2, b) ** (-(b // 2))
     edge = abs(mix.rule.laplace_error(PComplex(two, PReal(0, b), bits=b)))
     ceiling = exp(two) * edge * margin
 
-    bounds = []
-    fact = 1
-    for n in range(1, _MAX_BOUND_ORDER + 1):
-        fact *= n
-        bounds.append(fact * eps2)
+    bounds = [math.factorial(n) * eps2 for n in range(1, _MAX_BOUND_ORDER + 1)]
 
     # Each direct sup is |g^(n)(i)| = |scale * f^(n)(i)|: z = i is the last
     # seed of a quarter-arc scan of |z| = 1, and no order scan's refinement
@@ -295,19 +282,13 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     unit_i = circle_point(PReal(1, b), quarter_turn, b)
     derivs = density_derivatives(mix, unit_i, _MAX_DIRECT_ORDER)
     direct = [abs(scale * d) for d in derivs[1:]]
-    # |He_n(i*rho)| follows He_(n+1) = x*He_n - n*He_(n-1) at x = i*rho,
-    # which is the same recurrence with both signs positive.
     top = float(mix.rule.nodes[-1])
     rho = math.sqrt(top * top + 1)
-    he_prev, he = 0.0, 1.0
-    for n, d in enumerate(direct, start=1):
-        he_prev, he = he, rho * he + (n - 1) * he_prev
-        check_value_above_scaled_floor(
-            d,
-            (0.5 + math.log(he)) / math.log(2.0),
-            f"the order-{n} direct sup |g^({n})(i)|",
-            f"exp(1/2) * |He_{n}(i*{rho:.6g})|",
-        )
+    rows = _he_rows((fzero, PReal(rho, 64).raw), _MAX_DIRECT_ORDER, 64)
+    for n, (d, he) in enumerate(zip(direct, rows[1:]), start=1):
+        log2_scale = (0.5 + math.log(float(abs(PComplex._wrap(he, 64))))) / math.log(2.0)
+        subject = f"the order-{n} direct sup |g^({n})(i)|"
+        check_value_above_scaled_floor(d, log2_scale, subject, f"exp(1/2) * |He_{n}(i*{rho:.6g})|")
     ratios = [float(d / bound) for d, bound in zip(direct, bounds)]  # eps2 > 0 by the floor
     slack = 1 + PReal(_CERTIFICATE_SLACK, b)
     if not all(d <= bound * slack for d, bound in zip(direct, bounds)):

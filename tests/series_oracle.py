@@ -4,7 +4,9 @@ operation.
 
 These are the test oracle for the integer fixed-point kernels in
 ``gausdisk.measures`` and ``gausdisk.hermite``, which must return the same
-raw tuples.
+raw tuples.  ``hermite_pair`` and ``density_derivatives`` are the two
+loops that each ran their own Hermite recurrence before both called
+``hermite._he_rows``; they are its oracle.
 """
 
 import math
@@ -13,7 +15,13 @@ from mpmath.libmp import (
     fone,
     from_int,
     fzero,
+    mpc_add,
+    mpc_exp,
     mpc_mul,
+    mpc_mul_int,
+    mpc_mul_mpf,
+    mpc_neg,
+    mpc_sub,
     mpf_abs,
     mpf_add,
     mpf_cmp,
@@ -22,6 +30,7 @@ from mpmath.libmp import (
     mpf_mul_int,
     mpf_neg,
     mpf_pos,
+    mpf_shift,
     mpf_sub,
     to_float,
 )
@@ -41,6 +50,7 @@ from gausdisk.measures import (
     truncation_error_closed_form,
 )
 from gausdisk.precision import PComplex, PReal, _inv_sqrt_2pi, _like, _pair, _real, _scalar
+from gausdisk.superflat import SuperflatMixture
 
 
 def _moment_coeffs(a_raw, n: int, wp: int) -> list:
@@ -171,3 +181,44 @@ def _he_pair_raw(n: int, x, prec: int):
         )
         prev, cur = cur, nxt
     return cur, prev
+
+
+def hermite_pair(n: int, x):
+    """``hermite.hermite_pair`` by PReal/PComplex operators at 64 guard bits."""
+    x = _scalar(x)
+    bits = x.bits
+    if n == 0:
+        return _like(x, (fone, fzero), bits), _like(x, (fzero, fzero), bits)
+    xw = x.round_to(bits + 64)
+    prev, cur = _like(x, (fone, fzero), bits + 64), xw
+    for m in range(1, n):
+        prev, cur = cur, xw * cur - m * prev
+    return cur.round_to(bits), prev.round_to(bits)
+
+
+def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
+    """``superflat.density_derivatives`` with its own mpc Hermite loop."""
+    z = _scalar(z, mix.bits)
+    bits = max(mix.bits, z.bits)
+    zw = _pair(z.round_to(bits))
+    guard = bits + 64
+    inv_root = _inv_sqrt_2pi(bits)
+    totals = [(fzero, fzero)] * (n_max + 1)
+    for (x, _), v in zip(mix.rule.atoms, mix.weights):
+        u = mpc_sub(zw, (x.raw, fzero), bits, _RND)
+        minus_sq = mpc_neg(mpc_mul(u, u, bits, _RND))
+        half = (mpf_shift(minus_sq[0], -1), mpf_shift(minus_sq[1], -1))  # exact
+        phi = mpc_mul_mpf(mpc_exp(half, bits, _RND), inv_root, bits, _RND)
+        phi = mpc_mul_mpf(phi, v.raw, bits, _RND)  # v * phi(u)
+        totals[0] = mpc_add(totals[0], phi, bits, _RND)
+        he_prev, he = (fzero, fzero), (fone, fzero)  # He_{-1}, He_0
+        for n in range(1, n_max + 1):
+            he_prev, he = he, mpc_sub(
+                mpc_mul(u, he, guard, _RND),
+                mpc_mul_int(he_prev, n - 1, guard, _RND),
+                guard,
+                _RND,
+            )
+            he_n = (mpf_pos(he[0], bits, _RND), mpf_pos(he[1], bits, _RND))
+            totals[n] = mpc_add(totals[n], mpc_mul(phi, he_n, bits, _RND), bits, _RND)
+    return tuple(_like(z, mpc_neg(t) if n % 2 else t, bits) for n, t in enumerate(totals))

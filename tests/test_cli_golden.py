@@ -1,10 +1,13 @@
 """CLI output is byte-identical to the golden files in tests/data/cli.
 
 Each case is one command line; its stdout (and, for ``figure``, the CSV,
-SVG and manifest it writes) must match the stored bytes exactly.  So must
-every ``--help`` text, printed at 80 columns.  The
-goldens were captured before the option table was rebuilt on argparse, so
-they pin the output across changes to the CLI plumbing.
+SVG and manifest it writes) must match the stored bytes exactly.  Most
+cases print 40 digits; the ``--full-precision`` cases print every raw bit,
+and those of ``superflat`` and of a truncated ``transform`` pin the
+Hermite rows kernel and the truncated series to the last bit.  So must
+every ``--help`` text, printed at 80 columns.  The goldens were captured
+before the option table was rebuilt on argparse, so they pin the output
+across changes to the CLI plumbing.
 """
 
 import os
@@ -29,6 +32,11 @@ CASES = {
     "supdisk_rulefor4_circle": ("supdisk", "--measure", "rulefor:4", "--r", "1", "--samples", "128"),
     "supdisk_rule3_line": ("supdisk", "--measure", "rule:3", "--r", "2", "--line", "--samples", "64"),
     "figure_rate": ("figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64"),
+    "superflat_a6_certify_full": ("superflat", "--a", "6", "--certify", "--full-precision"),
+    "transform_trunc12_laplace_full": (
+        "transform", "--measure", "trunc:12", "--z", "1", "--z", "0.3,0.9", "--z", "0,2",
+        "--what", "laplace", "--full-precision",
+    ),
 }
 # The help texts at 80 columns: "help" for the program, "help_CMD" for a subcommand.
 HELP = {

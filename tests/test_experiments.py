@@ -94,6 +94,16 @@ class TestRunFigure:
         with pytest.raises(ConfigError):
             run_figure([4], b=0)
 
+    def test_preal_radius_writes_what_the_equal_float_writes(self):
+        """The table stores b as the float run_figure validated, so a PReal
+        b renders the CSV, SVG and manifest of the equal float."""
+        texts = []
+        for b in (1.0, PReal(1, 64)):
+            table = run_figure([4, 5], b=b, n_samples=16)
+            assert type(table.b) is float
+            texts.append((figure_csv_text(table), figure_svg_text(table), manifest_text(table)))
+        assert texts[0] == texts[1]
+
 
 class TestFits:
     def test_truncation_rate(self, small_table):

@@ -284,13 +284,25 @@ class TestTruncatedGaussian:
             assert abs(low - high) <= PReal(2, 512) ** -(bits - 4)
 
 
-@pytest.mark.parametrize("bits", [64, 96, 160])
-def test_series_cutoff_bounds_the_tail(bits):
-    for at in (0.0, 0.25, 1.0, 1.5, 4.0, 20.0):
+@pytest.mark.parametrize(
+    "ats, bits",
+    [
+        *(pytest.param((0.0, 0.25, 1.0, 1.5, 4.0, 20.0), b, id=str(b)) for b in (64, 96, 160)),
+        pytest.param((8.0,), 600, id="a8-600"),
+        pytest.param((4.0,), 300, id="a4-300"),
+        pytest.param((60.0,), 2000, id="a60-2000"),
+    ],
+)
+def test_series_cutoff_bounds_the_tail(ats, bits):
+    """The cutoff m bounds the tail, and it is the least index that meets
+    its own bound: the term at m is below 2**-bits, the one at m - 1 not."""
+    for at in ats:
         m = measures._series_cutoff(at, bits)
         x = Fraction(max(at, 1.0))
         tail = sum(x ** (2 * n) / math.factorial(2 * n) for n in range(m + 1, m + 200))
         assert tail < Fraction(1, 2**bits), (at, m)
+        assert x ** (2 * m) / math.factorial(2 * m) < Fraction(1, 2**bits), (at, m)
+        assert x ** (2 * m - 2) / math.factorial(2 * m - 2) >= Fraction(1, 2**bits), (at, m)
 
 
 class TestStandardGaussian:

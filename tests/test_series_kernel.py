@@ -1,7 +1,8 @@
 """The truncated Gaussian's moment series and the Hermite recurrence, summed
 in integer fixed point: bit-identical to the mpf kernels they replaced
 (``series_oracle``), and within their stated error bounds of the exact
-values."""
+values.  The Hermite rows kernel is bit-identical to the two loops it
+replaced."""
 
 import cmath
 import math
@@ -18,6 +19,7 @@ from gausdisk.errors import ChainViolation
 from gausdisk.hermite import build_rule
 from gausdisk.measures import TruncatedGaussian, char_bound_check
 from gausdisk.precision import PComplex, PReal
+from gausdisk.superflat import build_superflat, density_derivatives
 
 BITS = (64, 96, 192, 256, 832, 3000)
 
@@ -226,6 +228,48 @@ class TestHermiteRecurrence:
             sign, man, exp, _ = he_km1
             assert abs(_exact(he_km1) - prev) <= Fraction(2) ** (exp + man.bit_length() - prec)
             assert abs(_exact(he_k) - cur) <= abs(k * prev) * Fraction(2) ** -(prec + 16)
+
+
+def _kinds(values) -> list:
+    return [(type(v), v.bits, v.raw) for v in values]
+
+
+class TestHermiteRows:
+    """``hermite_pair`` and ``density_derivatives`` both read
+    ``hermite._he_rows``; the oracle runs the loop each had before."""
+
+    def test_hermite_pair_is_raw_identical_to_the_operator_loop(self):
+        rng = random.Random(20261026)
+        mismatches = []
+        for j in range(3000):
+            bits = rng.randint(64, 500)
+            n = j % 3 if j < 60 else rng.randint(0, 40)
+            re, im = rng.uniform(-9.0, 9.0), rng.uniform(-9.0, 9.0)
+            x = (
+                PReal(re, bits),
+                PComplex(re, im, bits=bits),
+                PComplex(re, 0.0, bits=bits),
+                PReal(re * 2.0 ** -rng.uniform(0, 200), bits),
+                complex(re, im),
+                re,
+                rng.randint(-9, 9),
+            )[j % 7]
+            got, want = hermite.hermite_pair(n, x), series_oracle.hermite_pair(n, x)
+            if _kinds(got) != _kinds(want):
+                mismatches.append((n, bits, x))
+        assert mismatches == []
+
+    @pytest.mark.parametrize("a", [4, 5, 6, 8])
+    def test_density_derivatives_are_raw_identical_to_the_mpc_loop(self, a):
+        rng = random.Random(20261027 + a)
+        mix = build_superflat(a)
+        for j in range(60):
+            bits = rng.choice((64, 128, mix.bits, 700))
+            n_max = rng.randint(0, 8)
+            re, im = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            z = PReal(re, bits) if j % 3 == 0 else PComplex(re, 0.0 if j % 3 == 1 else im, bits=bits)
+            got = density_derivatives(mix, z, n_max)
+            assert _kinds(got) == _kinds(series_oracle.density_derivatives(mix, z, n_max)), (z, n_max)
 
 
 def _exact(raw) -> Fraction:

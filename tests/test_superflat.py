@@ -7,10 +7,11 @@ import math
 import mpmath
 import pytest
 
+import series_oracle
 from gausdisk import disks, superflat
 from gausdisk.disks import sup_abs_on_circle
 from gausdisk.errors import CertificateViolation, ConfigError
-from gausdisk.hermite import build_rule, hermite_pair
+from gausdisk.hermite import build_rule
 from gausdisk.measures import DiscreteMeasure
 from gausdisk.precision import PComplex, PReal, _inv_sqrt_2pi, exp, pi_value, sqrt
 from gausdisk.superflat import (
@@ -24,8 +25,9 @@ from gausdisk.superflat import (
 
 
 def reference_density_derivative(mix, z, n):
-    """The single-order density derivative: one exp and one hermite_pair
-    per atom, all in PReal/PComplex arithmetic."""
+    """The single-order density derivative: one exp and one Hermite pair
+    per atom, all in PReal/PComplex arithmetic; the pair comes from the
+    oracle's operator loop, not from the kernel under test."""
     bits = max(mix.bits, z.bits)
     zw = z.round_to(bits)
     inv_root = PReal._wrap(_inv_sqrt_2pi(bits), bits)
@@ -34,7 +36,7 @@ def reference_density_derivative(mix, z, n):
         u = zw - x
         term = v * (exp(-(u * u) / 2) * inv_root)
         if n > 0:
-            he_n, _ = hermite_pair(n, u)
+            he_n, _ = series_oracle.hermite_pair(n, u)
             term = term * he_n
         total = term if total is None else total + term
     if n % 2:

@@ -50,8 +50,7 @@ subclass otherwise; both convexity checks return a ConvexityReport.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ConfigError, ConvexityViolation, EnvelopeViolation
 from .measures import Measure
@@ -81,8 +80,7 @@ _LINE_CEILING_BITS = 256
 _CONVEXITY_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class CircleSupReport:
+class CircleSupReport(NamedTuple):
     radius: PReal
     sup_value: PReal
     witness: PComplex
@@ -92,8 +90,7 @@ class CircleSupReport:
     method: str
 
 
-@dataclass(frozen=True)
-class LineSupReport:
+class LineSupReport(NamedTuple):
     offset: PReal
     height: PReal
     sup_value: PReal
@@ -104,14 +101,12 @@ class LineSupReport:
     certified: bool
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(NamedTuple):
     reports: tuple[CircleSupReport, ...]
     envelope_checked: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class ConvexityReport:
+class ConvexityReport(NamedTuple):
     """A three-circles or three-lines log-convexity test that held: its
     weight lam, the margin rhs - lhs of the inequality in logs, status
     "ok" or "degenerate", and whether it took the 4x rescan."""

@@ -39,9 +39,8 @@ same table writes byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from mpmath.libmp import (
     from_float,
@@ -85,8 +84,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RateRow:
+class RateRow(NamedTuple):
     a: float
     k: int
     bits: int
@@ -94,31 +92,27 @@ class RateRow:
     err_quad: PReal
 
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(NamedTuple):
     b: float
     n_samples: int
     rows: tuple[RateRow, ...]
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     n_rows: int
     x_label: str
 
 
-@dataclass(frozen=True)
-class TailBoundModel:
+class TailBoundModel(NamedTuple):
     c1: PReal
     rows_used: int
     binding_a: float | None
     floored: bool
 
 
-@dataclass(frozen=True)
-class TailChainReport:
+class TailChainReport(NamedTuple):
     """An audit of the tail chain at one (a, b): ``checks`` maps each link
     to its verdict, None where the link does not apply.  The audit holds
     when no link reads False."""
@@ -538,6 +532,8 @@ def manifest_text(
     quad_fit: RateFit | None = None,
     model: TailBoundModel | None = None,
 ) -> str:
+    import json  # imported here so that other commands do not load it
+
     doc = {
         "b": table.b,
         "n_samples": table.n_samples,
@@ -546,8 +542,8 @@ def manifest_text(
             {"a": row.a, "k": row.k, "bits": row.bits} for row in table.rows
         ],
         "fits": {
-            "truncation": None if trunc_fit is None else asdict(trunc_fit),
-            "quadrature": None if quad_fit is None else asdict(quad_fit),
+            "truncation": None if trunc_fit is None else trunc_fit._asdict(),
+            "quadrature": None if quad_fit is None else quad_fit._asdict(),
         },
         "c1_fit": None
         if model is None

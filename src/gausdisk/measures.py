@@ -62,8 +62,7 @@ raises ChainViolation otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from mpmath.libmp import (
     fone,
@@ -566,8 +565,7 @@ def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | P
 # -- characteristic function deviation sweep ---------------------------
 
 
-@dataclass(frozen=True)
-class CharBoundReport:
+class CharBoundReport(NamedTuple):
     """A characteristic-function deviation sweep whose chain held."""
 
     bits: int

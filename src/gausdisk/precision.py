@@ -39,7 +39,6 @@ tables of tags in which rules, measures and mixtures are stored.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import operator
@@ -570,6 +569,8 @@ def read_tag_rows(src: TextIO, *headers: str) -> list[tuple[PReal, PReal]]:
     Blank lines and lines starting with '#' are skipped wherever they
     appear, so a file may open with comments.
     """
+    import csv  # imported here so that other commands do not load it
+
     lines = (line for line in src if line.strip() and not line.startswith("#"))
     reader = csv.reader(lines)
     if next(reader, None) not in [header.split(",") for header in headers]:

@@ -55,8 +55,7 @@ scale |He_n(i*rho)| comes from the same Hermite kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from mpmath.libmp import (
     fzero,
@@ -109,8 +108,7 @@ _MAX_DIRECT_ORDER = 4
 _CERTIFICATE_SLACK = 1e-3
 
 
-@dataclass(frozen=True)
-class SuperflatMixture:
+class SuperflatMixture(NamedTuple):
     """Unit Gaussians on the nodes of ``rule``, with the tilted weights
     ``weights`` in node order."""
 
@@ -201,8 +199,7 @@ def density_derivatives(mix: SuperflatMixture, z, n_max: int) -> tuple:
     return tuple(_like(z, mpc_neg(t) if n % 2 else t, bits) for n, t in enumerate(totals))
 
 
-@dataclass(frozen=True)
-class FlatnessCertificate:
+class FlatnessCertificate(NamedTuple):
     """A flatness certificate that held; each ratio is a direct sup over
     its Cauchy bound, at most 1 + ``_CERTIFICATE_SLACK``."""
 

@@ -1,6 +1,5 @@
 """Boundary scans, convexity checks and growth envelopes."""
 
-import dataclasses
 import io
 import math
 
@@ -267,26 +266,26 @@ class TestNoiseFloor:
 
     def test_zero_fails_on_the_real_axis_only(self):
         exact = sup_on_circle(build_rule(4, 128), 1)
-        zero = dataclasses.replace(exact, sup_value=PReal(0, 128))
+        zero = exact._replace(sup_value=PReal(0, 128))
         with pytest.raises(ConfigError, match="^S rounds to zero at 128 bits$"):
             check_above_noise_floor(zero, "S", "r")
-        check_above_noise_floor(dataclasses.replace(zero, method="scan"), "S", "r")
+        check_above_noise_floor(zero._replace(method="scan"), "S", "r")
         check_above_noise_floor(sup_on_circle(StandardGaussian(128), 2, n_samples=16), "S", "r")
 
     def test_scanned_sup_fails_only_at_or_below_the_floor(self):
         scanned = forced_scan(build_rule(4, 128), 1, 16)
         floor = PReal(2, 128) ** (16 - 128) * exp(PReal("0.5", 128))
-        check_above_noise_floor(dataclasses.replace(scanned, sup_value=floor * 4), "S", "r")
+        check_above_noise_floor(scanned._replace(sup_value=floor * 4), "S", "r")
         with pytest.raises(ConfigError, match="rounding noise"):
-            check_above_noise_floor(dataclasses.replace(scanned, sup_value=floor / 4), "S", "r")
+            check_above_noise_floor(scanned._replace(sup_value=floor / 4), "S", "r")
 
     def test_a_line_takes_its_offset_as_r(self):
         line = sup_on_line(build_rule(2, 128), 3, n_samples=16)
         floor = PReal(2, 128) ** (16 - 128) * exp(PReal("4.5", 128))
-        check_above_noise_floor(dataclasses.replace(line, sup_value=floor * 4), "S", "r")
+        check_above_noise_floor(line._replace(sup_value=floor * 4), "S", "r")
         with pytest.raises(ConfigError, match="rounding noise"):
-            check_above_noise_floor(dataclasses.replace(line, sup_value=floor / 4), "S", "r")
-        check_above_noise_floor(dataclasses.replace(line, sup_value=PReal(0, 128)), "S", "r")
+            check_above_noise_floor(line._replace(sup_value=floor / 4), "S", "r")
+        check_above_noise_floor(line._replace(sup_value=PReal(0, 128)), "S", "r")
 
     def test_a_scaled_floor_writes_its_scale(self):
         floor = PReal(2, 128) ** (16 - 128) * 8

@@ -2,8 +2,9 @@
 
 ``import gausdisk`` loads none of its modules, and no command loads a
 layer it does not use: help and usage need no mpmath, ``figure`` neither
-the checks nor the superflat layer.  Each of those tests runs a fresh
-interpreter, since this one has long loaded everything.
+the checks nor the superflat layer, and no command needs ``dataclasses``.
+Each of those tests runs a fresh interpreter, since this one has long
+loaded everything.
 """
 
 import importlib
@@ -56,6 +57,22 @@ EXPORTS = {
     ),
 }
 COMMANDS = ("rule", "transform", "supdisk", "figure", "superflat", "verify")
+# One small run of each command.
+SMALL_RUNS = {
+    "rule": ("rule", "--k", "4"),
+    "transform": ("transform", "--measure", "trunc:6", "--z", "0.5", "--t", "2"),
+    "supdisk": ("supdisk", "--measure", "rule:3", "--r", "2", "--line", "--samples", "16"),
+    "figure": ("figure", "--grid", "4.3,6.0", "--samples", "16"),
+    "superflat": ("superflat", "--a", "4", "--certify"),
+    "verify": ("verify", "--quick"),
+}
+# The report records, by home module.
+RECORDS = {
+    "disks": ("CircleSupReport", "LineSupReport", "GrowthProfile", "ConvexityReport"),
+    "experiments": ("RateRow", "RateTable", "RateFit", "TailBoundModel", "TailChainReport"),
+    "measures": ("CharBoundReport",),
+    "superflat": ("SuperflatMixture", "FlatnessCertificate"),
+}
 
 
 def run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
@@ -103,6 +120,38 @@ def test_figure_loads_neither_checks_nor_superflat():
     assert result.returncode == 0, result.stderr.decode()
     with open(os.path.join(GOLDEN, "figure_rate.txt"), "rb") as handle:
         assert result.stdout == handle.read()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_run_without_dataclasses(command):
+    argv = SMALL_RUNS[command]
+    blocked = run_cli_blocking(("dataclasses",), *argv)
+    assert blocked.returncode == 0, blocked.stderr.decode()
+    assert blocked.stdout == run_cli_blocking((), *argv).stdout
+
+
+@pytest.mark.parametrize("command", ["figure", "verify"])
+def test_figure_and_verify_load_no_inspect(command):
+    result = run_python(
+        "from gausdisk.cli import main; code = main(sys.argv[1:]); "
+        "sys.exit(code or ('inspect' in sys.modules and 'inspect was loaded'))",
+        *SMALL_RUNS[command],
+    )
+    assert result.returncode == 0, result.stderr.decode()
+
+
+def test_records_are_immutable():
+    assert sum(len(names) for names in RECORDS.values()) == 12
+    for module, names in RECORDS.items():
+        home = importlib.import_module(f"gausdisk.{module}")
+        for name in names:
+            cls = getattr(home, name)
+            fields = list(cls.__annotations__)
+            record = cls(*fields)
+            for field in fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, field, None)
+                assert getattr(record, field) == field, (name, field)
 
 
 def test_import_gausdisk_loads_no_module_of_its_own():

@@ -1,6 +1,5 @@
 """Tilted Gaussian mixture and its flatness certificate."""
 
-import dataclasses
 import io
 import math
 
@@ -112,7 +111,7 @@ class TestBuild:
     def test_precision_is_the_rules(self):
         mix = build_superflat(4, 256)
         assert mix.bits == mix.rule.bits == 256
-        moved = dataclasses.replace(mix, rule=build_rule(mix.rule.k, 320))
+        moved = mix._replace(rule=build_rule(mix.rule.k, 320))
         assert moved.bits == 320
 
 
@@ -340,7 +339,7 @@ class TestCertificate:
 
     def test_tampered_mixture_fails_identity_check(self):
         mix = build_superflat(4, 256)
-        bad = dataclasses.replace(mix, tilt_total=mix.tilt_total * 2)
+        bad = mix._replace(tilt_total=mix.tilt_total * 2)
         with pytest.raises(CertificateViolation):
             flatness_certificate(bad)
 
@@ -359,7 +358,7 @@ class TestCertificate:
         monkeypatch.setattr(superflat, "density_derivatives", no_work)
         monkeypatch.setattr(DiscreteMeasure, "laplace", no_work)
         with pytest.raises(ConfigError, match="Gauss-Hermite"):
-            flatness_certificate(dataclasses.replace(mix, rule=unmarked))
+            flatness_certificate(mix._replace(rule=unmarked))
 
     def test_eps2_above_its_rounding_floor_passes(self):
         # At a = 16, eps2 = 1.0548e-34 clears 2**(16 - 160) * e**2; at 64

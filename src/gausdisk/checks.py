@@ -3,12 +3,9 @@
 Each check raises on failure and stays silent on success.  The suite is
 sized for an operational smoke run (a few tenths of a second in full);
 the exhaustive acceptance gate lives in the test suite.  ``quick`` trims the
-heavier sweeps further.  ``run_all`` starts the second interpreter that
-``artifact-determinism`` compares against before the first check.  Nothing
-gives it a CPU of its own: on a 2-vCPU host the scheduler mostly kept it on
-the parent's CPU, where the checks run meanwhile took about twice their
-wall time, and the head start saved no measurable time over starting the
-child last.
+heavier sweeps further.  ``artifact-determinism`` runs its second
+interpreter from start to finish inside the check, so its seconds cover
+the child's whole run.
 """
 
 from __future__ import annotations
@@ -182,47 +179,28 @@ _CHILD = (
     "sys.stdout.buffer.write(_determinism_text().encode())"
 )
 _CHILD_TIMEOUT_S = 300
-# The determinism child ``run_all`` starts, until ``check_determinism`` takes it;
-# ``run_all`` leaves it empty when it returns or raises.
-_started_child: list = []
-
-
-def _start_child():
-    """A fresh interpreter that prints ``_determinism_text``, importing this
-    same gausdisk package."""
-    import subprocess  # imported here so that other commands do not load it
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return subprocess.Popen(
-        [sys.executable, "-c", _CHILD, root], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-
-
-def _reap(child) -> None:
-    """Kill and wait for ``child`` unless it has been collected already."""
-    if child.returncode is None:
-        child.kill()
-        child.communicate()
 
 
 def check_determinism(quick: bool) -> None:
-    """The pinned CSV artifacts are byte-identical across processes."""
-    import subprocess  # for TimeoutExpired
+    """The pinned CSV artifacts are byte-identical across processes: a fresh
+    interpreter importing this same gausdisk package prints them too."""
+    import subprocess  # imported here so that other commands do not load it
 
-    child = _started_child.pop() if _started_child else _start_child()
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     try:
-        expected = _determinism_text().encode()
-        try:
-            out, err = child.communicate(timeout=_CHILD_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            raise MathInvariantError(
-                f"determinism child still running after {_CHILD_TIMEOUT_S} s"
-            ) from None
-    finally:
-        _reap(child)
-    tail = err.decode(errors="replace")[-200:]
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, root], capture_output=True, timeout=_CHILD_TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        raise MathInvariantError(
+            f"determinism child still running after {_CHILD_TIMEOUT_S} s"
+        ) from None
+    tail = child.stderr.decode(errors="replace")[-200:]
     _require(child.returncode == 0, f"determinism child failed: {tail}")
-    _require(out == expected, "figure and superflat CSV bytes differ between two processes")
+    _require(
+        child.stdout == _determinism_text().encode(),
+        "figure and superflat CSV bytes differ between two processes",
+    )
 
 
 def check_trig_identity(quick: bool) -> None:
@@ -256,30 +234,16 @@ ALL_CHECKS = (
 
 def run_all(quick: bool = False) -> bool:
     """Run every check, printing one PASS/FAIL line each and writing one
-    ``<check> <seconds>`` line each to stderr; returns overall success.
-
-    The determinism child starts first, so ``artifact-determinism`` times
-    only the wait for its bytes; the checks that run while it lives share a
-    CPU with it wherever the scheduler puts both on one.  A child that no
-    check collected is killed and reaped before this returns or raises.
-    """
-    try:
-        _started_child.append(_start_child())
-    except OSError:
-        pass  # check_determinism retries the spawn and reports the failure
+    ``<check> <seconds>`` line each to stderr; returns overall success."""
     ok = True
-    try:
-        for name, fn in ALL_CHECKS:
-            start = time.perf_counter()
-            try:
-                fn(quick)
-            except Exception as exc:  # noqa: BLE001 - each failure is reported
-                ok = False
-                print(f"FAIL {name}: {exc}")
-            else:
-                print(f"PASS {name}")
-            print(f"{name} {time.perf_counter() - start:.3f}", file=sys.stderr)
-    finally:
-        while _started_child:
-            _reap(_started_child.pop())
+    for name, fn in ALL_CHECKS:
+        start = time.perf_counter()
+        try:
+            fn(quick)
+        except Exception as exc:  # noqa: BLE001 - each failure is reported
+            ok = False
+            print(f"FAIL {name}: {exc}")
+        else:
+            print(f"PASS {name}")
+        print(f"{name} {time.perf_counter() - start:.3f}", file=sys.stderr)
     return ok

@@ -14,7 +14,9 @@ Each input rule is checked once: argparse checks types and choices,
 (``_parse_grid_text`` applies the same finite rule inside --grid), and
 the library the ranges (ConfigError).  Subcommands check only what the
 library cannot say as well: --k >= 1, a positive spec half-width, one of
---k or --a, the grid.  --out PATH is written only when the command succeeds.
+--k or --a, the grid.  --out PATH is written only when the command succeeds,
+with one exception: ``verify`` writes its PASS/FAIL lines there even when a
+check fails and it exits 3, since those lines are its report.
 
 Exit codes: 0 success, 2 configuration or usage problems, 3 violated
 mathematical invariants, 4 file I/O failures.

@@ -591,6 +591,18 @@ class TestVerify:
         assert out == "FAIL broken: broken on purpose\n"
         assert err.split(" ")[0] == "broken" and len(err.splitlines()) == 1
 
+    def test_failed_check_still_writes_out_file(self, capsys, monkeypatch, tmp_path):
+        # The one exception to "a failed command leaves no file": the FAIL
+        # lines are the report, and --out is where stdout went.
+        def broken(quick):
+            raise MathInvariantError("broken on purpose")
+
+        monkeypatch.setattr(checks, "ALL_CHECKS", (("broken", broken),))
+        target = tmp_path / "verify.txt"
+        code, out, _ = run_cli(capsys, "verify", "--quick", "--out", str(target))
+        assert code == 3 and out == ""
+        assert target.read_text() == "FAIL broken: broken on purpose\n"
+
     def test_determinism_check_compares_two_processes(self, monkeypatch):
         checks.check_determinism(False)
         # The child interpreter does not see this patch, so the texts differ.
@@ -617,35 +629,27 @@ class TestVerify:
     def determinism_entry():
         return next(entry for entry in checks.ALL_CHECKS if entry[0] == "artifact-determinism")
 
-    def test_child_starts_before_the_first_check(self, capsys, monkeypatch):
+    def test_child_spawns_when_its_check_runs(self, capsys, monkeypatch):
         events = []
         children = self.spy_on_children(monkeypatch, events)
         first = ("first", lambda quick: events.append("first"))
         monkeypatch.setattr(checks, "ALL_CHECKS", (first, self.determinism_entry()))
         code, out, _ = run_cli(capsys, "verify", "--quick")
         assert code == 0 and out == "PASS first\nPASS artifact-determinism\n"
-        assert events == ["spawn", "first"]
+        assert events == ["first", "spawn"]
         assert len(children) == 1 and children[0].returncode == 0
-
-    def test_uncollected_child_is_reaped(self, capsys, monkeypatch):
-        def broken(quick):
-            raise MathInvariantError("broken on purpose")
-
-        children = self.spy_on_children(monkeypatch, [])
-        monkeypatch.setattr(checks, "ALL_CHECKS", (("broken", broken),))
-        assert run_cli(capsys, "verify", "--quick")[0] == 3
-        assert len(children) == 1 and children[0].returncode is not None
         assert children[0].stdout.closed and children[0].stderr.closed
-        assert checks._started_child == []
 
-    def test_interrupted_run_reaps_its_child(self, monkeypatch):
-        def interrupted(quick):
+    def test_interrupted_wait_leaves_no_child(self, monkeypatch):
+        children = self.spy_on_children(monkeypatch, [])
+
+        def interrupted(popen, *args, **kwargs):
             raise KeyboardInterrupt
 
-        children = self.spy_on_children(monkeypatch, [])
-        monkeypatch.setattr(checks, "ALL_CHECKS", (("interrupted", interrupted),))
+        # subprocess.Popen is the spy class here, so only the spy is patched.
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            checks.run_all(quick=True)
+            checks.check_determinism(False)
         assert len(children) == 1 and children[0].returncode is not None
 
     def test_failing_child_fails_the_check(self, capsys, monkeypatch):

@@ -18,7 +18,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each module and the names the package exports from it.
+# Each module and the names the package exports from it: the package's only
+# list of public names, since the modules declare no __all__ of their own.
 _EXPORTS = {
     "precision": (
         "MIN_BITS", "MAX_BITS", "PReal", "PComplex", "exp", "log", "sqrt", "pi_value",

@@ -29,8 +29,6 @@ from .measures import (
 from .precision import PComplex, PReal, cos_sin, double_factorial, exp, working_bits
 from .superflat import build_superflat, flatness_certificate, superflat_to_csv
 
-__all__ = ["run_all", "ALL_CHECKS"]
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
@@ -123,7 +121,7 @@ def check_three_circles(quick: bool) -> None:
     a = 4.0
     bits = working_bits(a, 20.0)
     measure = build_rule(2, bits)
-    three_circles_check(measure, 1, 12, 20, n_samples=64 if quick else 128)
+    three_circles_check(measure, 1, 12, 20)
 
 
 def check_three_lines(quick: bool) -> None:
@@ -133,7 +131,7 @@ def check_three_lines(quick: bool) -> None:
 
 def check_envelope(quick: bool) -> None:
     measure = build_rule(2, 512)
-    profile = growth_profile(measure, [6, 10], n_samples=32 if quick else 64)
+    profile = growth_profile(measure, [6, 10])
     _require(any(profile.envelope_checked), "no radius qualified for the envelope")
 
 
@@ -151,7 +149,7 @@ def check_superflat(quick: bool) -> None:
 def check_tail_chain(quick: bool) -> None:
     bits = working_bits(6.0, 1.0)
     quad = build_rule(5, bits)
-    err = sup_on_circle(quad, 1, n_samples=32 if quick else 64).sup_value
+    err = sup_on_circle(quad, 1).sup_value
     report = validate_tail_bound(6.0, 1.0, err_quad=err)
     _require(report.passed, "tail chain audit failed at a=6")
     report11 = validate_tail_bound(11.0, 1.0)

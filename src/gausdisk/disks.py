@@ -56,21 +56,6 @@ from .errors import ConfigError, ConvexityViolation, EnvelopeViolation
 from .measures import Measure
 from .precision import PComplex, PReal, _check_bits, _real, cos_sin, exp, log, pi_value, sqrt
 
-__all__ = [
-    "CircleSupReport",
-    "LineSupReport",
-    "GrowthProfile",
-    "ConvexityReport",
-    "circle_point",
-    "sup_abs_on_circle",
-    "sup_on_circle",
-    "sup_on_line",
-    "check_above_noise_floor",
-    "check_value_above_scaled_floor",
-    "growth_profile",
-    "three_circles_check",
-    "three_lines_check",
-]
 
 _RESOLUTION_EXP = -64
 # Line scans stop at the height where |exp(z**2/2)| has fallen to

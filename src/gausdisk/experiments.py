@@ -64,25 +64,6 @@ from .hermite import build_rule, k_for_support
 from .measures import TruncatedGaussian
 from .precision import PReal, _check_bits, _real, exp, log, sqrt, working_bits
 
-__all__ = [
-    "RateRow",
-    "RateTable",
-    "RateFit",
-    "TailBoundModel",
-    "TailChainReport",
-    "default_grid",
-    "run_figure",
-    "fit_truncation_rate",
-    "fit_quadrature_rate",
-    "fit_c1",
-    "tail_bound_value",
-    "validate_tail_bound",
-    "figure_csv_text",
-    "figure_svg_text",
-    "manifest_text",
-    "emit_figure",
-]
-
 
 class RateRow(NamedTuple):
     a: float

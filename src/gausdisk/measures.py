@@ -90,17 +90,6 @@ from .errors import ChainViolation, ConfigError, ConvergenceError
 from .precision import PComplex, PReal, _check_bits, _inv_sqrt_2pi, _like, _pair, _real, _scalar
 from .precision import read_tag_rows, write_tag_rows
 
-__all__ = [
-    "normal_cdf",
-    "gauss_upper_tail",
-    "Measure",
-    "DiscreteMeasure",
-    "TruncatedGaussian",
-    "StandardGaussian",
-    "truncation_error_closed_form",
-    "CharBoundReport",
-    "char_bound_check",
-]
 
 _RND = round_nearest
 _LN2 = math.log(2.0)

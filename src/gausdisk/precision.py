@@ -86,21 +86,6 @@ from mpmath.libmp import (
 
 from .errors import ConfigError, NonFiniteError
 
-__all__ = [
-    "MIN_BITS",
-    "MAX_BITS",
-    "PReal",
-    "PComplex",
-    "exp",
-    "log",
-    "sqrt",
-    "pi_value",
-    "cos_sin",
-    "double_factorial",
-    "read_tag_rows",
-    "write_tag_rows",
-    "working_bits",
-]
 
 MIN_BITS = 64
 # The largest precision a caller may request: from the command line, the

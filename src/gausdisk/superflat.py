@@ -68,7 +68,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .disks import check_value_above_scaled_floor, circle_point
+from .disks import check_value_above_scaled_floor, circle_point, sup_on_circle
 from .errors import CertificateViolation, ConfigError
 from .hermite import QuadratureRule, _he_rows, build_rule, k_for_support
 from .measures import _gauss_raw
@@ -88,16 +88,6 @@ from .precision import (
     write_tag_rows,
 )
 
-__all__ = [
-    "SuperflatMixture",
-    "build_superflat",
-    "mixture_density",
-    "density_derivative",
-    "density_derivatives",
-    "FlatnessCertificate",
-    "flatness_certificate",
-    "superflat_to_csv",
-]
 
 _RND = round_nearest
 
@@ -259,15 +249,14 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     # the policy precision, so eps2 is |g - 1| there: a value at a point,
     # a lower bound for the sup.  |E(z)| <= |E(2)| and
     # |exp(-z**2/2)| <= e**2 give the ceiling, rounded up by a relative
-    # 2**-(b//2) that covers the rounding of E(2).  E(2) is taken at
-    # 2 + 0i, the point sup_on_circle's real-axis path evaluates.
+    # 2**-(b//2) that covers the rounding of E(2).
     quarter_turn = 2 * pi_value(b) / 4
     witness = circle_point(two, quarter_turn, b)
     eps2 = abs(g_minus_1(witness))
     subject = "the boundary deviation eps2 on |z| = r = 2"
     check_value_above_scaled_floor(eps2, 2.0 * 2.0 / (2 * math.log(2.0)), subject, "exp(r**2/2)")
     margin = 1 + PReal(2, b) ** (-(b // 2))
-    edge = abs(mix.rule.laplace_error(PComplex(two, PReal(0, b), bits=b)))
+    edge = sup_on_circle(mix.rule, two).sup_value
     ceiling = exp(two) * edge * margin
 
     bounds = [math.factorial(n) * eps2 for n in range(1, _MAX_BOUND_ORDER + 1)]

@@ -1,9 +1,12 @@
-"""Source hygiene that no installed linter enforces: every imported name is used."""
+"""Source hygiene that no installed linter enforces: every imported name is
+used, and every public name of the package has a caller or is exported."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import gausdisk
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted([*(ROOT / "src" / "gausdisk").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -54,6 +57,61 @@ def test_detector_flags_an_unused_name_and_spares_exports():
     # A computed entry of __all__ exports no imported name.
     computed = source.replace("['pi']", "['pi', *sorted(globals())]")
     assert unused_imports(computed) == ["sys (line 3)", "turn (line 4)"]
+
+
+def uncalled_public_names(sources: dict, exported: set) -> list:
+    """Module-level ``def`` and ``class`` names without a leading underscore
+    that are neither in ``exported`` nor referenced, as a bare name or an
+    attribute, in any of ``sources`` (module name to source text)."""
+    defined, referenced = [], set()
+    for module, source in sorted(sources.items()):
+        tree = ast.parse(source)
+        defined.extend(
+            (module, node.name, node.lineno)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [
+        f"{module}.{name} (line {line})"
+        for module, name, line in defined
+        if name not in exported and name not in referenced
+    ]
+
+
+def test_public_names_have_a_caller():
+    # The package's one list of public names is gausdisk._EXPORTS; modules
+    # declare no __all__ of their own.
+    package = ROOT / "src" / "gausdisk"
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")}
+    exported = {name for names in gausdisk._EXPORTS.values() for name in names}
+    assert uncalled_public_names(sources, exported) == []
+    declaring = [
+        module
+        for module, source in sources.items()
+        if any(
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for node in ast.parse(source).body
+        )
+    ]
+    assert declaring == ["__init__"]
+
+
+def test_detector_flags_an_uncalled_name_and_spares_callers():
+    sources = {
+        "a": "def used():\n    pass\n\n\ndef lost():\n    pass\n\n\nclass Shown:\n    pass\n",
+        "b": "from .a import used\nimport a\nused()\na.Attr\n\n\ndef _private():\n    pass\n",
+        "c": "class Attr:\n    def method(self):\n        pass\n",
+    }
+    # Shown is exported, used is called by name, Attr is reached as an
+    # attribute, and a method or a private def is never a public name.
+    assert uncalled_public_names(sources, {"Shown"}) == ["a.lost (line 5)"]
+    assert uncalled_public_names(sources, set()) == ["a.lost (line 5)", "a.Shown (line 9)"]
 
 
 def package_imports() -> dict:

@@ -281,13 +281,21 @@ class TestCertificate:
             kernel_calls.append(n_max)
             return kernel(mix, z, n_max)
 
-        for module in (disks, superflat):
-            for name in ("sup_abs_on_circle", "sup_on_circle"):
-                monkeypatch.setattr(module, name, no_scan, raising=False)
+        reports = []
+        sup = superflat.sup_on_circle
+
+        def recorded_sup(*args, **kwargs):
+            reports.append(sup(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(disks, "sup_abs_on_circle", no_scan)
+        monkeypatch.setattr(superflat, "sup_on_circle", recorded_sup)
         monkeypatch.setattr(superflat, "density_derivatives", counted_kernel)
         flatness_certificate(build_superflat(4))
         # The 16 identity samples, then orders 1..4 at z = i in one call.
         assert kernel_calls == [0] * 16 + [superflat._MAX_DIRECT_ORDER]
+        # |E(2)| for the ceiling is one real-axis value, not a scan.
+        assert [(float(r.radius), r.method) for r in reports] == [(2.0, "real-axis")]
 
     def test_direct_sup_past_its_bound_raises(self, monkeypatch):
         # Orders >= 1 scaled by 10: f itself, and so the identity check, is

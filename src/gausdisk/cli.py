@@ -5,9 +5,8 @@ byte-identical output. Numeric results are shown with 40 significant
 digits by default; --full-precision switches to exact serialized tags
 that round-trip without loss.
 
-A --config file holds key=value lines; each becomes the option --key=value
-placed right after the subcommand, so argparse checks it like a typed
-option and the options typed after it win.
+Options come only from the command line: the working precision is the
+explicit --precision, else the automatic policy.
 
 Each input rule is checked once: argparse checks types and choices,
 ``main`` that float options are finite and --samples is from 8 to 10,000
@@ -31,14 +30,12 @@ from __future__ import annotations
 import argparse
 import io
 import math
-import os
 import sys
 from contextlib import contextmanager, redirect_stdout
 
 from . import __version__
 from .errors import ConfigError, MathInvariantError, NonFiniteError
 
-_ENV_PRECISION = "GAUSDISK_PRECISION"
 # The most values a --grid range may hold, and the most --samples may ask for.
 _MAX_GRID_POINTS = 10_000
 
@@ -47,30 +44,23 @@ _MAX_GRID_POINTS = 10_000
 # shared option handling
 
 
-def _bits_from_text(text: str, source: str) -> int:
+def _resolve_bits(args) -> int | None:
+    """The explicit --precision; None means auto (the policy)."""
     from .precision import MAX_BITS, MIN_BITS
 
+    if args.precision == "auto":
+        return None
     try:
-        bits = int(text)
+        bits = int(args.precision)
     except ValueError:
         raise ConfigError(
-            f"{source} must be 'auto' or an integer bit count, got {text!r}"
+            f"--precision must be 'auto' or an integer bit count, got {args.precision!r}"
         ) from None
     if bits < MIN_BITS:
-        raise ConfigError(f"{source} must be at least {MIN_BITS} bits, got {bits}")
+        raise ConfigError(f"--precision must be at least {MIN_BITS} bits, got {bits}")
     if bits > MAX_BITS:
-        raise ConfigError(f"{source} must be at most {MAX_BITS} bits, got {bits}")
+        raise ConfigError(f"--precision must be at most {MAX_BITS} bits, got {bits}")
     return bits
-
-
-def _resolve_bits(args) -> int | None:
-    """The explicit --precision, else the environment's; None means auto."""
-    if args.precision != "auto":
-        return _bits_from_text(args.precision, "--precision")
-    env = os.environ.get(_ENV_PRECISION)
-    if env is not None and env.strip() and env.strip().lower() != "auto":
-        return _bits_from_text(env.strip(), _ENV_PRECISION)
-    return None
 
 
 def _fmt_real(value, full: bool) -> str:
@@ -149,7 +139,10 @@ def _measure(args, radius_hint: float):
         bits = _resolve_bits(args)
         if bits is None or bits == loaded.bits:
             return loaded
-        atoms = [(x.round_to(bits), w.round_to(bits)) for x, w in loaded.atoms]
+        # Padding adds no digits: a raised precision keeps the file's atoms.
+        atoms = loaded.atoms
+        if bits < loaded.bits:
+            atoms = [(x.round_to(bits), w.round_to(bits)) for x, w in atoms]
         return DiscreteMeasure(atoms, bits)
     raise ConfigError(f"unknown measure spec {spec!r}; use {_MEASURE_HELP}")
 
@@ -166,53 +159,6 @@ def _rule(args, radius: float, k: int | None = None, a: float | None = None):
     else:
         support = math.sqrt(4 * k + 2)
     return build_rule(k, _resolve_bits(args) or working_bits(support, radius))
-
-
-# ---------------------------------------------------------------------------
-# config file
-
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
-# Options a config file may not set: the repeatable points, help and itself.
-_NOT_CONFIGURABLE = {"z", "t", "config", "help"}
-
-
-def _config_tokens(path: str, commands: dict, command: str) -> list[str]:
-    """The key=value lines of ``path`` as option tokens for ``command``.
-
-    A key must name an option of some subcommand; one that ``command``
-    lacks is skipped.  A flag set to a true word becomes the bare flag, to
-    a false word nothing; any other key becomes --key=value.
-    """
-    known = {
-        action.dest
-        for parser in commands.values()
-        for action in parser._actions
-        if action.option_strings
-    } - _NOT_CONFIGURABLE
-    own = {action.dest: action for action in commands[command]._actions}
-    tokens = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, text = line.partition("=")
-            key, text = key.strip().replace("-", "_"), text.strip()
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r} in {path}")
-            if key not in own:
-                continue
-            option = own[key].option_strings[0]
-            if own[key].nargs != 0:
-                tokens.append(f"{option}={text}")
-            elif text.lower() in _TRUE_WORDS:
-                tokens.append(option)
-            elif text.lower() not in _FALSE_WORDS:
-                raise ConfigError(f"config key {key!r}: expected a boolean, got {text!r}")
-    return tokens
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +423,7 @@ def _cmd_verify(args) -> int:
 # parser assembly
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and each subcommand's own parser by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gausdisk",
         description="Compactly supported stand-ins for the standard Gaussian: "
@@ -498,15 +443,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                 "--precision",
                 default="auto",
                 metavar="BITS",
-                help="working precision in bits, or 'auto' for the built-in policy "
-                f"(environment override: {_ENV_PRECISION})",
+                help="working precision in bits, or 'auto' for the built-in policy",
             )
-        p.add_argument(
-            "--config",
-            default=None,
-            metavar="PATH",
-            help="key=value file of option defaults; options given here win",
-        )
         if full_precision:
             p.add_argument(
                 "--full-precision",
@@ -638,18 +576,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="smaller parameter ranges, same set of checks",
     )
 
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            at = argv.index(args.command) + 1
-            tokens = _config_tokens(args.config, commands, args.command)
-            args = parser.parse_args(argv[:at] + tokens + argv[at:])
+        args = _build_parser().parse_args(argv)
         # The number rules every subcommand shares; ranges are the library's.
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):

@@ -238,7 +238,8 @@ class Measure:
 class DiscreteMeasure(Measure):
     """A measure with finitely many atoms, locations sorted ascending.
 
-    Masses must be nonnegative and sum to one within 2**(-bits+16).
+    Masses must be nonnegative and sum to one within 2**(16 - b), where b
+    is the least of ``bits`` and the masses' own stated bits.
     """
 
     def __init__(self, atoms: Iterable[tuple], bits: int | None = None):
@@ -253,8 +254,11 @@ class DiscreteMeasure(Measure):
         for _, mass in coerced:
             if mass.raw[0]:
                 raise ConfigError("atom masses must be nonnegative")
-        if not _sums_to_one((mass for _, mass in coerced), bits):
-            raise ConfigError(f"atom masses do not sum to 1 within 2^{16 - bits}")
+        # Masses stated at fewer bits than the measure's sum to one only as
+        # closely as their own precision allows.
+        sum_bits = min(bits, *(mass.bits for _, mass in coerced))
+        if not _sums_to_one((mass for _, mass in coerced), sum_bits):
+            raise ConfigError(f"atom masses do not sum to 1 within 2^{16 - sum_bits}")
         self.atoms = tuple(coerced)
         self.bits = bits
         self._symmetric = self._check_symmetric()

@@ -88,9 +88,9 @@ from .errors import ConfigError, NonFiniteError
 
 
 MIN_BITS = 64
-# The largest precision a caller may request: from the command line, the
-# environment, a value tag or the working_bits policy.  Internal guard
-# precisions above a request may exceed it.
+# The largest precision a caller may request: from the command line, a value
+# tag or the working_bits policy.  Internal guard precisions above a request
+# may exceed it.
 MAX_BITS = 2**18
 
 _RND = round_nearest

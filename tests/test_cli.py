@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -220,6 +221,36 @@ class TestTransform:
         assert code == code2 == 0
         assert out_csv == out_direct
 
+    def test_csv_measure_at_a_raised_precision(self, capsys, tmp_path):
+        # 128-bit masses sum to one only within 2^-112; at 256 bits the
+        # file's atoms are kept as they are and checked at their own bits.
+        rule_path = tmp_path / "r.csv"
+        run_cli(capsys, "rule", "--k", "8", "--precision", "128", "--out", str(rule_path))
+        errors = []
+        for bits in ("128", "256"):
+            code, out, err = run_cli(
+                capsys, "transform", "--measure", f"csv:{rule_path}",
+                "--precision", bits, "--z", "1",
+            )
+            assert code == 0 and err == ""
+            errors.append(Fraction(out.split()[4]))
+        assert abs(errors[1] - errors[0]) <= abs(errors[0]) / 2**90
+
+    def test_csv_measure_at_a_lowered_precision(self, capsys, tmp_path):
+        # Below the file's precision the atoms are rounded down to the request.
+        rule_path = tmp_path / "r.csv"
+        run_cli(capsys, "rule", "--k", "8", "--precision", "256", "--out", str(rule_path))
+        errors = []
+        for bits in ("256", "128"):
+            code, out, err = run_cli(
+                capsys, "transform", "--measure", f"csv:{rule_path}",
+                "--precision", bits, "--z", "1",
+            )
+            assert code == 0 and err == ""
+            errors.append(Fraction(out.split()[4]))
+        assert errors[1] != errors[0]
+        assert abs(errors[1] - errors[0]) <= abs(errors[0]) / 2**90
+
     @pytest.mark.parametrize("exponent", ["9" * 5000, "-9999999"])
     def test_csv_tag_with_absurd_exponent_is_config_error(self, capsys, tmp_path, exponent):
         path = tmp_path / "bad.csv"
@@ -295,6 +326,34 @@ class TestSupdisk:
         assert code == code2 == 0
         assert "method scan\n" in out_csv and "method real-axis\n" in out_rule
         assert out_csv.replace("method scan", "method real-axis") == out_rule
+
+    def test_csv_rule_at_a_raised_precision(self, capsys, tmp_path):
+        rule_path = tmp_path / "r.csv"
+        run_cli(capsys, "rule", "--k", "8", "--precision", "128", "--out", str(rule_path))
+        sups = []
+        for bits in ("128", "256"):
+            code, out, err = run_cli(
+                capsys, "supdisk", "--measure", f"csv:{rule_path}", "--r", "1",
+                "--precision", bits,
+            )
+            assert code == 0 and err == "" and f"bits {bits}\n" in out
+            values = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+            sups.append(Fraction(values["sup_lower_bound"]))
+        assert abs(sups[1] - sups[0]) <= sups[0] / 2**90
+
+    def test_csv_rule_at_a_lowered_precision(self, capsys, tmp_path):
+        rule_path = tmp_path / "r.csv"
+        run_cli(capsys, "rule", "--k", "8", "--precision", "256", "--out", str(rule_path))
+        sups = []
+        for bits in ("256", "128"):
+            code, out, err = run_cli(
+                capsys, "supdisk", "--measure", f"csv:{rule_path}", "--r", "1",
+                "--precision", bits,
+            )
+            assert code == 0 and err == "" and f"bits {bits}\n" in out
+            values = dict(line.split(" ", 1) for line in out.strip().split("\n"))
+            sups.append(Fraction(values["sup_lower_bound"]))
+        assert abs(sups[1] - sups[0]) <= sups[0] / 2**90
 
     def test_line_scan_fields(self, capsys):
         code, out, _ = run_cli(
@@ -695,10 +754,32 @@ class TestSamples:
 
 
 class TestPrecedence:
-    def test_env_var_applies(self, capsys, monkeypatch):
+    """The precision is the explicit --precision, else the policy: no
+    environment variable or option file feeds a subcommand."""
+
+    @pytest.mark.parametrize("value", ["96", "not-bits", "32", "999999999"])
+    def test_environment_variable_is_ignored(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GAUSDISK_PRECISION", value)
+        code, out, err = run_cli(capsys, "rule", "--k", "2")
+        assert code == 0 and err == ""
+        assert out == "node,weight\n-1e0@139,5e-1@139\n1e0@139,5e-1@139\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", "--measure", "rule:4", "--z", "1"),
+            ("supdisk", "--r", "1"),
+            ("figure", "--grid", "4"),
+            ("superflat", "--a", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_environment_variable_changes_no_output(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("GAUSDISK_PRECISION", raising=False)
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0
         monkeypatch.setenv("GAUSDISK_PRECISION", "96")
-        _, out, _ = run_cli(capsys, "rule", "--k", "2")
-        assert "@96" in out
+        assert run_cli(capsys, *argv) == plain
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GAUSDISK_PRECISION", "96")
@@ -709,66 +790,26 @@ class TestPrecedence:
         monkeypatch.setenv("GAUSDISK_PRECISION", "auto")
         code, out, _ = run_cli(capsys, "rule", "--k", "2")
         assert code == 0
+        assert out == "node,weight\n-1e0@139,5e-1@139\n1e0@139,5e-1@139\n"
 
-    def test_bad_env_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAUSDISK_PRECISION", "not-bits")
-        code, _, err = run_cli(capsys, "rule", "--k", "2")
-        assert code == 2 and "GAUSDISK_PRECISION" in err
-
-    def test_config_supplies_defaults(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("rule", "--k", "2"),
+            ("transform", "--z", "1"),
+            ("supdisk", "--r", "1"),
+            ("figure", "--grid", "4"),
+            ("superflat", "--a", "4"),
+            ("verify", "--quick"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_config_option_is_rejected(self, capsys, tmp_path, argv):
         conf = tmp_path / "conf.txt"
-        conf.write_text("# comment\nprecision = 128\n")
-        _, out, _ = run_cli(capsys, "rule", "--k", "2", "--config", str(conf))
-        assert "@128" in out
-
-    def test_cli_pins_beat_config(self, capsys, tmp_path):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("precision=128\n")
-        _, out, _ = run_cli(
-            capsys, "rule", "--k", "2", "--config", str(conf), "--precision", "96"
-        )
-        assert "@96" in out
-
-    def test_abbreviated_flag_beats_config(self, capsys, tmp_path):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("precision=128\n")
-        code, out, _ = run_cli(
-            capsys, "rule", "--k", "2", "--prec", "96", "--config", str(conf)
-        )
-        assert code == 0 and "@96" in out and "@128" not in out
-
-    def test_config_values_are_checked_like_flags(self, capsys, tmp_path):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("what=bogus\n")
-        code, out, err = run_cli(
-            capsys, "transform", "--z", "1", "--config", str(conf)
-        )
-        assert code == 2 and out == "" and "bogus" in err
-
-    def test_config_key_the_command_lacks_is_skipped(self, capsys, tmp_path):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("full-precision=yes\nwhat=laplace\nprecision=96\n")
-        code, out, _ = run_cli(capsys, "rule", "--k", "2", "--config", str(conf))
-        assert code == 0 and out == "node,weight\n-1e0@96,5e-1@96\n1e0@96,5e-1@96\n"
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("wibble=3\n")
-        code, _, err = run_cli(capsys, "rule", "--k", "2", "--config", str(conf))
-        assert code == 2 and "unknown config key" in err
-
-    @pytest.mark.parametrize("key", ["z", "t", "config"])
-    def test_repeatable_options_and_config_are_not_config_keys(self, capsys, tmp_path, key):
-        conf = tmp_path / "conf.txt"
-        conf.write_text(f"{key}=1\n")
-        code, out, err = run_cli(capsys, "transform", "--z", "1", "--config", str(conf))
-        assert code == 2 and out == "" and f"unknown config key {key!r}" in err
-
-    def test_malformed_config_line(self, capsys, tmp_path):
-        conf = tmp_path / "conf.txt"
-        conf.write_text("just words\n")
-        code, _, err = run_cli(capsys, "rule", "--k", "2", "--config", str(conf))
-        assert code == 2 and "key=value" in err
+        conf.write_text("precision=96\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --config" in err
 
     def test_low_precision_rejected(self, capsys):
         code, _, err = run_cli(capsys, "rule", "--k", "2", "--precision", "32")
@@ -785,11 +826,6 @@ class TestPrecedence:
     def test_precision_above_maximum_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and "262144" in err
-
-    def test_env_precision_above_maximum_rejected(self, capsys, monkeypatch):
-        monkeypatch.setenv("GAUSDISK_PRECISION", "999999999")
-        code, _, err = run_cli(capsys, "rule", "--k", "2")
-        assert code == 2 and "GAUSDISK_PRECISION" in err and "262144" in err
 
 
 class TestExitCodes:
@@ -858,15 +894,12 @@ class TestExitCodes:
             (("supdisk", "--r", "{}"), "supdisk: --r must be finite"),
             (("figure", "--b", "{}"), "figure: --b must be finite"),
             (("superflat", "--a", "{}"), "superflat: --a must be finite"),
-            (("figure", "--config", "{conf}"), "figure: --b must be finite"),
             (("figure", "--grid", "4,{}"), "figure: --grid values must be finite"),
             (("figure", "--grid", "4:{}:1"), "figure: --grid values must be finite"),
         ],
-        ids=["trunc", "rule", "supdisk", "figure", "superflat", "config", "grid", "grid-range"],
+        ids=["trunc", "rule", "supdisk", "figure", "superflat", "grid", "grid-range"],
     )
-    def test_non_finite_number_is_named(self, capsys, tmp_path, argv, message, value):
-        conf = tmp_path / "conf.txt"
-        conf.write_text(f"b={value}\n")
-        code, out, err = run_cli(capsys, *(arg.format(value, conf=conf) for arg in argv))
+    def test_non_finite_number_is_named(self, capsys, argv, message, value):
+        code, out, err = run_cli(capsys, *(arg.format(value) for arg in argv))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and message in err

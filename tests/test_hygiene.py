@@ -15,10 +15,9 @@ SOURCES = sorted([*(ROOT / "src" / "gausdisk").glob("*.py"), *(ROOT / "tests").g
 def unused_imports(source: str) -> list:
     """Names bound by an import in ``source`` and referenced nowhere in it.
 
-    A name written as a string in the module's ``__all__`` list counts as
-    used (it is re-exported), and ``from __future__`` imports are skipped.
-    Scopes are not told apart: a reference anywhere in the module uses the
-    name.
+    ``from __future__`` imports are skipped, and a string naming the import
+    (in ``__all__`` or anywhere else) is not a use.  Scopes are not told
+    apart: a reference anywhere in the module uses the name.
     """
     tree = ast.parse(source)
     imported = {}
@@ -30,15 +29,6 @@ def unused_imports(source: str) -> list:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(
-                elt.value
-                for elt in getattr(node.value, "elts", ())
-                if isinstance(elt, ast.Constant)
-            )
     return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
 
 
@@ -47,16 +37,15 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_detector_flags_an_unused_name_and_spares_exports():
+def test_detector_flags_an_unused_name_even_when_listed_in_all():
     source = (
         "from __future__ import annotations\n"
         "import os.path\nimport sys\nfrom math import pi, tau as turn\n"
         "__all__ = ['pi']\nprint(os.path.sep)\n"
     )
-    assert unused_imports(source) == ["sys (line 3)", "turn (line 4)"]
-    # A computed entry of __all__ exports no imported name.
-    computed = source.replace("['pi']", "['pi', *sorted(globals())]")
-    assert unused_imports(computed) == ["sys (line 3)", "turn (line 4)"]
+    # Only the package's __init__ has an __all__, built from _EXPORTS
+    # (test_public_names_have_a_caller), so a name listed only there is unused.
+    assert unused_imports(source) == ["pi (line 4)", "sys (line 3)", "turn (line 4)"]
 
 
 def uncalled_public_names(sources: dict, exported: set) -> list:

@@ -146,6 +146,16 @@ class TestDiscreteMeasure:
         with pytest.raises(ConfigError):
             DiscreteMeasure([(PReal(0, 64), PReal("0.5", 64))])
 
+    def test_mass_sum_is_checked_at_the_coarsest_mass(self):
+        third = PReal(1, 128) / 3
+        atoms = [(PReal(x, 128), third) for x in (-1, 0, 1)]
+        # Three 128-bit thirds miss one by about 2^-129: too far for 2^-240,
+        # well inside the 2^-112 their own precision allows.
+        assert DiscreteMeasure(atoms, 256).bits == 256
+        off = third + PReal(2, 128) ** -100
+        with pytest.raises(ConfigError, match=r"within 2\^-112"):
+            DiscreteMeasure([*atoms[:2], (PReal(1, 128), off)], 256)
+
     def test_mass_must_be_nonnegative(self):
         with pytest.raises(ConfigError):
             DiscreteMeasure(

@@ -3,15 +3,15 @@
 Each check raises on failure and stays silent on success.  The suite is
 sized for an operational smoke run (a few tenths of a second in full);
 the exhaustive acceptance gate lives in the test suite.  ``quick`` trims the
-heavier sweeps further.  ``artifact-determinism`` runs its second
-interpreter from start to finish inside the check, so its seconds cover
-the child's whole run.
+heavier sweeps further.  ``artifact-determinism`` compares two pinned CSV
+artifacts with the reference bytes ``_ARTIFACT_REFERENCE``; a change that
+alters those bytes on purpose updates the constant and says so in the
+changelog, as for a golden file.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import random
 import sys
 import time
@@ -171,33 +171,29 @@ def _determinism_text() -> str:
     return buf.getvalue()
 
 
-_CHILD = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "from gausdisk.checks import _determinism_text; "
-    "sys.stdout.buffer.write(_determinism_text().encode())"
+# _determinism_text() as a fresh interpreter prints it under any hash seed.
+_ARTIFACT_REFERENCE = (
+    "a,k,log10_err_trunc,log10_err_quad,log10_tail_bound\n"
+    "4,2,-2.677780705266,-0.978810700930,\n"
+    "5,4,-4.292429823902,-3.124938736608,\n"
+    "# a=4\n"
+    "# k=2\n"
+    "# tilt_total="
+    "1648721270700128146848650787814163571653776100710148011575079311673287632291878708501"
+    "4692582377636177004116038801388420078971600797952682356982708097409169134207787121154"
+    "6646890155898290686309337615966796875e-206@212\n"
+    "location,weight\n"
+    "-1e0@212,5e-1@212\n"
+    "1e0@212,5e-1@212\n"
 )
-_CHILD_TIMEOUT_S = 300
 
 
 def check_determinism(quick: bool) -> None:
-    """The pinned CSV artifacts are byte-identical across processes: a fresh
-    interpreter importing this same gausdisk package prints them too."""
-    import subprocess  # imported here so that other commands do not load it
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    try:
-        child = subprocess.run(
-            [sys.executable, "-c", _CHILD, root], capture_output=True, timeout=_CHILD_TIMEOUT_S
-        )
-    except subprocess.TimeoutExpired:
-        raise MathInvariantError(
-            f"determinism child still running after {_CHILD_TIMEOUT_S} s"
-        ) from None
-    tail = child.stderr.decode(errors="replace")[-200:]
-    _require(child.returncode == 0, f"determinism child failed: {tail}")
+    """The pinned CSV artifacts are byte-identical to ``_ARTIFACT_REFERENCE``,
+    the bytes that fresh interpreters print under any hash seed."""
     _require(
-        child.stdout == _determinism_text().encode(),
-        "figure and superflat CSV bytes differ between two processes",
+        _determinism_text() == _ARTIFACT_REFERENCE,
+        "figure and superflat CSV bytes differ from the reference",
     )
 
 

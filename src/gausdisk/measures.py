@@ -575,7 +575,7 @@ def char_bound_check(
     t_step: float = 0.01,
 ) -> CharBoundReport:
     """Sweep |psi_trunc(t) - exp(-t**2/2)| over the symmetric grid
-    |t| <= t_max (step t_step) and certify the three-bound chain
+    {j*h : |j*h| <= t_max}, h = t_step, and certify the three-bound chain
     grid max <= 4*Q(a) <= (4/(sqrt(2*pi)*a))*exp(-a**2/2) <= 2*exp(-a**2/2),
     at max(192, floor(a**2/(2 ln 2)) + 96) bits.
 
@@ -613,11 +613,13 @@ def char_bound_check(
         raise ConfigError(
             f"char_bound_check grid has {steps:.6g} steps, more than {_MAX_CHAR_STEPS}"
         )
-    n_steps = int(round(steps))
-    t_top = max(t_max, n_steps * t_step)
-    if af + t_top > _MAX_CDF_ARG:
+    # The last j has j*h <= t_max up to a relative 2**-44: that absorbs the
+    # rounding of t_max/h (0.3/0.1 gives three steps) well inside the 2**-40
+    # margin of _prescale, so everything below is sized from t_max.
+    n_steps = math.floor(steps * (1 + 2.0**-44))
+    if af + t_max > _MAX_CDF_ARG:
         raise ConfigError(
-            f"char_bound_check needs a + t <= 64 on its grid, got a={af:g}, t up to {t_top:g}"
+            f"char_bound_check needs a + t <= 64 on its grid, got a={af:g}, t up to {t_max:g}"
         )
     bits = max(192, int(af * af / (2 * _LN2)) + 96)
 
@@ -628,7 +630,7 @@ def char_bound_check(
     # One coefficient set serves every t, so u = -t**2 / 2**e can be far
     # below 1 in size; the e extra bits cover 2**e / max(t**2, 1) in the
     # bound of _horner.
-    e = _prescale(t_top * t_top)
+    e = _prescale(t_max * t_max)
     wp = wp_top + e + _horner_guard(n_top, af)
     coeffs = _moment_coeffs(trunc.a.raw, n_top, e, wp)
     step_man, step_exp = _signed(step_raw)

@@ -123,7 +123,7 @@ def char_bound_check(a, t_max: float = 50.0, t_step: float = 0.01) -> CharBoundR
     steps = t_max / t_step
     if steps > _MAX_CHAR_STEPS:
         raise ConfigError("grid too fine")
-    n_steps = int(round(steps))
+    n_steps = math.floor(steps * (1 + 2.0**-44))
     bits = max(192, int(af * af / (2 * _LN2)) + 96)
 
     trunc = TruncatedGaussian(af, bits)

@@ -2,7 +2,8 @@
 
 ``import gausdisk`` loads none of its modules, and no command loads a
 layer it does not use: help and usage need no mpmath, ``figure`` neither
-the checks nor the superflat layer, and no command needs ``dataclasses``.
+the checks nor the superflat layer, and no command needs ``dataclasses``
+or ``subprocess``.
 Each of those tests runs a fresh interpreter, since this one has long
 loaded everything.
 """
@@ -126,6 +127,14 @@ def test_figure_loads_neither_checks_nor_superflat():
 def test_commands_run_without_dataclasses(command):
     argv = SMALL_RUNS[command]
     blocked = run_cli_blocking(("dataclasses",), *argv)
+    assert blocked.returncode == 0, blocked.stderr.decode()
+    assert blocked.stdout == run_cli_blocking((), *argv).stdout
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_run_without_subprocess(command):
+    argv = SMALL_RUNS[command]
+    blocked = run_cli_blocking(("subprocess",), *argv)
     assert blocked.returncode == 0, blocked.stderr.decode()
     assert blocked.stdout == run_cli_blocking((), *argv).stdout
 

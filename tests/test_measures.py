@@ -410,6 +410,12 @@ class TestCharBoundCheck:
         with pytest.raises(ChainViolation, match="closed-form char evaluations disagree"):
             char_bound_check(1, t_max=5.0, t_step=0.125)
 
+    @pytest.mark.parametrize("a, t_max, t_step, points", [(1, 1.1, 0.4, 3), (3, 3.5, 1.0, 4)])
+    def test_grid_stops_at_t_max(self, a, t_max, t_step, points):
+        # Under sixteen steps every point is cross-checked, so the count is
+        # the number of grid points j*t_step <= t_max.
+        assert char_bound_check(a, t_max, t_step).cross_checks == points
+
     def test_rejects_out_of_range_width(self):
         with pytest.raises(ConfigError):
             char_bound_check(0.5)

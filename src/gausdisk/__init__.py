@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "measures": (
         "Measure", "DiscreteMeasure", "TruncatedGaussian", "StandardGaussian",
-        "CharBoundReport", "normal_cdf", "gauss_upper_tail", "truncation_error_closed_form",
+        "CharBoundReport", "normal_cdf", "truncation_error_closed_form",
         "char_bound_check",
     ),
     "disks": (
@@ -45,7 +45,7 @@ _EXPORTS = {
         "three_circles_check", "three_lines_check",
     ),
     "superflat": (
-        "SuperflatMixture", "FlatnessCertificate", "build_superflat", "mixture_density",
+        "SuperflatMixture", "FlatnessCertificate", "build_superflat",
         "density_derivative", "density_derivatives", "flatness_certificate",
         "superflat_to_csv",
     ),

@@ -262,10 +262,6 @@ def sup_abs_on_circle(
     )
 
 
-def _measure_arc(measure: Measure) -> str:
-    return "quarter" if measure.is_symmetric() else "half"
-
-
 def sup_on_circle(
     measure: Measure,
     radius,
@@ -282,7 +278,7 @@ def sup_on_circle(
     if not isinstance(measure, Measure):
         raise ConfigError("sup_on_circle expects a Measure")
     b = measure.bits if bits is None else _check_bits(bits)
-    arc = _measure_arc(measure)
+    arc = "quarter" if measure.is_symmetric() else "half"
     if not measure.error_peaks_on_real_axis():
         return sup_abs_on_circle(
             measure.laplace_error, radius, b, n_samples=n_samples, arc=arc

@@ -40,6 +40,7 @@ same table writes byte-identical files.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import NamedTuple
 
 from mpmath.libmp import (
@@ -95,8 +96,8 @@ class TailBoundModel(NamedTuple):
 
 class TailChainReport(NamedTuple):
     """An audit of the tail chain at one (a, b): ``checks`` maps each link
-    to its verdict, None where the link does not apply.  The audit holds
-    when no link reads False."""
+    to its verdict, None where the link does not apply, and is read-only.
+    The audit holds when no link reads False."""
 
     k: int
     bits: int
@@ -105,7 +106,7 @@ class TailChainReport(NamedTuple):
     k_sum: PReal | None
     closed_bound: PReal | None
     fit_bound: PReal | None
-    checks: dict
+    checks: MappingProxyType
     passed: bool
 
 
@@ -359,7 +360,7 @@ def validate_tail_bound(
     if err_quad is not None:
         err = _real(err_quad, bits)
 
-    checks = {
+    checks = MappingProxyType({
         "err_le_ell_sum": None if err is None else bool(err <= ell_sum),
         "ell_le_k_sum": ell_le_k_sum,
         "k_le_closed": None
@@ -368,7 +369,7 @@ def validate_tail_bound(
         "err_le_fit": None
         if (err is None or fit_bound is None)
         else bool(err <= fit_bound),
-    }
+    })
     if checks["err_le_ell_sum"] is False:
         raise ChainViolation(
             f"measured error {float(err):.6e} exceeds its tail majorant "

@@ -322,8 +322,12 @@ def moment(rule: QuadratureRule, i: int) -> PReal:
     """The i-th moment sum(w * x**i) of the rule.
 
     Mirror nodes are paired before summing, so odd moments come out as
-    exact zeros rather than rounding residue.
+    exact zeros rather than rounding residue.  The pairing needs the
+    symmetric atoms that only a ``QuadratureRule`` vouches for, so any
+    other measure raises ConfigError.
     """
+    if not isinstance(rule, QuadratureRule):
+        raise ConfigError(f"moment expects a QuadratureRule, got {type(rule).__name__}")
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise ConfigError(f"moment order must be an integer >= 0, got {i!r}")
     work = rule.bits + 64

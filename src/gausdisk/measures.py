@@ -44,8 +44,8 @@ arguments: the everywhere-convergent odd Taylor series
 
 summed on integers at the fixed scale 2**-(bits + ceil(lift/2) + 64),
 lift = |z|**2/ln 2; its docstring derives the error bound behind that
-precision.  Arguments are capped at |z| <= 64.  It serves
-``normal_cdf``, ``gauss_upper_tail`` (as Q(a) = Phi(-a)) and
+precision.  Arguments are capped at |z| <= 64.  It serves ``normal_cdf``,
+which is also every upper tail, Q(a) = Phi(-a), and through it
 ``truncation_error_closed_form``, which writes the truncated error
 through upper tails and is the independent oracle for the moment series.
 
@@ -88,7 +88,7 @@ from mpmath.libmp import (
 
 from .errors import ChainViolation, ConfigError, ConvergenceError
 from .precision import PComplex, PReal, _check_bits, _inv_sqrt_2pi, _like, _pair, _real, _scalar
-from .precision import read_tag_rows, write_tag_rows
+from .precision import read_tag_rows
 
 
 _RND = round_nearest
@@ -174,14 +174,6 @@ def normal_cdf(z):
     """
     z = _scalar(z)
     return _like(z, _phi_series(_pair(z), z.bits), z.bits)
-
-
-def gauss_upper_tail(a, bits: int | None = None) -> PReal:
-    """Q(a) = P(N(0,1) > a) = Phi(-a), accurate to the stated precision in
-    relative terms even deep in the tail, with no lift of its own."""
-    a = _real(a, bits)
-    b = a.bits if bits is None else _check_bits(bits)
-    return _like(a, _phi_series((mpf_neg(a.raw), fzero), b), b)
 
 
 # -- measures ----------------------------------------------------------
@@ -302,13 +294,10 @@ class DiscreteMeasure(Measure):
             total = mpc_add(total, (self.atoms[n // 2][1].raw, fzero), wp, _RND)
         return _like(z, total, out_bits)
 
-    def to_csv(self, out: TextIO) -> None:
-        write_tag_rows(out, "location,mass", self.atoms)
-
     @classmethod
     def from_csv(cls, src: TextIO) -> "DiscreteMeasure":
-        """Atoms from a location,mass CSV (see :meth:`to_csv`) or from a
-        rule CSV (see :func:`gausdisk.hermite.rule_to_csv`)."""
+        """Atoms from a location,mass CSV or from a rule CSV (see
+        :func:`gausdisk.hermite.rule_to_csv`)."""
         return cls(read_tag_rows(src, "location,mass", "node,weight"))
 
 
@@ -544,7 +533,7 @@ def truncation_error_closed_form(measure: TruncatedGaussian, z) -> "PComplex | P
     out_bits = max(measure.bits, z.bits)
     wp = out_bits + 32
     a = measure.a
-    q_a = gauss_upper_tail(a, wp)
+    q_a = normal_cdf(-a.round_to(wp))
     denom = PReal(1, wp) - 2 * q_a
     zw = PComplex(z, bits=wp)
     a_w = PComplex(a, PReal(0, wp), bits=wp)
@@ -664,7 +653,7 @@ def char_bound_check(
         g_j = (g_j * p_j) >> wp
         p_j = (p_j * q_step) >> wp
 
-    q = gauss_upper_tail(PReal(af, bits))
+    q = normal_cdf(PReal(-af, bits))
     bound_tail = 4 * q
     gauss_a = PReal._wrap(_gauss_raw((fzero, trunc.a.raw), bits)[0], bits)
     bound_density = 4 * gauss_a * PReal._wrap(_inv_sqrt_2pi(bits), bits) / trunc.a

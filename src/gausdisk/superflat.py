@@ -144,11 +144,6 @@ def build_superflat(a, bits: int | None = None) -> SuperflatMixture:
     )
 
 
-def mixture_density(mix: SuperflatMixture, z):
-    """f(z), entire in z; accepts real or complex scalars."""
-    return density_derivatives(mix, z, 0)[0]
-
-
 def density_derivative(mix: SuperflatMixture, z, n: int):
     """The n-th derivative of the mixture density at z."""
     return density_derivatives(mix, z, n)[n]
@@ -235,7 +230,7 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     for j in range(16):
         theta = pi_value(b) * (2 * j + 1) / 32
         z = circle_point(two, theta, b)
-        lhs = scale * mixture_density(mix, z)
+        lhs = scale * density_derivatives(mix, z, 0)[0]
         rhs = g_minus_1(z) + 1
         gap = abs(lhs - rhs)
         if not gap <= PReal(2, b) ** (-(b // 2)):

@@ -46,7 +46,7 @@ from gausdisk.measures import (
     _gauss_raw,
     _mag,
     _series_cutoff,
-    gauss_upper_tail,
+    normal_cdf,
     truncation_error_closed_form,
 )
 from gausdisk.precision import PComplex, PReal, _inv_sqrt_2pi, _like, _pair, _real, _scalar
@@ -155,7 +155,7 @@ def char_bound_check(a, t_max: float = 50.0, t_step: float = 0.01) -> CharBoundR
         if mpf_cmp(dev, best) > 0:
             best = dev
 
-    q = gauss_upper_tail(PReal(af, bits))
+    q = normal_cdf(-PReal(af, bits))
     bound_tail = 4 * q
     gauss_a = PReal._wrap(_gauss_raw((fzero, trunc.a.raw), bits)[0], bits)
     bound_density = 4 * gauss_a * PReal._wrap(_inv_sqrt_2pi(bits), bits) / trunc.a

@@ -23,16 +23,15 @@ from gausdisk import (
     build_rule,
     build_superflat,
     char_bound_check,
+    density_derivatives,
     double_factorial,
     exp,
     fit_c1,
     fit_quadrature_rate,
     fit_truncation_rate,
     flatness_certificate,
-    gauss_upper_tail,
     growth_profile,
     k_for_support,
-    mixture_density,
     moment,
     normal_cdf,
     pi_value,
@@ -321,7 +320,7 @@ def test_criterion_8_superflat_identity(superflat_certs, emit):
             z = PComplex(
                 complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), bits=bits
             )
-            lhs = root_2pi * mix.tilt_total * mixture_density(mix, z)
+            lhs = root_2pi * mix.tilt_total * density_derivatives(mix, z, 0)[0]
             rhs = source.laplace(z) * exp(-(z * z) / 2)
             scale = abs(rhs)
             if scale < 1:
@@ -404,7 +403,7 @@ def test_criterion_9_oracle_equivalence(emit):
         phi1 = mpmath.quad(mpmath.npdf, [-mpmath.inf, 1])
         q3 = mpmath.quad(mpmath.npdf, [3, mpmath.inf])
         gap_phi = abs(mpmath.mpf(normal_cdf(PReal(1, p)).str_digits(60)) - phi1)
-        gap_q = abs(mpmath.mpf(gauss_upper_tail(PReal(3, p)).str_digits(60)) - q3)
+        gap_q = abs(mpmath.mpf(normal_cdf(-PReal(3, p)).str_digits(60)) - q3)
     if gap_phi > mpmath.mpf(2) ** (-p / 2) or gap_q > mpmath.mpf(2) ** (-p / 2):
         ok = False
     emit(

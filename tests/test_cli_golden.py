@@ -31,6 +31,11 @@ CASES = {
     "transform_rule4_char": ("transform", "--measure", "rule:4", "--what", "char", "--t", "3"),
     "supdisk_rulefor4_circle": ("supdisk", "--measure", "rulefor:4", "--r", "1", "--samples", "128"),
     "supdisk_rule3_line": ("supdisk", "--measure", "rule:3", "--r", "2", "--line", "--samples", "64"),
+    # A measure with no mirror symmetry, so the circle sup comes from a scan.
+    "supdisk_csv3_circle": (
+        "supdisk", "--measure", f"csv:{os.path.join(GOLDEN, 'three_atoms.csv')}", "--r", "3",
+        "--samples", "64", "--precision", "192",
+    ),
     "figure_rate": ("figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64"),
     "superflat_a6_certify_full": ("superflat", "--a", "6", "--certify", "--full-precision"),
     "transform_trunc12_laplace_full": (

@@ -197,6 +197,12 @@ class TestTailChain:
         narrow = validate_tail_bound(8, 0.25)
         assert float(narrow.ell_sum) < float(wide.ell_sum)
 
+    def test_checks_are_read_only(self):
+        report = validate_tail_bound(6.0, 1.0)
+        with pytest.raises(TypeError):
+            report.checks["err_le_fit"] = True
+        assert report.checks["err_le_fit"] is None
+
     def test_rejects_bad_radius(self):
         with pytest.raises(ConfigError):
             validate_tail_bound(6, 0)

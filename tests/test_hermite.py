@@ -284,6 +284,13 @@ class TestMoments:
             brute = sum(float(w) * float(x) ** i for x, w in rule.atoms)
             assert float(moment(rule, i)) == pytest.approx(brute, rel=1e-12)
 
+    def test_rejects_a_measure_that_is_not_a_rule(self):
+        rule = build_rule(3, 128)
+        lopsided = [(PReal(-1, 128), PReal(0.25, 128)), (PReal(2, 128), PReal(0.75, 128))]
+        for measure in (DiscreteMeasure(rule.atoms), DiscreteMeasure(lopsided)):
+            with pytest.raises(ConfigError, match="QuadratureRule"):
+                moment(measure, 2)
+
 
 class TestKForSupport:
     @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ mathematical invariants, 4 file I/O failures.
 
 Parsing needs only the standard library: each subcommand imports the layers
 it runs when it runs, so --help, --version and rejected input load no
-mpmath, and ``figure`` loads neither ``checks`` nor ``superflat``.
+mpmath, and ``figure`` loads neither ``checks``, ``superflat`` nor ``disks``.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ transform error L(z) - exp(z**2/2).  For both paper families, the
 Gauss-Hermite rules from ``build_rule`` and the truncated Gaussians, -B
 has nonnegative Taylor coefficients: a Gauss rule's remainder for
 x**(2m) is nonnegative, and conditioning on |X| <= a lowers every even
-moment.  Then |B(z)| <= -B(|z|), so M(r) = |B(r)| exactly, and
-``sup_on_circle`` returns that single real-axis value (method
-"real-axis").
+moment.  Then |B(z)| <= -B(|z|), so M(r) = |B(r)| exactly:
+``Measure.real_axis_error(r)`` in ``measures``, which ``figure`` calls
+directly and which ``sup_on_circle`` reports as method "real-axis".
 
 Every other measure is scanned (method "scan").  Because every measure
 here lives on the real line, B(conj z) = conj B(z), so |B| on a circle
@@ -52,12 +52,16 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConfigError, ConvexityViolation, EnvelopeViolation
-from .measures import Measure
+from .errors import (
+    ConfigError,
+    ConvexityViolation,
+    EnvelopeViolation,
+    check_value_above_scaled_floor,
+)
+from .measures import _RESOLUTION_EXP, Measure
 from .precision import PComplex, PReal, _check_bits, _real, cos_sin, exp, log, pi_value, sqrt
 
 
-_RESOLUTION_EXP = -64
 # Line scans stop at the height where |exp(z**2/2)| has fallen to
 # 2**-(_LINE_CEILING_BITS/2) * exp(-a*offset); see sup_on_line.
 _LINE_CEILING_BITS = 256
@@ -271,9 +275,10 @@ def sup_on_circle(
     """M(r): maximize the transform error of a measure over |z| = r.
 
     When ``measure.error_peaks_on_real_axis()`` holds, M(r) = |B(r)| by
-    theorem and one evaluation at z = r + 0i (the scan's own theta = 0
-    seed) replaces the scan; the report says method "real-axis" and
-    keeps the arc and sample count a scan would have used.
+    theorem and ``measure.real_axis_error(r)``, one evaluation at the
+    scan's own theta = 0 seed z = r + 0i at the measure's precision,
+    replaces the scan; the report says method "real-axis" and keeps the
+    arc and sample count a scan would have used.
     """
     if not isinstance(measure, Measure):
         raise ConfigError("sup_on_circle expects a Measure")
@@ -286,11 +291,10 @@ def sup_on_circle(
     if n_samples < 3:
         raise ConfigError("need at least 3 scan samples")
     r = _circle_radius(radius, b)
-    witness = PComplex(r, PReal(0, b), bits=b)
     return CircleSupReport(
         radius=r,
-        sup_value=abs(measure.laplace_error(witness)),
-        witness=witness,
+        sup_value=measure.real_axis_error(r),
+        witness=PComplex(r, PReal(0, b), bits=b),
         arc=arc,
         n_samples=n_samples,
         refine_iterations=0,
@@ -360,24 +364,6 @@ def check_above_noise_floor(report, subject: str, var: str) -> None:
     if positive or not report.sup_value.is_zero():
         check_value_above_scaled_floor(
             report.sup_value, r * r / (2 * math.log(2.0)), subject, f"exp({var}**2/2)"
-        )
-
-
-def check_value_above_scaled_floor(value: PReal, log2_scale: float, subject: str, scale: str) -> None:
-    """Raise ConfigError when ``value`` is zero or at or below
-    2**(16 - b) * S at b bits, with log2(S) = ``log2_scale``: a value
-    summed from terms whose sizes total at most S has no correct digit
-    left there.  The message starts with ``subject`` and writes S as
-    ``scale``.
-    """
-    if value.is_zero():
-        raise ConfigError(f"{subject} rounds to zero at {value.bits} bits")
-    # log2|value| = exp + log2(man) for a raw value (sign, man, exp, bc).
-    _, man, exp, _ = value.raw
-    if exp + math.log2(man) <= 16 - value.bits + log2_scale:
-        raise ConfigError(
-            f"{subject} is rounding noise at {value.bits} bits: "
-            f"it lies below 2**(16 - bits) * {scale}"
         )
 
 

@@ -5,9 +5,15 @@ Two top-level families matter operationally: configuration problems
 violations (a computation produced something the construction forbids).
 The CLI maps them to distinct exit codes, so library code should raise
 the most specific subclass that applies.
+
+``check_value_above_scaled_floor`` turns a value that rounding has left
+with no correct digit into a ConfigError, since more precision is the
+cure; ``disks``, ``experiments`` and ``superflat`` share it.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class GausdiskError(Exception):
@@ -53,3 +59,20 @@ class ChainViolation(MathInvariantError):
 class CertificateViolation(MathInvariantError):
     """A flatness certificate's cross-checks failed."""
 
+
+def check_value_above_scaled_floor(value, log2_scale: float, subject: str, scale: str) -> None:
+    """Raise ConfigError when the PReal ``value`` is zero or at or below
+    2**(16 - b) * S at b bits, with log2(S) = ``log2_scale``: a value
+    summed from terms whose sizes total at most S has no correct digit
+    left there.  The message starts with ``subject`` and writes S as
+    ``scale``.
+    """
+    if value.is_zero():
+        raise ConfigError(f"{subject} rounds to zero at {value.bits} bits")
+    # log2|value| = exp + log2(man) for a raw value (sign, man, exp, bc).
+    _, man, exp, _ = value.raw
+    if exp + math.log2(man) <= 16 - value.bits + log2_scale:
+        raise ConfigError(
+            f"{subject} is rounding noise at {value.bits} bits: "
+            f"it lies below 2**(16 - bits) * {scale}"
+        )

@@ -59,10 +59,14 @@ from mpmath.libmp import (
     round_up,
 )
 
-from .disks import _RESOLUTION_EXP, check_above_noise_floor, sup_on_circle
-from .errors import ChainViolation, ConfigError, InsufficientDataError
+from .errors import (
+    ChainViolation,
+    ConfigError,
+    InsufficientDataError,
+    check_value_above_scaled_floor,
+)
 from .hermite import build_rule, k_for_support
-from .measures import TruncatedGaussian
+from .measures import _RESOLUTION_EXP, TruncatedGaussian
 from .precision import PReal, _check_bits, _real, exp, log, sqrt, working_bits
 
 
@@ -128,10 +132,12 @@ def run_figure(
     """Measure both error curves over a grid of support half-widths.
 
     Precision per row is working_bits(a, b), or ``bits_override`` when
-    given.  Both families take the exact real-axis path of
-    ``sup_on_circle``, so ``n_samples`` changes no number; the table and
-    manifest record it.  ``progress``, when given, receives one line per
-    row before the row is measured.
+    given.  Both families' errors peak on the real axis, so each sup is
+    the exact ``Measure.real_axis_error(b)`` and ``n_samples``, which
+    must be at least 3, changes no number; the table and manifest record
+    it.  A sup at or below its rounding floor 2**(16 - bits) *
+    exp(b**2/2) raises ConfigError.  ``progress``, when given, receives
+    one line per row before the row is measured.
     """
     if a_values is None:
         a_values = default_grid()
@@ -146,21 +152,23 @@ def run_figure(
         _check_row(a, bf)
     if bits_override is not None:
         _check_bits(bits_override)
+    if n_samples < 3:
+        raise ConfigError("need at least 3 scan samples")
     plan = []
     for a in grid:
         bits = working_bits(a, b) if bits_override is None else bits_override
         plan.append((a, k_for_support(a), bits))
+    log2_scale = bf * bf / (2 * math.log(2.0))
     rows = []
     for a, k, bits in plan:
         if progress is not None:
             progress(f"a={a:g}: k={k}, bits={bits}")
-        trunc = TruncatedGaussian(a, bits)
-        quad = build_rule(k, bits)
-        sup_trunc = sup_on_circle(trunc, b, n_samples=n_samples)
-        sup_quad = sup_on_circle(quad, b, n_samples=n_samples)
-        for name, sup in (("truncation", sup_trunc), ("rule", sup_quad)):
-            check_above_noise_floor(sup, f"the {name} error at a={a:g}, b={bf:g}", "b")
-        err_trunc, err_quad = sup_trunc.sup_value, sup_quad.sup_value
+        err_trunc = TruncatedGaussian(a, bits).real_axis_error(b)
+        err_quad = build_rule(k, bits).real_axis_error(b)
+        for name, err in (("truncation", err_trunc), ("rule", err_quad)):
+            check_value_above_scaled_floor(
+                err, log2_scale, f"the {name} error at a={a:g}, b={bf:g}", "exp(b**2/2)"
+            )
         rows.append(
             RateRow(a=a, k=k, bits=bits, err_trunc=err_trunc, err_quad=err_quad)
         )
@@ -392,15 +400,27 @@ def validate_tail_bound(
 # -- artifacts ---------------------------------------------------------
 
 
+def _figure_series(table: RateTable, model: TailBoundModel | None) -> dict[str, list[float]]:
+    """log10 of both errors of every row and, given ``model``, of its
+    fitted ceiling: the curves that the CSV and the SVG both show."""
+    rows = table.rows
+    series = {
+        "err_trunc": [_log10(row.err_trunc) for row in rows],
+        "err_quad": [_log10(row.err_quad) for row in rows],
+    }
+    if model is not None:
+        series["tail"] = [_log10(tail_bound_value(model.c1, row.a, table.b)) for row in rows]
+    return series
+
+
 def figure_csv_text(table: RateTable, model: TailBoundModel | None = None) -> str:
+    series = _figure_series(table, model)
     lines = ["a,k,log10_err_trunc,log10_err_quad,log10_tail_bound"]
-    for row in table.rows:
-        tail = ""
-        if model is not None:
-            tail = f"{_log10(tail_bound_value(model.c1, row.a, table.b)):.12f}"
+    for j, row in enumerate(table.rows):
+        tail = f"{series['tail'][j]:.12f}" if "tail" in series else ""
         lines.append(
-            f"{row.a:g},{row.k},{_log10(row.err_trunc):.12f},"
-            f"{_log10(row.err_quad):.12f},{tail}"
+            f"{row.a:g},{row.k},{series['err_trunc'][j]:.12f},"
+            f"{series['err_quad'][j]:.12f},{tail}"
         )
     return "\n".join(lines) + "\n"
 
@@ -418,14 +438,7 @@ def figure_svg_text(table: RateTable, model: TailBoundModel | None = None) -> st
     if len(rows) < 2:
         raise InsufficientDataError("need at least 2 rows to draw the figure")
     xs = [row.a for row in rows]
-    series: dict[str, list[float]] = {
-        "err_trunc": [_log10(row.err_trunc) for row in rows],
-        "err_quad": [_log10(row.err_quad) for row in rows],
-    }
-    if model is not None:
-        series["tail"] = [
-            _log10(tail_bound_value(model.c1, row.a, table.b)) for row in rows
-        ]
+    series = _figure_series(table, model)
     x_lo, x_hi = min(xs), max(xs)
     all_y = [v for vs in series.values() for v in vs]
     y_lo = 5.0 * math.floor(min(all_y) / 5.0)

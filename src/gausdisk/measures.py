@@ -17,6 +17,10 @@ libmp (re, im) pairs: arguments enter through ``precision._scalar`` and
 ``precision._pair``, so a real argument is the complex point with an exact
 zero imaginary part, and ``precision._like`` returns a PReal for it.
 
+For both paper families, -B = exp(z**2/2) - L(z) has nonnegative Taylor
+coefficients, so the sup of |B| over |z| = r is the single value |B(r)|:
+``Measure.real_axis_error(r)``, which ``figure`` reads with no scan.
+
 The truncated family has one kernel, the series of its even moments,
 
     L(z) = sum_m ell_m z**(2m),   ell_m = R_m / (R_0 * 2**m * m!),
@@ -95,6 +99,9 @@ _RND = round_nearest
 _LN2 = math.log(2.0)
 
 _MAX_CDF_ARG = 64.0
+# log2 of the resolution to which a circle or line scan sharpens its best
+# sample; the figure manifest records it as scan_resolution_exp.
+_RESOLUTION_EXP = -64
 # The most grid steps char_bound_check sweeps.
 _MAX_CHAR_STEPS = 10_000
 
@@ -225,6 +232,20 @@ class Measure:
         Only constructions that guarantee this by theorem answer True;
         the default is the safe False."""
         return False
+
+    def real_axis_error(self, r) -> PReal:
+        """sup over |z| = r of |B(z)|, read as |B(r)| at z = r + 0i, for a
+        measure whose :meth:`error_peaks_on_real_axis` holds.
+
+        r is rounded to the measure's bits and must be positive; any other
+        measure raises ConfigError, since its sup needs a scan."""
+        if not self.error_peaks_on_real_axis():
+            raise ConfigError(f"the sup of a {type(self).__name__}'s error needs a scan")
+        bits = self.bits
+        r = _real(r, bits).round_to(bits)
+        if not r > 0:
+            raise ConfigError("circle radius must be positive")
+        return abs(self.laplace_error(PComplex(r, PReal(0, bits), bits=bits)))
 
 
 class DiscreteMeasure(Measure):

@@ -68,8 +68,8 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .disks import check_value_above_scaled_floor, circle_point, sup_on_circle
-from .errors import CertificateViolation, ConfigError
+from .disks import circle_point, sup_on_circle
+from .errors import CertificateViolation, ConfigError, check_value_above_scaled_floor
 from .hermite import QuadratureRule, _he_rows, build_rule, k_for_support
 from .measures import _gauss_raw
 from .precision import (

@@ -94,6 +94,13 @@ class TestRunFigure:
         with pytest.raises(ConfigError):
             run_figure([4], b=0)
 
+    def test_too_few_samples(self):
+        # No sample count changes a row, but the table records it, so it
+        # is held to what a scan needs.
+        with pytest.raises(ConfigError, match="^need at least 3 scan samples$"):
+            run_figure([4.0], n_samples=2)
+        assert run_figure([4.0], n_samples=3).n_samples == 3
+
     def test_preal_radius_writes_what_the_equal_float_writes(self):
         """The table stores b as the float run_figure validated, so a PReal
         b renders the CSV, SVG and manifest of the equal float."""

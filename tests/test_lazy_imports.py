@@ -2,7 +2,8 @@
 
 ``import gausdisk`` loads none of its modules, and no command loads a
 layer it does not use: help and usage need no mpmath, ``figure`` neither
-the checks nor the superflat layer, and no command needs ``dataclasses``
+the checks, the superflat nor the scan layer (``disks``), ``rule`` and
+``transform`` no scan layer either, and no command needs ``dataclasses``
 or ``subprocess``.
 Each of those tests runs a fresh interpreter, since this one has long
 loaded everything.
@@ -116,9 +117,9 @@ def test_rejected_input_loads_no_mpmath(argv):
     assert b"ImportError" not in result.stderr and b"Traceback" not in result.stderr
 
 
-def test_figure_loads_neither_checks_nor_superflat():
+def test_figure_loads_neither_checks_superflat_nor_disks():
     argv = ("figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64")
-    result = run_cli_blocking(["gausdisk.checks", "gausdisk.superflat"], *argv)
+    result = run_cli_blocking(["gausdisk.checks", "gausdisk.superflat", "gausdisk.disks"], *argv)
     assert result.returncode == 0, result.stderr.decode()
     with open(os.path.join(GOLDEN, "figure_rate.txt"), "rb") as handle:
         assert result.stdout == handle.read()
@@ -145,6 +146,16 @@ def test_commands_run_without_dataclasses(command):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_commands_run_without_subprocess(command):
     assert_blocked_run_matches(command)
+
+
+@pytest.mark.parametrize("command", ["rule", "transform"])
+def test_rule_and_transform_load_no_disks(command):
+    result = run_python(
+        "from gausdisk.cli import main; code = main(sys.argv[1:]); "
+        "sys.exit(code or ('gausdisk.disks' in sys.modules and 'gausdisk.disks was loaded'))",
+        *SMALL_RUNS[command],
+    )
+    assert result.returncode == 0, result.stderr.decode()
 
 
 @pytest.mark.parametrize("command", ["figure", "verify"])

@@ -3,6 +3,7 @@ sweeps of the characteristic function."""
 
 import io
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import mpmath
 import pytest
 
 from gausdisk import measures
+from gausdisk.disks import sup_on_circle
 from gausdisk.errors import ChainViolation, ConfigError
 from gausdisk.hermite import build_rule, k_for_support
 from gausdisk.measures import (
@@ -21,7 +23,7 @@ from gausdisk.measures import (
     normal_cdf,
     truncation_error_closed_form,
 )
-from gausdisk.precision import PComplex, PReal, exp, write_tag_rows
+from gausdisk.precision import PComplex, PReal, exp, working_bits, write_tag_rows
 
 
 def mp_cdf(z):
@@ -367,6 +369,53 @@ def test_real_points_are_complex_points_with_zero_imaginary_part():
             assert real.bits == cplx.bits
             assert real.raw == cplx.real.raw
             assert cplx.imag.raw == mpmath.libmp.fzero
+
+
+class TestRealAxisError:
+    """``real_axis_error`` against the two routes it replaces: one
+    ``laplace_error`` at z = r + 0i, and ``sup_on_circle``'s report."""
+
+    @staticmethod
+    def _paper_measures():
+        for a in (1.5, 4, 6.5, 8.3, 12):
+            for b in (0.5, 1, 2):
+                for bits in (128, working_bits(a, b)):
+                    yield a, b, TruncatedGaussian(a, bits)
+                    # k = ceil(a**2/8) as figure sizes it; a = 1.5 is too
+                    # narrow for k_for_support's node-interval check.
+                    yield a, b, build_rule(math.ceil(a * a / 8), bits)
+
+    def test_bit_identical_to_the_old_routes(self):
+        seen = 0
+        for a, b, m in self._paper_measures():
+            r = PReal(b, m.bits)
+            value = m.real_axis_error(b)
+            assert value.bits == m.bits
+            assert value.raw == abs(m.laplace_error(PComplex(r, PReal(0, m.bits)))).raw, (a, b)
+            assert value.raw == sup_on_circle(m, b).sup_value.raw, (a, b)
+            assert value > 0
+            seen += 1
+        assert seen == 60
+
+    def test_radius_is_rounded_to_the_measure_bits(self):
+        m = TruncatedGaussian(4, 128)
+        fine = PReal(1, 512) + PReal(2, 512) ** -300
+        assert m.real_axis_error(fine).raw == m.real_axis_error(1).raw
+
+    def test_measures_that_need_a_scan_raise(self):
+        path = os.path.join(os.path.dirname(__file__), "data", "cli", "three_atoms.csv")
+        with open(path, encoding="utf-8") as fh:
+            three_atoms = DiscreteMeasure.from_csv(fh)
+        for m in (StandardGaussian(128), three_atoms):
+            assert not m.error_peaks_on_real_axis()
+            with pytest.raises(ConfigError, match="needs a scan"):
+                m.real_axis_error(1)
+
+    @pytest.mark.parametrize("r", [0, -1, PReal(-0.5, 128)])
+    def test_radius_must_be_positive(self, r):
+        for m in (TruncatedGaussian(4, 128), build_rule(3, 128)):
+            with pytest.raises(ConfigError, match="circle radius must be positive"):
+                m.real_axis_error(r)
 
 
 class TestCharBoundCheck:

@@ -16,7 +16,7 @@ import random
 import sys
 import time
 
-from .disks import growth_profile, sup_on_circle, three_circles_check, three_lines_check
+from .disks import growth_profile, three_circles_check, three_lines_check
 from .errors import MathInvariantError
 from .experiments import RateRow, RateTable, figure_csv_text, validate_tail_bound
 from .hermite import build_rule, moment
@@ -149,7 +149,7 @@ def check_superflat(quick: bool) -> None:
 def check_tail_chain(quick: bool) -> None:
     bits = working_bits(6.0, 1.0)
     quad = build_rule(5, bits)
-    err = sup_on_circle(quad, 1).sup_value
+    err = quad.real_axis_error(1)
     report = validate_tail_bound(6.0, 1.0, err_quad=err)
     _require(report.passed, "tail chain audit failed at a=6")
     report11 = validate_tail_bound(11.0, 1.0)

@@ -7,8 +7,9 @@ Gauss-Hermite rules from ``build_rule`` and the truncated Gaussians, -B
 has nonnegative Taylor coefficients: a Gauss rule's remainder for
 x**(2m) is nonnegative, and conditioning on |X| <= a lowers every even
 moment.  Then |B(z)| <= -B(|z|), so M(r) = |B(r)| exactly:
-``Measure.real_axis_error(r)`` in ``measures``, which ``figure`` calls
-directly and which ``sup_on_circle`` reports as method "real-axis".
+``Measure.real_axis_error(r)`` in ``measures``.  ``figure``, the flatness
+certificate and verify's tail chain call it directly, and
+``sup_on_circle`` reports it as method "real-axis".
 
 Every other measure is scanned (method "scan").  Because every measure
 here lives on the real line, B(conj z) = conj B(z), so |B| on a circle

@@ -68,7 +68,6 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .disks import circle_point, sup_on_circle
 from .errors import CertificateViolation, ConfigError, check_value_above_scaled_floor
 from .hermite import QuadratureRule, _he_rows, build_rule, k_for_support
 from .measures import _gauss_raw
@@ -81,6 +80,7 @@ from .precision import (
     _pair,
     _real,
     _scalar,
+    cos_sin,
     exp,
     pi_value,
     sqrt,
@@ -228,8 +228,8 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     scale = root_2pi * mix.tilt_total.round_to(b)
     two = PReal(2, b)
     for j in range(16):
-        theta = pi_value(b) * (2 * j + 1) / 32
-        z = circle_point(two, theta, b)
+        c, s = cos_sin(pi_value(b) * (2 * j + 1) / 32)
+        z = PComplex(two * c, two * s, bits=b)
         lhs = scale * density_derivatives(mix, z, 0)[0]
         rhs = g_minus_1(z) + 1
         gap = abs(lhs - rhs)
@@ -245,14 +245,13 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     # a lower bound for the sup.  |E(z)| <= |E(2)| and
     # |exp(-z**2/2)| <= e**2 give the ceiling, rounded up by a relative
     # 2**-(b//2) that covers the rounding of E(2).
-    quarter_turn = 2 * pi_value(b) / 4
-    witness = circle_point(two, quarter_turn, b)
+    c, s = cos_sin(2 * pi_value(b) / 4)
+    witness = PComplex(two * c, two * s, bits=b)
     eps2 = abs(g_minus_1(witness))
     subject = "the boundary deviation eps2 on |z| = r = 2"
     check_value_above_scaled_floor(eps2, 2.0 * 2.0 / (2 * math.log(2.0)), subject, "exp(r**2/2)")
     margin = 1 + PReal(2, b) ** (-(b // 2))
-    edge = sup_on_circle(mix.rule, two).sup_value
-    ceiling = exp(two) * edge * margin
+    ceiling = exp(two) * mix.rule.real_axis_error(two) * margin
 
     bounds = [math.factorial(n) * eps2 for n in range(1, _MAX_BOUND_ORDER + 1)]
 
@@ -260,7 +259,7 @@ def flatness_certificate(mix: SuperflatMixture) -> FlatnessCertificate:
     # seed of a quarter-arc scan of |z| = 1, and no order scan's refinement
     # beat it at the policy precision.  A value at a point again, so a
     # lower bound for the sup on the unit disk.
-    unit_i = circle_point(PReal(1, b), quarter_turn, b)
+    unit_i = PComplex(c, s, bits=b)
     derivs = density_derivatives(mix, unit_i, _MAX_DIRECT_ORDER)
     direct = [abs(scale * d) for d in derivs[1:]]
     top = float(mix.rule.nodes[-1])

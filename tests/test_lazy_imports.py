@@ -2,9 +2,9 @@
 
 ``import gausdisk`` loads none of its modules, and no command loads a
 layer it does not use: help and usage need no mpmath, ``figure`` neither
-the checks, the superflat nor the scan layer (``disks``), ``rule`` and
-``transform`` no scan layer either, and no command needs ``dataclasses``
-or ``subprocess``.
+the checks, the superflat nor the scan layer (``disks``), ``rule``,
+``transform`` and ``superflat --certify`` no scan layer either, and no
+command needs ``dataclasses`` or ``subprocess``.
 Each of those tests runs a fresh interpreter, since this one has long
 loaded everything.
 """
@@ -122,6 +122,14 @@ def test_figure_loads_neither_checks_superflat_nor_disks():
     result = run_cli_blocking(["gausdisk.checks", "gausdisk.superflat", "gausdisk.disks"], *argv)
     assert result.returncode == 0, result.stderr.decode()
     with open(os.path.join(GOLDEN, "figure_rate.txt"), "rb") as handle:
+        assert result.stdout == handle.read()
+
+
+def test_superflat_certificate_loads_no_disks():
+    result = run_cli_blocking(["gausdisk.disks"], "superflat", "--a", "4", "--certify")
+    assert result.returncode == 0, result.stderr.decode()
+    golden = os.path.join(os.path.dirname(GOLDEN), "superflat_a4_certify_s64.txt")
+    with open(golden, "rb") as handle:
         assert result.stdout == handle.read()
 
 

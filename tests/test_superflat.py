@@ -11,7 +11,7 @@ from gausdisk import disks, superflat
 from gausdisk.disks import sup_abs_on_circle
 from gausdisk.errors import CertificateViolation, ConfigError
 from gausdisk.hermite import build_rule
-from gausdisk.measures import DiscreteMeasure
+from gausdisk.measures import DiscreteMeasure, Measure
 from gausdisk.precision import PComplex, PReal, _inv_sqrt_2pi, exp, pi_value, sqrt
 from gausdisk.superflat import (
     build_superflat,
@@ -279,21 +279,32 @@ class TestCertificate:
             kernel_calls.append(n_max)
             return kernel(mix, z, n_max)
 
-        reports = []
-        sup = superflat.sup_on_circle
+        edge_calls = []
+        edge = Measure.real_axis_error
 
-        def recorded_sup(*args, **kwargs):
-            reports.append(sup(*args, **kwargs))
-            return reports[-1]
+        def recorded_edge(measure, r):
+            edge_calls.append((measure, r))
+            return edge(measure, r)
 
         monkeypatch.setattr(disks, "sup_abs_on_circle", no_scan)
-        monkeypatch.setattr(superflat, "sup_on_circle", recorded_sup)
+        monkeypatch.setattr(Measure, "real_axis_error", recorded_edge)
         monkeypatch.setattr(superflat, "density_derivatives", counted_kernel)
-        flatness_certificate(build_superflat(4))
-        # The 16 identity samples, then orders 1..4 at z = i in one call.
-        assert kernel_calls == [0] * 16 + [superflat._MAX_DIRECT_ORDER]
-        # |E(2)| for the ceiling is one real-axis value, not a scan.
-        assert [(float(r.radius), r.method) for r in reports] == [(2.0, "real-axis")]
+        for a in (4, 6):
+            kernel_calls.clear()
+            edge_calls.clear()
+            mix = build_superflat(a)
+            cert = flatness_certificate(mix)
+            # The 16 identity samples, then orders 1..4 at z = i in one call.
+            assert kernel_calls == [0] * 16 + [superflat._MAX_DIRECT_ORDER]
+            # |E(2)| for the ceiling is one real-axis value, not a scan.
+            assert [(m is mix.rule, float(r)) for m, r in edge_calls] == [(True, 2.0)]
+            # The route it replaces, the real-axis branch of sup_on_circle,
+            # gives the same ceiling bit for bit.
+            b = mix.bits
+            sup = disks.sup_on_circle(mix.rule, 2)
+            assert sup.method == "real-axis"
+            want = exp(PReal(2, b)) * sup.sup_value * (1 + PReal(2, b) ** (-(b // 2)))
+            assert cert.eps2_ceiling.raw == want.raw, a
 
     def test_direct_sup_past_its_bound_raises(self, monkeypatch):
         # Orders >= 1 scaled by 10: f itself, and so the identity check, is

@@ -6,8 +6,8 @@ measures the sup of the transform error on the disk |z| <= b for
 * the Gaussian truncated to [-a, a], and
 * the matched-moment rule with k = ceil(a**2/8) points,
 
-at a per-row working precision chosen by the standard policy.  The
-resulting table feeds three summaries:
+at a per-row working precision read from proven lower bounds on both
+errors, capped by the standard policy.  The table feeds three summaries:
 
 * a least-squares rate for the truncation error, log err against a**2
   (its decay is essentially exp(-a**2/2));
@@ -30,8 +30,8 @@ audit's precision.  Replacing l by k in the denominators gives a
 geometric series, which converges only when
 q = max(e*a/(2k), e/sqrt(2k)) * b < 1, and collapses to 3*q**(a**2/4)
 only when q < 1/2; outside its regime ``k_sum`` or ``closed_bound`` is
-None rather than assumed.  The fitted ceiling with c1 is checked
-separately whenever a fitted constant is supplied.
+None rather than assumed.  The fitted ceiling with c1 is checked, at
+c1's own 256 bits, whenever a fitted constant is supplied.
 
 Artifacts (CSV, SVG, JSON manifest) are plain deterministic text: the
 same table writes byte-identical files.
@@ -122,6 +122,29 @@ def _log10(value: PReal) -> float:
     return float(log(value)) / math.log(10.0)
 
 
+def rule_error_floor(k: int, b: float) -> float:
+    """ln of k!*b**(2k)/(2k)!, a proven lower bound on |B(b)| for the
+    k-node rule: every moment deficit D_m is >= 0 and D_k = k!."""
+    return math.lgamma(k + 1) - math.lgamma(2 * k + 1) + 2 * k * math.log(b)
+
+
+def truncation_error_floor(a: float, b: float) -> float:
+    """ln of (cosh(a*b) - 1)/(a*R0), R0 = exp(a**2/2)*sqrt(pi/2)*erf(a/sqrt(2)),
+    a proven lower bound on |B(b)| for the Gaussian truncated to [-a, a]."""
+    x = a * b
+    # cosh(x) - 1 = exp(x)/2 * (1 - exp(-x))**2, with no overflow or cancellation.
+    cosh_m1 = x - math.log(2.0) + 2 * math.log(-math.expm1(-x))
+    r0 = a * a / 2 + math.log(math.sqrt(math.pi / 2) * math.erf(a / math.sqrt(2.0)))
+    return cosh_m1 - math.log(a) - r0
+
+
+def lean_bits(b: float, ln_floor: float) -> int:
+    """The bits that print 40 correct digits of a |B(b)| >= exp(ln_floor):
+    133 for the digits, log2(exp(b**2/2)/floor) lost to the subtraction,
+    one for the float rounding of ln_floor, and a 64-bit guard."""
+    return 133 + math.ceil((b * b / 2 - ln_floor) / math.log(2.0) + 1) + 64
+
+
 def run_figure(
     a_values=None,
     b: float = 1.0,
@@ -131,13 +154,14 @@ def run_figure(
 ) -> RateTable:
     """Measure both error curves over a grid of support half-widths.
 
-    Precision per row is working_bits(a, b), or ``bits_override`` when
-    given.  Both families' errors peak on the real axis, so each sup is
-    the exact ``Measure.real_axis_error(b)`` and ``n_samples``, which
-    must be at least 3, changes no number; the table and manifest record
-    it.  A sup at or below its rounding floor 2**(16 - bits) *
-    exp(b**2/2) raises ConfigError.  ``progress``, when given, receives
-    one line per row before the row is measured.
+    Precision per row is ``bits_override`` when given.  Otherwise it is
+    working_bits(a, b), lowered to the ``lean_bits`` of the smaller of
+    the two families' error floors.  Both families' errors peak on the
+    real axis, so each sup is the exact ``Measure.real_axis_error(b)``
+    and ``n_samples``, which must be at least 3, changes no number; the
+    table and manifest record it.  A sup at or below its rounding floor
+    2**(16 - bits) * exp(b**2/2) raises ConfigError.  ``progress``, when
+    given, receives one line per row before the row is measured.
     """
     if a_values is None:
         a_values = default_grid()
@@ -156,8 +180,12 @@ def run_figure(
         raise ConfigError("need at least 3 scan samples")
     plan = []
     for a in grid:
-        bits = working_bits(a, b) if bits_override is None else bits_override
-        plan.append((a, k_for_support(a), bits))
+        k = k_for_support(a)
+        bits = bits_override
+        if bits is None:
+            floor = min(rule_error_floor(k, bf), truncation_error_floor(a, bf))
+            bits = min(working_bits(a, b), lean_bits(bf, floor))
+        plan.append((a, k, bits))
     log2_scale = bf * bf / (2 * math.log(2.0))
     rows = []
     for a, k, bits in plan:
@@ -362,7 +390,8 @@ def validate_tail_bound(
 
     fit_bound = None
     if c1_fit is not None:
-        fit_bound = tail_bound_value(c1_fit, af, bf, bits)
+        # At c1's own 256 bits: a rounding at fewer would swamp its pad.
+        fit_bound = tail_bound_value(c1_fit, af, bf)
 
     err = None
     if err_quad is not None:

@@ -449,8 +449,8 @@ class TestFigure:
         # progress goes to stderr, one line per row
         assert err.splitlines() == [
             "a=4: k=2, bits=197",
-            "a=4.5: k=3, bits=240",
-            "a=5: k=4, bits=291",
+            "a=4.5: k=3, bits=211",
+            "a=5: k=4, bits=214",
         ]
 
     def test_grid_with_too_many_values_rejected(self, capsys):

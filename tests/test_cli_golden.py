@@ -37,6 +37,10 @@ CASES = {
         "--samples", "64", "--precision", "192",
     ),
     "figure_rate": ("figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64"),
+    "figure_rate_full": (
+        "figure", "--grid", "4.3,6.0,6.5,7.6,8.3", "--b", "1", "--samples", "64", "--full-precision",
+    ),
+    "figure_large_a": ("figure", "--grid", "24,32", "--b", "1", "--samples", "64"),
     "superflat_a6_certify_full": ("superflat", "--a", "6", "--certify", "--full-precision"),
     "transform_trunc12_laplace_full": (
         "transform", "--measure", "trunc:12", "--z", "1", "--z", "0.3,0.9", "--z", "0,2",

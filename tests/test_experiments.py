@@ -3,9 +3,12 @@
 import functools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausdisk import experiments
 from gausdisk.errors import ChainViolation, ConfigError, InsufficientDataError
@@ -19,13 +22,17 @@ from gausdisk.experiments import (
     fit_c1,
     fit_quadrature_rate,
     fit_truncation_rate,
+    lean_bits,
     manifest_text,
+    rule_error_floor,
     run_figure,
     tail_bound_value,
+    truncation_error_floor,
     validate_tail_bound,
 )
-from gausdisk.hermite import k_for_support
-from gausdisk.precision import PReal, exp, sqrt, working_bits
+from gausdisk.hermite import build_rule, k_for_support
+from gausdisk.measures import TruncatedGaussian
+from gausdisk.precision import PReal, exp, log, sqrt, working_bits
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +74,8 @@ class TestRunFigure:
     def test_rows_sorted_and_kitted(self, small_table):
         for row in small_table.rows:
             assert row.k == math.ceil(row.a**2 / 8)
-            assert row.bits == working_bits(row.a, 1.0)
+            floor = min(rule_error_floor(row.k, 1.0), truncation_error_floor(row.a, 1.0))
+            assert row.bits == min(working_bits(row.a, 1.0), lean_bits(1.0, floor))
         a_values = [row.a for row in small_table.rows]
         assert a_values == sorted(a_values)
 
@@ -110,6 +118,82 @@ class TestRunFigure:
             assert type(table.b) is float
             texts.append((figure_csv_text(table), figure_svg_text(table), manifest_text(table)))
         assert texts[0] == texts[1]
+
+
+# Rules exist for a in [sqrt(6), sqrt(8)] and from sqrt(10) on (k_for_support).
+RULE_HALF_WIDTHS = st.floats(2.4495, 24.0).filter(lambda a: not 2.8284 < a < 3.1623)
+LEAN_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def auto_bits_seen(a: float, b: float) -> int:
+    """The bits of the single auto row at (a, b), read from its progress
+    line, which is printed before the row is measured."""
+    seen = []
+    try:
+        run_figure([a], b=b, n_samples=3, progress=seen.append)
+    except ConfigError:
+        pass
+    return int(seen[0].rsplit("bits=", 1)[1])
+
+
+class TestLeanBits:
+    """Auto rows take min(working_bits, lean_bits of both families' error
+    floors).  The floors must be proven lower bounds on |B(b)|, and the
+    lean bits must print 40 digits that 256 more bits do not change."""
+
+    @LEAN_PROPERTY
+    @given(a=RULE_HALF_WIDTHS, b=st.floats(0.25, 4.0))
+    def test_rule_floor_bits_print_stable_digits(self, a, b):
+        # A row's lean bits come from the smaller floor, so they are never
+        # fewer than the bits of the rule's own floor, tested here.
+        k = k_for_support(a)
+        bits = lean_bits(b, rule_error_floor(k, b))
+        digits = build_rule(k, bits).real_axis_error(b).str_digits(40)
+        assert digits == build_rule(k, bits + 256).real_axis_error(b).str_digits(40)
+
+    @LEAN_PROPERTY
+    @given(a=st.floats(math.sqrt(6), 60.0), b=st.floats(0.25, 4.0))
+    def test_truncation_floor_bits_print_stable_digits(self, a, b):
+        bits = lean_bits(b, truncation_error_floor(a, b))
+        digits = TruncatedGaussian(a, bits).real_axis_error(b).str_digits(40)
+        assert digits == TruncatedGaussian(a, bits + 256).real_axis_error(b).str_digits(40)
+
+    def test_floors_lie_below_the_errors_at_policy_bits(self):
+        rng = random.Random(16)
+        for _ in range(12):
+            a = rng.choice((rng.uniform(2.4495, 2.8284), rng.uniform(3.1623, 16)))
+            b = 10 ** rng.uniform(-2, math.log10(8))
+            k, bits = k_for_support(a), working_bits(a, b)
+            for floor, measure in (
+                (rule_error_floor(k, b), build_rule(k, bits)),
+                (truncation_error_floor(a, b), TruncatedGaussian(a, bits)),
+            ):
+                assert floor <= float(log(measure.real_axis_error(b))), (a, b, measure)
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
+    def test_auto_rows_never_exceed_the_policy(self, b):
+        table = run_figure([2.5, 4, 6, 9.7, 13, 24], b=b, n_samples=3)
+        assert all(row.bits <= working_bits(row.a, b) for row in table.rows)
+        assert table.rows[-1].bits < working_bits(24, b) // 8
+
+    @pytest.mark.parametrize("b", [1e-30, 1e-20])
+    def test_tiny_radius_rows_keep_the_policy(self, b):
+        # The rows behind the rounds-to-zero and rounding-floor messages.
+        for a in (4.0, 5.0, 6.0, 7.0):
+            assert auto_bits_seen(a, b) == working_bits(a, b)
+
+    @pytest.mark.parametrize("a,b", [(3.936, 1), (3.223, 2), (3.404, 1.5), (2.737, 2), (3.973, 0.5)])
+    def test_fit_link_holds_on_a_binding_row(self, a, b):
+        # Here the single row binds c1 at the policy's 130-192 bits; the
+        # fitted ceiling must not round below the error c1 was fitted to.
+        table = run_figure([a], b=b, n_samples=3)
+        row = table.rows[0]
+        model = fit_c1(table)
+        assert model.binding_a == a and row.bits < 256
+        report = validate_tail_bound(
+            a, b, c1_fit=model.c1, err_quad=row.err_quad, bits=min(row.bits, 512)
+        )
+        assert report.checks["err_le_fit"] is True
 
 
 class TestFits:
